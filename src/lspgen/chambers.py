@@ -198,67 +198,55 @@ def apply_decoration(g: PlaneGraph, d: Decoration) -> PlaneGraph:
     return extract_original(decorate_chambers(g, d))
 
 
-def decorate_chambers(g: PlaneGraph, d: Decoration) -> ChamberSystem:
-    """The chamber system produced by filling every chamber of C_g with
-    the decoration (mirrored in alternate chambers)."""
+def _glue(g: PlaneGraph, d: Decoration
+          ) -> tuple[list[tuple[int, int, int]], dict[int, int], list[int]]:
+    """One copy of the decoration per chamber of g, glued along the sides
+    that neighbouring chambers share.
+
+    Chambers are flags (dart, sign), numbered ``2 * dart + sign``: sign 0
+    holds the decoration as is, sign 1 its mirror image.  Returns each
+    chamber's neighbours across sides 0, 1 and 2, the side of each edge
+    on the decoration's outer walk, and the glued class of every
+    (chamber, decoration vertex) pair, indexed ``chamber * d.g.n +
+    vertex`` and named by its smallest pair.
+    """
     if g.ne < 1:
         raise MapError("seed graph needs at least one edge")
-    dg = d.g
+    nbrs: list[tuple[int, int, int]] = []
+    for dd in range(2 * g.ne):
+        nbrs.append((2 * (dd ^ 1) + 1, 2 * g.nxt[dd] + 1, 2 * dd + 1))
+        nbrs.append((2 * (dd ^ 1), 2 * g.prv[dd], 2 * dd))
     sides = _side_paths(d)
-    v0, v1, v2 = d.corners
-    corner_of_type = {0: v0, 1: v1, 2: v2}
-
-    # chambers = flags (dart, sign): sign 0 uses the decoration as is,
-    # sign 1 the mirror image.  chamber id = 2*dart + sign.
-    nch = 4 * g.ne
-
-    def nbr(ch: int, k: int) -> int:
-        dd, s = ch >> 1, ch & 1
-        if k == 2:
-            return 2 * dd + (1 - s)
-        if k == 0:
-            return 2 * (dd ^ 1) + (1 - s)
-        if s == 0:
-            return 2 * g.nxt[dd] + 1
-        return 2 * g.prv[dd] + 0
-
-    # glue (chamber, decoration-vertex) pairs along shared sides
-    parent = list(range(nch * dg.n))
+    n = d.g.n
+    cls = list(range(len(nbrs) * n))
 
     def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+        while cls[x] != x:
+            cls[x] = cls[cls[x]]
+            x = cls[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        a, b = find(x), find(y)
-        if a != b:
-            parent[a] = b
+    for ch, row in enumerate(nbrs):
+        for k, other in enumerate(row):
+            if other > ch:
+                for x in sides[k]:
+                    a, b = find(ch * n + x), find(other * n + x)
+                    if a < b:
+                        cls[b] = a
+                    elif b < a:
+                        cls[a] = b
+    # every parent is smaller than its child, so one ascending pass
+    # points each pair at the smallest pair of its class
+    for x in range(len(cls)):
+        cls[x] = cls[cls[x]]
+    return nbrs, _side_edges(d, sides), cls
 
-    for ch in range(nch):
-        for k in range(3):
-            other = nbr(ch, k)
-            if other < ch:
-                continue
-            for x in sides[k]:
-                union(ch * dg.n + x, other * dg.n + x)
 
-    # faces of the new chamber system: one per (chamber, inner face of d)
-    face_walks: list[list[tuple[int, int]]] = []   # [(chamber, d-dart)]
-    for ch in range(nch):
-        s = ch & 1
-        for f, darts in enumerate(dg.faces):
-            if f == dg.outer:
-                continue
-            if s == 0:
-                face_walks.append([(ch, x) for x in darts])
-            else:
-                # mirror: reverse the walk and flip each dart
-                face_walks.append([(ch, x ^ 1) for x in reversed(darts)])
-
-    # edge classes: interior edges pair inside a chamber, boundary edges
-    # pair with the neighbor across the side they lie on
+def _side_edges(d: Decoration, sides: dict[int, list[int]]
+                ) -> dict[int, int]:
+    """Decoration edge -> the side it lies on, for the edges of the outer
+    walk."""
+    dg = d.g
     side_of_edge: dict[int, int] = {}
     for k in range(3):
         path = sides[k]
@@ -273,21 +261,38 @@ def decorate_chambers(g: PlaneGraph, d: Decoration) -> ChamberSystem:
                     if dg.org[dd ^ 1] == w and dg.face_of[dd ^ 1] == dg.outer:
                         side_of_edge[dd >> 1] = k
                         break
+    return side_of_edge
 
+
+def decorate_chambers(g: PlaneGraph, d: Decoration) -> ChamberSystem:
+    """The chamber system produced by filling every chamber of C_g with
+    the decoration (mirrored in alternate chambers)."""
+    nbrs, side_of_edge, cls = _glue(g, d)
+    dg = d.g
+
+    # faces of the new chamber system: one per (chamber, inner face of d)
+    face_walks: list[list[tuple[int, int]]] = []   # [(chamber, d-dart)]
+    for ch in range(len(nbrs)):
+        s = ch & 1
+        for f, darts in enumerate(dg.faces):
+            if f == dg.outer:
+                continue
+            if s == 0:
+                face_walks.append([(ch, x) for x in darts])
+            else:
+                # mirror: reverse the walk and flip each dart
+                face_walks.append([(ch, x ^ 1) for x in reversed(darts)])
+
+    # edge classes: interior edges pair inside a chamber, boundary edges
+    # pair with the neighbor across the side they lie on
     def edge_class(ch: int, e: int) -> tuple[int, int]:
         k = side_of_edge.get(e)
         if k is None:
             return (ch, e)
-        other = nbr(ch, k)
-        return (min(ch, other), e)
+        return (min(ch, nbrs[ch][k]), e)
 
     # build the map from oriented face walks
-    dart_of: dict[tuple[int, int], int] = {}
-    walk_flat: list[tuple[int, int]] = []
-    for fw in face_walks:
-        for ch, x in fw:
-            dart_of[(ch, x)] = len(walk_flat)
-            walk_flat.append((ch, x))
+    walk_flat = [dart for fw in face_walks for dart in fw]
     nd = len(walk_flat)
     fnext = [0] * nd
     i = 0
@@ -322,11 +327,11 @@ def decorate_chambers(g: PlaneGraph, d: Decoration) -> ChamberSystem:
             new_id[rev[x]] = 2 * k2 + 1
             k2 += 1
 
-    # vertex classes via union-find, numbered densely
+    # glued vertex classes, numbered densely
     cls_id: dict[int, int] = {}
 
     def vclass(ch: int, x: int) -> int:
-        root = find(ch * dg.n + dg.org[x])
+        root = cls[ch * dg.n + dg.org[x]]
         if root not in cls_id:
             cls_id[root] = len(cls_id)
         return cls_id[root]
@@ -350,6 +355,60 @@ def decorate_chambers(g: PlaneGraph, d: Decoration) -> ChamberSystem:
     cs = ChamberSystem(cg, vertex_type, edge_type)
     cs.check()
     return cs
+
+
+def decorated_adjacency(g: PlaneGraph, d: Decoration
+                        ) -> tuple[list[list[int]], list[int]]:
+    """The simple vertex adjacency of ``apply_decoration(g, d)``, read off
+    the gluing alone, and the vertices that lie in chamber 0.
+
+    The vertices are the glued type-0 classes, chamber 0's first; each
+    glued type-1 class joins the type-0 ends of its two type-2 edges.  No
+    chamber system is built; the checks ``extract_original`` makes on it
+    are made on the classes and raise the same errors.
+    """
+    nbrs, side_of_edge, cls = _glue(g, d)
+    dg, vt, et = d.g, d.vt, d.et
+    n = dg.n
+    # type-2 edges as (type-0 end, type-1 end, side or None)
+    t2 = []
+    for e in range(dg.ne):
+        if et[e] == 2:
+            a, m = dg.edge_ends(e)
+            if vt[a] == 1:
+                a, m = m, a
+            t2.append((a, m, side_of_edge.get(e)))
+    # type-1 class -> the type-0 classes at the far ends of its type-2
+    # edges; an edge on a side is counted in the lower of its two chambers
+    ends: dict[int, list[int]] = {}
+    for ch, row in enumerate(nbrs):
+        base = ch * n
+        for a, m, k in t2:
+            if k is None or ch < row[k]:
+                ends.setdefault(cls[base + m], []).append(cls[base + a])
+
+    t0 = [v for v in range(n) if vt[v] == 0]
+    index: dict[int, int] = {}
+    for base in range(0, len(cls), n):
+        for v in t0:
+            index.setdefault(cls[base + v], len(index))
+    if len({a for far in ends.values() for a in far}) != len(index):
+        raise MapError("type-0 vertex without type-2 edges")
+    t1 = [v for v in range(n) if vt[v] == 1]
+    if any(cls[base + m] not in ends
+           for base in range(0, len(cls), n) for m in t1):
+        raise MapError("type-1 vertex without exactly two type-2 edges")
+    adj: list[list[int]] = [[] for _ in index]
+    for far in ends.values():
+        if len(far) != 2:
+            raise MapError("type-1 vertex without exactly two type-2 edges")
+        a, b = index[far[0]], index[far[1]]
+        if a == b:
+            raise MapError("extraction would create a loop")
+        if b not in adj[a]:
+            adj[a].append(b)
+            adj[b].append(a)
+    return adj, sorted({index[cls[v]] for v in t0})
 
 
 # -- connectivity from the chamber system ------------------------------------

@@ -31,18 +31,29 @@ from rate 13 on.
 
 Otherwise the class is 3 unless some type-1 4-cycle of the tiling is
 nonempty.  A decoration whose type-1 subgraph has no internal edge and
-no 4-cycle cannot close one.  Every other decoration is applied to the
-tetrahedron and the vertex connectivity of the result, capped at 3,
-decides between 2 and 3: around each of its points the tetrahedron has
-the fewest chambers a polyhedron allows (six around vertices and faces,
-four around edge midpoints), so a short cycle that winds around a point
-in some polyhedral application also appears on it.
+no 4-cycle cannot close one.  Every other decoration is pasted into the
+24 chambers of the tetrahedron and the vertex connectivity of the
+result, capped at 3, decides between 2 and 3: around each of its points
+the tetrahedron has the fewest chambers a polyhedron allows (six around
+vertices and faces, four around edge midpoints), so a short cycle that
+winds around a point in some polyhedral application also appears on it.
+
+The result's graph is read off the gluing alone
+(``chambers.decorated_adjacency``): its vertices are the glued type-0
+classes, and each glued type-1 class joins the ends of its two type-2
+edges.  No chamber system is built and ``apply_decoration`` is not
+called.  The operation keeps every symmetry of the tetrahedron, and
+that group of order 24 acts regularly on the chambers, so any
+separating pair of the result is the image of one through a vertex of
+chamber 0.  Only those vertices (about 4 of about 39 at rates up to 14)
+are removed when the scan looks for a separating pair.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from .chambers import decorated_adjacency
 from .maps import PlaneGraph, build_from_rotations, vertex_connectivity_capped
 
 
@@ -176,6 +187,16 @@ def connectivity_class_of(decoration) -> int:
                        for e in range(g.ne))
     if not has_internal and not _has_type1_4cycle(g, et):
         return 3
-    from .chambers import apply_decoration
-    result = apply_decoration(_tetrahedron(), decoration)
-    return min(3, vertex_connectivity_capped(result, 3))
+    return tetrahedron_class(decoration)
+
+
+def tetrahedron_class(decoration) -> int:
+    """The vertex connectivity, capped at 3, of the decoration applied to
+    the tetrahedron."""
+    adj, chamber0 = decorated_adjacency(_tetrahedron(), decoration)
+    # Each symmetry of the tetrahedron carries the decoration's copy in
+    # one chamber onto its copy in another, so it is an automorphism of
+    # the result, and some symmetry takes any chamber to chamber 0.  So
+    # every separating pair is the image of a pair through a vertex of
+    # chamber 0, and removing only those vertices is exact.
+    return min(3, vertex_connectivity_capped(adj, 3, chamber0))

@@ -253,7 +253,8 @@ class _Completer:
                 continue
             for v0, v2 in corner_pairs(built, vt, v1_vertex):
                 d = Decoration(built, vt, et, (v0, v1_vertex, v2))
-                if connectivity_class(d) >= self.k:
+                # every decoration has class >= 1: k=1 filters nothing
+                if self.k == 1 or connectivity_class(d) >= self.k:
                     yield d
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .maps import (PlaneGraph, canonical_code, canonical_order,
+from .maps import (MapError, PlaneGraph, build_from_rotations,
+                   canonical_code, canonical_order,
                    vertex_connectivity_capped)
 from .predecorations import Predecoration
 
@@ -159,491 +160,6 @@ def corner_pairs(g: PlaneGraph, vt, v1: int) -> list[tuple[int, int]]:
 
 
 # -- connectivity class -----------------------------------------------------
-
-
-def connectivity_class(self) -> int:
-        return connectivity_class(self)
-
-
-def inflation_rate(d: Decoration) -> int:
-    return d.rate()
-
-
-def _outer_vertices(g: PlaneGraph) -> list[int]:
-    seen = []
-    got = set()
-    for dd in g.faces[g.outer]:
-        v = g.org[dd]
-        if v not in got:
-            got.add(v)
-            seen.append(v)
-    return seen
-
-
-def _noncorner_ok(g: PlaneGraph, vt, v: int, outer: bool) -> bool:
-    deg = g.degree(v)
-    if outer:
-        return deg == 3 if vt[v] == 1 else deg > 3
-    return deg == 4 if vt[v] == 1 else deg > 4
-
-
-def validate(g: PlaneGraph, vt, et, v1: Optional[int] = None,
-             v0: Optional[int] = None, v2: Optional[int] = None) -> list[str]:
-    """All violations of the decoration conditions (empty if valid).
-
-    With only v1 given, v0 and v2 are required to exist somewhere; with
-    all three given, that rooting itself is checked.
-    """
-    problems: list[str] = []
-    if g.genus != 0:
-        problems.append("not a plane graph")
-    if g.outer is None:
-        return problems + ["no outer face marked"]
-    if vertex_connectivity_capped(g, 2) < 2:
-        problems.append("not 2-connected")
-    for f, darts in enumerate(g.faces):
-        if f != g.outer and len(darts) != 3:
-            problems.append(f"inner face {f} has size {len(darts)}")
-    for e in range(g.ne):
-        u, w = g.edge_ends(e)
-        if {et[e], vt[u], vt[w]} != {0, 1, 2}:
-            problems.append(f"edge {e} types {{{et[e]},{vt[u]},{vt[w]}}}")
-    for v in range(g.n):
-        others = {0, 1, 2} - {vt[v]}
-        for d in g.darts_at(v):
-            if et[d >> 1] not in others:
-                problems.append(f"edge type {et[d >> 1]} at vertex {v}")
-            nd = g.nxt[d]
-            if g.face_of[d] != g.outer and et[d >> 1] == et[nd >> 1]:
-                problems.append(f"equal types around inner face at {v}")
-    if problems:
-        return problems
-
-    outer_set = set(_outer_vertices(g))
-    if v1 is not None and v1 not in outer_set:
-        return [f"v1={v1} not on the outer face"]
-    if v1 is not None:
-        deg = g.degree(v1)
-        if vt[v1] == 1 and deg != 2:
-            problems.append(f"v1 of type 1 must have degree 2, has {deg}")
-        if vt[v1] != 1 and deg <= 2:
-            problems.append(f"v1 of type {vt[v1]} must have degree > 2")
-    for v in range(g.n):
-        if v in (v0, v1, v2):
-            continue
-        if v in outer_set:
-            if (v0 is None or v2 is None) and vt[v] != 1:
-                continue    # could still become v0 or v2
-            if not _noncorner_ok(g, vt, v, outer=True):
-                problems.append(f"outer vertex {v} violates degree rule")
-        elif not _noncorner_ok(g, vt, v, outer=False):
-            problems.append(f"inner vertex {v} violates degree rule")
-    if problems:
-        return problems
-
-    if v0 is not None and v2 is not None:
-        if len({v0, v1, v2}) != 3:
-            problems.append("corners not distinct")
-        elif vt[v0] == 1 or vt[v2] == 1:
-            problems.append("v0 and v2 must not have type 1")
-        elif not {v0, v2} <= outer_set:
-            problems.append("corners must lie on the outer face")
-        return problems
-
-    if v1 is None:
-        for cand in outer_set:
-            deg = g.degree(cand)
-            ok = deg == 2 if vt[cand] == 1 else deg > 2
-            if ok and not validate(g, vt, et, cand):
-                return []
-        return ["no valid v1"]
-    return [] if corner_pairs(g, vt, v1) else ["no valid v0/v2 assignment"]
-
-
-def corner_pairs(g: PlaneGraph, vt, v1: int) -> list[tuple[int, int]]:
-    """All valid {v0, v2} assignments for a fixed v1."""
-    outer = _outer_vertices(g)
-    forced = [v for v in outer
-              if v != v1 and not _noncorner_ok(g, vt, v, outer=True)]
-    if len(forced) > 2 or any(vt[v] == 1 for v in forced):
-        return []
-    cands = [v for v in outer if v != v1 and vt[v] != 1]
-    pairs = []
-    for i, a in enumerate(cands):
-        for b in cands[i + 1:]:
-            if all(f in (a, b) for f in forced):
-                pairs.append((a, b))
-    return pairs
-
-
-# -- connectivity class -----------------------------------------------------
-
-
-def connectivity_class(self) -> int:
-        return connectivity_class(self)
-
-
-def inflation_rate(d: Decoration) -> int:
-    return d.rate()
-
-
-def _outer_vertices(g: PlaneGraph) -> list[int]:
-    seen = []
-    got = set()
-    for dd in g.faces[g.outer]:
-        v = g.org[dd]
-        if v not in got:
-            got.add(v)
-            seen.append(v)
-    return seen
-
-
-def _noncorner_ok(g: PlaneGraph, vt, v: int, outer: bool) -> bool:
-    deg = g.degree(v)
-    if outer:
-        return deg == 3 if vt[v] == 1 else deg > 3
-    return deg == 4 if vt[v] == 1 else deg > 4
-
-
-def validate(g: PlaneGraph, vt, et, v1: Optional[int] = None,
-             v0: Optional[int] = None, v2: Optional[int] = None) -> list[str]:
-    """All violations of the decoration conditions (empty if valid).
-
-    With only v1 given, v0 and v2 are required to exist somewhere; with
-    all three given, that rooting itself is checked.
-    """
-    problems: list[str] = []
-    if g.genus != 0:
-        problems.append("not a plane graph")
-    if g.outer is None:
-        return problems + ["no outer face marked"]
-    if vertex_connectivity_capped(g, 2) < 2:
-        problems.append("not 2-connected")
-    for f, darts in enumerate(g.faces):
-        if f != g.outer and len(darts) != 3:
-            problems.append(f"inner face {f} has size {len(darts)}")
-    for e in range(g.ne):
-        u, w = g.edge_ends(e)
-        if {et[e], vt[u], vt[w]} != {0, 1, 2}:
-            problems.append(f"edge {e} types {{{et[e]},{vt[u]},{vt[w]}}}")
-    for v in range(g.n):
-        others = {0, 1, 2} - {vt[v]}
-        for d in g.darts_at(v):
-            if et[d >> 1] not in others:
-                problems.append(f"edge type {et[d >> 1]} at vertex {v}")
-            nd = g.nxt[d]
-            if g.face_of[d] != g.outer and et[d >> 1] == et[nd >> 1]:
-                problems.append(f"equal types around inner face at {v}")
-    if problems:
-        return problems
-
-    outer_set = set(_outer_vertices(g))
-    if v1 is not None and v1 not in outer_set:
-        return [f"v1={v1} not on the outer face"]
-    if v1 is not None:
-        deg = g.degree(v1)
-        if vt[v1] == 1 and deg != 2:
-            problems.append(f"v1 of type 1 must have degree 2, has {deg}")
-        if vt[v1] != 1 and deg <= 2:
-            problems.append(f"v1 of type {vt[v1]} must have degree > 2")
-    for v in range(g.n):
-        if v in (v0, v1, v2):
-            continue
-        if v in outer_set:
-            if (v0 is None or v2 is None) and vt[v] != 1:
-                continue    # could still become v0 or v2
-            if not _noncorner_ok(g, vt, v, outer=True):
-                problems.append(f"outer vertex {v} violates degree rule")
-        elif not _noncorner_ok(g, vt, v, outer=False):
-            problems.append(f"inner vertex {v} violates degree rule")
-    if problems:
-        return problems
-
-    if v0 is not None and v2 is not None:
-        if len({v0, v1, v2}) != 3:
-            problems.append("corners not distinct")
-        elif vt[v0] == 1 or vt[v2] == 1:
-            problems.append("v0 and v2 must not have type 1")
-        elif not {v0, v2} <= outer_set:
-            problems.append("corners must lie on the outer face")
-        return problems
-
-    if v1 is None:
-        for cand in outer_set:
-            deg = g.degree(cand)
-            ok = deg == 2 if vt[cand] == 1 else deg > 2
-            if ok and not validate(g, vt, et, cand):
-                return []
-        return ["no valid v1"]
-    return [] if corner_pairs(g, vt, v1) else ["no valid v0/v2 assignment"]
-
-
-def corner_pairs(g: PlaneGraph, vt, v1: int) -> list[tuple[int, int]]:
-    """All valid {v0, v2} assignments for a fixed v1."""
-    outer = _outer_vertices(g)
-    forced = [v for v in outer
-              if v != v1 and not _noncorner_ok(g, vt, v, outer=True)]
-    if len(forced) > 2 or any(vt[v] == 1 for v in forced):
-        return []
-    cands = [v for v in outer if v != v1 and vt[v] != 1]
-    pairs = []
-    for i, a in enumerate(cands):
-        for b in cands[i + 1:]:
-            if all(f in (a, b) for f in forced):
-                pairs.append((a, b))
-    return pairs
-
-
-# -- connectivity class -----------------------------------------------------
-
-
-def connectivity_class(self) -> int:
-        return connectivity_class(self)
-
-
-def inflation_rate(d: Decoration) -> int:
-    return d.rate()
-
-
-def _outer_vertices(g: PlaneGraph) -> list[int]:
-    seen = []
-    got = set()
-    for dd in g.faces[g.outer]:
-        v = g.org[dd]
-        if v not in got:
-            got.add(v)
-            seen.append(v)
-    return seen
-
-
-def _noncorner_ok(g: PlaneGraph, vt, v: int, outer: bool) -> bool:
-    deg = g.degree(v)
-    if outer:
-        return deg == 3 if vt[v] == 1 else deg > 3
-    return deg == 4 if vt[v] == 1 else deg > 4
-
-
-def validate(g: PlaneGraph, vt, et, v1: Optional[int] = None,
-             v0: Optional[int] = None, v2: Optional[int] = None) -> list[str]:
-    """All violations of the decoration conditions (empty if valid).
-
-    With only v1 given, v0 and v2 are required to exist somewhere; with
-    all three given, that rooting itself is checked.
-    """
-    problems: list[str] = []
-    if g.genus != 0:
-        problems.append("not a plane graph")
-    if g.outer is None:
-        return problems + ["no outer face marked"]
-    if vertex_connectivity_capped(g, 2) < 2:
-        problems.append("not 2-connected")
-    for f, darts in enumerate(g.faces):
-        if f != g.outer and len(darts) != 3:
-            problems.append(f"inner face {f} has size {len(darts)}")
-    for e in range(g.ne):
-        u, w = g.edge_ends(e)
-        if {et[e], vt[u], vt[w]} != {0, 1, 2}:
-            problems.append(f"edge {e} types {{{et[e]},{vt[u]},{vt[w]}}}")
-    for v in range(g.n):
-        others = {0, 1, 2} - {vt[v]}
-        for d in g.darts_at(v):
-            if et[d >> 1] not in others:
-                problems.append(f"edge type {et[d >> 1]} at vertex {v}")
-            nd = g.nxt[d]
-            if g.face_of[d] != g.outer and et[d >> 1] == et[nd >> 1]:
-                problems.append(f"equal types around inner face at {v}")
-    if problems:
-        return problems
-
-    outer_set = set(_outer_vertices(g))
-    if v1 is not None and v1 not in outer_set:
-        return [f"v1={v1} not on the outer face"]
-    if v1 is not None:
-        deg = g.degree(v1)
-        if vt[v1] == 1 and deg != 2:
-            problems.append(f"v1 of type 1 must have degree 2, has {deg}")
-        if vt[v1] != 1 and deg <= 2:
-            problems.append(f"v1 of type {vt[v1]} must have degree > 2")
-    for v in range(g.n):
-        if v in (v0, v1, v2):
-            continue
-        if v in outer_set:
-            if (v0 is None or v2 is None) and vt[v] != 1:
-                continue    # could still become v0 or v2
-            if not _noncorner_ok(g, vt, v, outer=True):
-                problems.append(f"outer vertex {v} violates degree rule")
-        elif not _noncorner_ok(g, vt, v, outer=False):
-            problems.append(f"inner vertex {v} violates degree rule")
-    if problems:
-        return problems
-
-    if v0 is not None and v2 is not None:
-        if len({v0, v1, v2}) != 3:
-            problems.append("corners not distinct")
-        elif vt[v0] == 1 or vt[v2] == 1:
-            problems.append("v0 and v2 must not have type 1")
-        elif not {v0, v2} <= outer_set:
-            problems.append("corners must lie on the outer face")
-        return problems
-
-    if v1 is None:
-        for cand in outer_set:
-            deg = g.degree(cand)
-            ok = deg == 2 if vt[cand] == 1 else deg > 2
-            if ok and not validate(g, vt, et, cand):
-                return []
-        return ["no valid v1"]
-    return [] if corner_pairs(g, vt, v1) else ["no valid v0/v2 assignment"]
-
-
-def corner_pairs(g: PlaneGraph, vt, v1: int) -> list[tuple[int, int]]:
-    """All valid {v0, v2} assignments for a fixed v1."""
-    outer = _outer_vertices(g)
-    forced = [v for v in outer
-              if v != v1 and not _noncorner_ok(g, vt, v, outer=True)]
-    if len(forced) > 2 or any(vt[v] == 1 for v in forced):
-        return []
-    cands = [v for v in outer if v != v1 and vt[v] != 1]
-    pairs = []
-    for i, a in enumerate(cands):
-        for b in cands[i + 1:]:
-            if all(f in (a, b) for f in forced):
-                pairs.append((a, b))
-    return pairs
-
-
-# -- connectivity class -----------------------------------------------------
-
-
-def _type1_parallel(g: PlaneGraph, et) -> bool:
-    seen = set()
-    for e in range(g.ne):
-        if et[e] != 1:
-            continue
-        key = tuple(sorted(g.edge_ends(e)))
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
-
-
-def _type1_cycles4(g: PlaneGraph, et) -> list[tuple[int, int, int, int]]:
-    """4-cycles of the type-1 subgraph, as edge quadruples."""
-    nbr: dict[int, list[tuple[int, int]]] = {}
-    for e in range(g.ne):
-        if et[e] == 1:
-            u, w = g.edge_ends(e)
-            nbr.setdefault(u, []).append((w, e))
-            nbr.setdefault(w, []).append((u, e))
-    cycles = []
-    verts = sorted(nbr)
-    for u in verts:
-        for w in verts:
-            if w <= u:
-                continue
-            between = [(x, e) for x, e in nbr[u]
-                       if any(y == x for y, _ in nbr[w])]
-            mids = sorted({x for x, _ in between})
-            for ai in range(len(mids)):
-                for bi in range(ai + 1, len(mids)):
-                    a, b = mids[ai], mids[bi]
-                    for _, e1 in [p for p in nbr[u] if p[0] == a]:
-                        for _, e2 in [p for p in nbr[a] if p[0] == w]:
-                            for _, e3 in [p for p in nbr[w] if p[0] == b]:
-                                for _, e4 in [p for p in nbr[b] if p[0] == u]:
-                                    cycles.append((e1, e2, e3, e4))
-    return cycles
-
-
-def _cycle_nonempty(g: PlaneGraph, et, cycle_edges: tuple[int, ...]) -> bool:
-    """True when the type-1 subgraph has vertices strictly on both sides."""
-    cyc = set(cycle_edges)
-    cyc_verts = set()
-    for e in cycle_edges:
-        cyc_verts.update(g.edge_ends(e))
-    t1_verts = set()
-    for e in range(g.ne):
-        if et[e] == 1:
-            t1_verts.update(g.edge_ends(e))
-    # flood faces on each side of the cycle
-    d0 = 2 * cycle_edges[0]
-    sides = []
-    for start in (d0, d0 ^ 1):
-        seen_faces = {g.face_of[start]}
-        stack = [g.face_of[start]]
-        verts = set()
-        while stack:
-            f = stack.pop()
-            for dd in g.faces[f]:
-                verts.add(g.org[dd])
-                if (dd >> 1) in cyc:
-                    continue
-                f2 = g.face_of[dd ^ 1]
-                if f2 not in seen_faces:
-                    seen_faces.add(f2)
-                    stack.append(f2)
-        sides.append((verts - cyc_verts) & t1_verts)
-    return bool(sides[0]) and bool(sides[1])
-
-
-def has_nonempty_type1_4cycle(g: PlaneGraph, et) -> bool:
-    return any(_cycle_nonempty(g, et, c) for c in _type1_cycles4(g, et))
-
-
-def _sides_of(g: PlaneGraph, v0: int, v1: int, v2: int
-              ) -> dict[int, set[int]]:
-    """Side k is the outer path between the corners other than vk."""
-    walk = g.faces[g.outer]
-    verts = [g.org[d] for d in walk]
-    m = len(verts)
-    pos = {verts[i]: i for i in range(m)}
-    sides: dict[int, set[int]] = {}
-    corner_of_side = {0: (v1, v2), 1: (v0, v2), 2: (v0, v1)}
-    for k, (a, b) in corner_of_side.items():
-        ia, ib = pos[a], pos[b]
-        # the arc from ia to ib not containing the third corner
-        third = ({v0, v1, v2} - {a, b}).pop()
-        arc = set()
-        i = ia
-        while True:
-            arc.add(verts[i])
-            if i == ib:
-                break
-            i = (i + 1) % m
-        if third in arc and not third in (a, b):
-            arc = set()
-            i = ib
-            while True:
-                arc.add(verts[i])
-                if i == ia:
-                    break
-                i = (i + 1) % m
-        sides[k] = arc
-    return sides
-
-
-def _rooted_class(g: PlaneGraph, et, v0: int, v1: int, v2: int,
-                  bad4: bool) -> int:
-    sides = _sides_of(g, v0, v1, v2)
-    outer_edges = {d >> 1 for d in g.faces[g.outer]}
-    internal_t1 = [e for e in range(g.ne)
-                   if et[e] == 1 and e not in outer_edges]
-    # same side, corners included: both endpoints lie on one mirror axis
-    for e in internal_t1:
-        u, w = g.edge_ends(e)
-        if any(u in s and w in s for s in sides.values()):
-            return 1
-    if bad4:
-        return 2
-    # between the interiors of the two sides through v1 (the perpendicular
-    # axes); an endpoint at a corner does not close a short cycle
-    int0 = sides[0] - {v1, v2}
-    int2 = sides[2] - {v0, v1}
-    for e in internal_t1:
-        u, w = g.edge_ends(e)
-        if (u in int0 and w in int2) or (u in int2 and w in int0):
-            return 2
-    return 3
 
 
 def connectivity_class(d: Decoration) -> int:
@@ -792,39 +308,55 @@ class DecoFormatError(ValueError):
     pass
 
 
+def _ints(parts: list[str], line: str) -> list[int]:
+    try:
+        return [int(x) for x in parts]
+    except ValueError:
+        raise DecoFormatError(f"not a number in line: {line}") from None
+
+
 def read_deco(text: str) -> Decoration:
+    """Parses one .deco record; any malformed input raises DecoFormatError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("deco "):
         raise DecoFormatError("missing deco header")
     if lines[0].split() != ["deco", "1"]:
         raise DecoFormatError(f"unsupported version: {lines[0]}")
+    if len(lines) < 4:
+        raise DecoFormatError("truncated deco record")
     head = lines[1].split()
-    if head[0] != "n" or head[2] != "rate" or head[4] != "k":
+    if (len(head) != 6 or head[0] != "n" or head[2] != "rate"
+            or head[4] != "k"):
         raise DecoFormatError(f"bad size line: {lines[1]}")
-    n, rate, kcls = int(head[1]), int(head[3]), int(head[5])
+    n, rate, kcls = _ints(head[1::2], lines[1])
     cor = lines[2].split()
-    if cor[0] != "corners":
+    if len(cor) != 4 or cor[0] != "corners":
         raise DecoFormatError("missing corners line")
-    corners = tuple(int(x) - 1 for x in cor[1:4])
+    corners = tuple(c - 1 for c in _ints(cor[1:], lines[2]))
+    if not all(0 <= c < n for c in corners):
+        raise DecoFormatError(f"corner is not a vertex: {lines[2]}")
     typ = lines[3].split()
     if typ[0] != "types" or len(typ) != n + 1:
         raise DecoFormatError("bad types line")
-    vt = tuple(int(x) for x in typ[1:])
+    vt = tuple(_ints(typ[1:], lines[3]))
     rot: dict[int, list[int]] = {}
     etypes: list[tuple[int, int, int]] = []
     for ln in lines[4:]:
         parts = ln.split()
-        if parts[0] == "rot":
-            v = int(parts[1].rstrip(":"))
-            rot[v] = [int(x) for x in parts[2:]]
-        elif parts[0] == "et":
-            etypes.append((int(parts[1]), int(parts[2]), int(parts[3])))
+        if parts[0] == "rot" and len(parts) > 1:
+            v, *nbrs = _ints([parts[1].rstrip(":")] + parts[2:], ln)
+            rot[v] = nbrs
+        elif parts[0] == "et" and len(parts) == 4:
+            u, w, t = _ints(parts[1:], ln)
+            etypes.append((u, w, t))
         else:
             raise DecoFormatError(f"unexpected line: {ln}")
-    if len(rot) != n:
+    if sorted(rot) != list(range(1, n + 1)):
         raise DecoFormatError("rotation lines missing")
-    from .maps import build_from_rotations
-    g0 = build_from_rotations(rot)
+    try:
+        g0 = build_from_rotations(rot)
+    except MapError as exc:
+        raise DecoFormatError(f"bad rotations: {exc}") from None
     # outer face: traversed from the first listed dart of v0
     v0 = corners[0]
     first_nbr = rot[v0 + 1][0] - 1

@@ -237,9 +237,9 @@ def build_from_rotations(rotations: dict[int, Sequence[int]],
         occ.setdefault((org[d], pos_nbr[d]), []).append(d)
     rev = [-1] * total
     for (u, w), ds in sorted(occ.items()):
-        if u > w:
-            continue
         back = occ.get((w, u))
+        if u > w and back is not None:
+            continue
         if back is None or len(back) != len(ds):
             raise MapError(f"inconsistent rotations between {u} and {w}")
         m = len(ds)
@@ -576,63 +576,66 @@ def _articulation_or_disconnected(adj: list[list[int]],
     """True when the graph minus `skip` is disconnected or has a cut
     vertex (iterative lowpoint computation)."""
     n = len(adj)
+    left = n - (skip >= 0)
+    if left <= 1:
+        return False
     order = [-1] * n
     low = [0] * n
-    verts = [v for v in range(n) if v != skip]
-    if len(verts) <= 1:
-        return False
-    root = verts[0]
-    count = 0
-    parent = [-1] * n
-    stack = [(root, 0)]
-    order[root] = low[root] = count
-    count += 1
+    if skip >= 0:
+        order[skip] = n     # never entered, and never lowers a lowpoint
+    root = 1 if skip == 0 else 0
+    order[root] = 0
+    count = 1
     root_children = 0
+    stack = [(root, -1, iter(adj[root]))]
     while stack:
-        v, i = stack.pop()
-        if i < len(adj[v]):
-            stack.append((v, i + 1))
-            w = adj[v][i]
-            if w == skip:
-                continue
+        v, p, it = stack[-1]
+        for w in it:
             if order[w] < 0:
-                parent[w] = v
                 order[w] = low[w] = count
                 count += 1
-                if v == root:
-                    root_children += 1
-                stack.append((w, 0))
-            elif w != parent[v]:
-                if order[w] < low[v]:
-                    low[v] = order[w]
-        elif parent[v] >= 0:
-            p = parent[v]
-            if low[v] < low[p]:
-                low[p] = low[v]
-            if p != root and low[v] >= order[p]:
-                return True
-    if count != len(verts):
-        return True
-    return root_children >= 2
+                stack.append((w, v, iter(adj[w])))
+                break
+            # the edge back to p lowers low[v] at most to order[p], which
+            # the cut test below allows, so it needs no skipping
+            if order[w] < low[v]:
+                low[v] = order[w]
+        else:
+            stack.pop()
+            if p == root:
+                root_children += 1
+            elif p >= 0:
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= order[p]:
+                    return True
+    return count != left or root_children >= 2
 
 
-def vertex_connectivity_capped(g: PlaneGraph, cap: int = 3) -> int:
+def vertex_connectivity_capped(g: PlaneGraph | list[list[int]],
+                               cap: int = 3,
+                               removable: Optional[Iterable[int]] = None
+                               ) -> int:
     """Vertex connectivity, capped (a graph is k-connected when it has
-    more than k vertices and no separating set of fewer than k)."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        seen = set()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                adj[v].append(w)
-    if g.n < 2:
+    more than k vertices and no separating set of fewer than k).
+
+    ``g`` is a PlaneGraph or simple adjacency lists.  A separating pair
+    is looked for by removing each vertex of ``removable`` (default:
+    every vertex) and scanning the rest for a cut vertex; a caller that
+    knows a group of automorphisms may pass one vertex per orbit.
+    """
+    if isinstance(g, PlaneGraph):
+        adj = [list(dict.fromkeys(g.neighbors(v))) for v in range(g.n)]
+    else:
+        adj = g
+    n = len(adj)
+    if n < 2:
         return 0
-    if _articulation_or_disconnected(adj) or g.n == 2 or cap == 1:
+    if _articulation_or_disconnected(adj) or n == 2 or cap == 1:
         return 1 if cap >= 1 else cap
-    if g.n == 3 or cap == 2:
+    if n == 3 or cap == 2:
         return 2
-    for v in range(g.n):
+    for v in range(n) if removable is None else removable:
         if _articulation_or_disconnected(adj, skip=v):
             return 2
     return 3

@@ -50,10 +50,13 @@ def run_pipeline(rate_min: int, rate_max: int, k: int = 1,
     def job(p: Predecoration) -> tuple[dict[int, int], list[Decoration], int]:
         counts: dict[int, int] = {}
         emitted: list[Decoration] = []
-        complete(p, k, rate_min, rate_max,
-                 lambda d: (counts.__setitem__(d.rate(),
-                                               counts.get(d.rate(), 0) + 1),
-                            emitted.append(d)))
+
+        def visit(d: Decoration) -> None:
+            counts[d.rate()] = counts.get(d.rate(), 0) + 1
+            if on_decoration:
+                emitted.append(d)
+
+        complete(p, k, rate_min, rate_max, visit)
         return counts, emitted, 2 if is_chiral(p) else 1
 
     if threads > 1:

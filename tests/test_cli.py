@@ -88,6 +88,16 @@ def test_apply_file_inputs(tmp_path, capsys):
     assert g.ne == 2 * 12
 
 
+def test_apply_malformed_seed_file(tmp_path, capsys):
+    pc = tmp_path / "cube.pc"
+    # the cube with vertex 6's rotation mutated into a one-sided adjacency
+    pc.write_bytes(bytes.fromhex(
+        "080204050001060300020704000103080001080600020501000306080004070500"))
+    assert main(["apply", "--op", "ambo", "--seed-file", str(pc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_ok(capsys):
     code, out = run_cli(["verify", "--rate", "4", "-k", "1"], capsys)
     assert code == 0

@@ -151,6 +151,36 @@ def test_deco_rejects_garbage():
         read_deco(good.replace("rate 1", "rate 2"))
 
 
+def test_deco_corner_outside_the_vertices():
+    text = write_deco(lookup("ambo"))
+    corners = next(ln for ln in text.splitlines()
+                   if ln.startswith("corners"))
+    with pytest.raises(DecoFormatError, match="corner"):
+        read_deco(text.replace(corners, "corners 99 1 3"))
+
+
+def test_deco_mutated_records_raise_only_format_errors():
+    rng = random.Random(5)
+    names = ("ambo", "truncate", "chamfer", "needle", "kiss")
+    texts = [write_deco(lookup(name)) for name in names]
+    for _ in range(600):
+        toks = rng.choice(texts).split(" ")
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(toks))
+            op = rng.randrange(3)
+            if op == 0:
+                toks[i] = str(rng.randint(-1, 12))
+            elif op == 1 and len(toks) > 1:
+                del toks[i]
+            else:
+                j = rng.randrange(len(toks))
+                toks[i], toks[j] = toks[j], toks[i]
+        try:
+            read_deco(" ".join(toks))
+        except DecoFormatError:
+            pass
+
+
 def test_corner_pairs_of_identity():
     d = lookup("identity")
     pairs = corner_pairs(d.g, d.vt, d.corners[1])

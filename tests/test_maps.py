@@ -128,11 +128,72 @@ def test_multigraph_round_trip():
     assert canonical_code(back) == canonical_code(theta)
 
 
+# the cube with vertex 6's rotation mutated: 6 lists 1, which does not
+# list 6
+CUBE_ONE_SIDED = bytes.fromhex(
+    "080204050001060300020704000103080001080600020501000306080004070500")
+
+
+def test_planar_code_one_sided_adjacency():
+    with pytest.raises(MapError, match="inconsistent rotations"):
+        read_planar_code(CUBE_ONE_SIDED)
+
+
+def test_planar_code_mutated_records_raise_only_map_errors():
+    rng = random.Random(3)
+    good = write_planar_code([cube(), build_from_rotations(OCTA)])
+    for _ in range(2000):
+        data = bytearray(good)
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.choice(
+                (0, rng.randint(1, 9), rng.randint(0, 255)))
+        try:
+            read_planar_code(bytes(data))
+        except MapError:
+            pass
+
+
 def test_connectivity_caps():
     assert vertex_connectivity_capped(cube()) == 3
     assert vertex_connectivity_capped(build_from_rotations({1: [2], 2: [1]})) == 1
     k4e = build_from_rotations({1: [2, 4, 3], 2: [1, 3, 4], 3: [1, 2], 4: [2, 1]})
     assert vertex_connectivity_capped(k4e) == 2
+
+
+def _brute_connectivity(adj, cap):
+    """Smallest number of removed vertices (below cap) that disconnects
+    a connected graph or leaves one vertex, by trying every vertex set."""
+    from itertools import combinations
+    n = len(adj)
+    for k in range(cap):
+        for gone in combinations(range(n), k):
+            rest = [v for v in range(n) if v not in gone]
+            if len(rest) <= 1:
+                return k
+            seen, stack = {rest[0]}, [rest[0]]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w not in gone and w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            if len(seen) < len(rest):
+                return k
+    return cap
+
+
+def test_connectivity_of_adjacency_lists_matches_brute_force():
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        adj = [[] for _ in range(n)]
+        for w in range(1, n):       # a random spanning tree, then more
+            parent = rng.randrange(w)
+            for u in range(w):
+                if u == parent or rng.random() < 0.4:
+                    adj[u].append(w)
+                    adj[w].append(u)
+        assert vertex_connectivity_capped(adj, 3) == \
+            _brute_connectivity(adj, 3), adj
 
 
 def test_to_rotations_round_trip():
