@@ -7,12 +7,10 @@ from .chambers import (ChamberSystem, apply_decoration,
                        barycentric_subdivision, connectivity_of_chamber_system,
                        extract_original)
 from .decorations import (Decoration, connectivity_class, decoration_identity,
-                          inflation_rate, mirror, read_deco, swap02,
-                          type1_subgraph, validate, write_deco)
-from .predecorations import (Predecoration, counters, rate_bounds,
-                             validate_predecoration)
-from .generate import GenerationTask, canonical_parent, generate
-from .complete import complete
+                          mirror, read_deco, swap02, type1_subgraph, validate,
+                          write_deco)
+from .predecorations import Predecoration, counters, validate_predecoration
+from .generate import GenerationTask, canonical_parent
 from .catalog import lookup, seed
 from .oracle import bruteforce_decorations, cross_check
 from .pipeline import run_pipeline
@@ -23,10 +21,10 @@ __all__ = [
     "ChamberSystem", "apply_decoration", "barycentric_subdivision",
     "connectivity_of_chamber_system", "extract_original",
     "Decoration", "connectivity_class", "decoration_identity",
-    "inflation_rate", "mirror", "read_deco", "swap02", "type1_subgraph",
-    "validate", "write_deco",
-    "Predecoration", "counters", "rate_bounds", "validate_predecoration",
-    "GenerationTask", "canonical_parent", "generate", "complete",
+    "mirror", "read_deco", "swap02", "type1_subgraph", "validate",
+    "write_deco",
+    "Predecoration", "counters", "validate_predecoration",
+    "GenerationTask", "canonical_parent",
     "lookup", "seed", "bruteforce_decorations", "cross_check",
     "run_pipeline",
 ]

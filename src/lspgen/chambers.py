@@ -11,23 +11,23 @@ resulting graph off the type structure.
 
 from __future__ import annotations
 
-from .decorations import Decoration
+from typing import TYPE_CHECKING
+
 from .maps import MapError, PlaneGraph
 
-Origin = tuple[str, int]
+if TYPE_CHECKING:
+    from .decorations import Decoration
 
 
 class ChamberSystem:
     """A typed barycentric-subdivision-like triangulated map."""
 
-    __slots__ = ("g", "vertex_type", "edge_type", "origin_of")
+    __slots__ = ("g", "vertex_type", "edge_type")
 
-    def __init__(self, g: PlaneGraph, vertex_type, edge_type,
-                 origin_of=None):
+    def __init__(self, g: PlaneGraph, vertex_type, edge_type):
         self.g = g
         self.vertex_type = tuple(vertex_type)
         self.edge_type = tuple(edge_type)
-        self.origin_of = None if origin_of is None else tuple(origin_of)
 
     def check(self) -> None:
         g = self.g
@@ -90,23 +90,16 @@ def barycentric_subdivision(g: PlaneGraph) -> ChamberSystem:
         for i, t in enumerate(row):
             org[trans[t]] = v
             nxt[trans[t]] = trans[row[(i + 1) % len(row)]]
-    outer_dart = None
-    if g.outer is not None:
-        outer_dart = trans[t1(g.faces[g.outer][0]) + 1]
-        # the face left of a center->vertex dart of the outer center is a
-        # chamber; outer face of the subdivision is not well defined, so
-        # chamber systems carry no marked outer face
-        outer_dart = None
-    cg = PlaneGraph(org, nxt, outer_dart)
+    # the outer face of a subdivision is not well defined, so chamber
+    # systems carry no marked outer face
+    cg = PlaneGraph(org, nxt)
 
     vertex_type = [0] * nv + [1] * ne + [2] * nf
-    origin_of = ([("v", v) for v in range(nv)] + [("e", e) for e in range(ne)]
-                 + [("f", f) for f in range(nf)])
     edge_type = [0] * cg.ne
     for e2 in range(cg.ne):
         u, w = cg.edge_ends(e2)
         edge_type[e2] = 3 - vertex_type[u] - vertex_type[w]
-    cs = ChamberSystem(cg, vertex_type, edge_type, origin_of)
+    cs = ChamberSystem(cg, vertex_type, edge_type)
     cs.check()
     return cs
 
@@ -163,7 +156,7 @@ def extract_original(c: ChamberSystem) -> PlaneGraph:
 # -- decoration application --------------------------------------------------
 
 
-def _side_paths(d: Decoration) -> dict[int, list[int]]:
+def side_paths(d: Decoration) -> dict[int, list[int]]:
     """Side k as the vertex path from corner min to corner max index.
 
     Sides are read along the outer walk; side k joins the two corners
@@ -216,7 +209,7 @@ def _glue(g: PlaneGraph, d: Decoration
     for dd in range(2 * g.ne):
         nbrs.append((2 * (dd ^ 1) + 1, 2 * g.nxt[dd] + 1, 2 * dd + 1))
         nbrs.append((2 * (dd ^ 1), 2 * g.prv[dd], 2 * dd))
-    sides = _side_paths(d)
+    sides = side_paths(d)
     n = d.g.n
     cls = list(range(len(nbrs) * n))
 
@@ -412,14 +405,6 @@ def decorated_adjacency(g: PlaneGraph, d: Decoration
 
 
 # -- connectivity from the chamber system ------------------------------------
-
-
-def _type1_subgraph_vertices(c: ChamberSystem) -> set[int]:
-    out = set()
-    for e in range(c.g.ne):
-        if c.edge_type[e] == 1:
-            out.update(c.g.edge_ends(e))
-    return out
 
 
 def connectivity_of_chamber_system(c: ChamberSystem) -> int:

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .chambers import decorated_adjacency
+from .chambers import decorated_adjacency, side_paths
 from .maps import PlaneGraph, build_from_rotations, vertex_connectivity_capped
 
 
@@ -90,32 +90,6 @@ def _has_type1_4cycle(g: PlaneGraph, et) -> bool:
     return False
 
 
-def _side_sets(g: PlaneGraph, corners) -> list[set[int]]:
-    """Vertex sets of the three sides (outer paths between corner pairs),
-    corners included."""
-    walk = g.faces[g.outer]
-    verts = [g.org[d] for d in walk]
-    m = len(verts)
-    pos = {verts[i]: i for i in range(m)}
-    v0, v1, v2 = corners
-    sides = []
-    for a, b in ((v1, v2), (v0, v2), (v0, v1)):
-        third = ({v0, v1, v2} - {a, b}).pop()
-        arc = {a}
-        i = pos[a]
-        while verts[i] != b:
-            i = (i + 1) % m
-            arc.add(verts[i])
-        if third in arc:
-            arc = {b}
-            i = pos[b]
-            while verts[i] != a:
-                i = (i + 1) % m
-                arc.add(verts[i])
-        sides.append(arc)
-    return sides
-
-
 def _same_side_internal_edge(decoration) -> bool:
     """An internal type-1 edge along a single side: with its mirror image
     across that side it forms a type-1 2-cycle, a cut vertex of every
@@ -126,7 +100,7 @@ def _same_side_internal_edge(decoration) -> bool:
                 if et[e] == 1 and e not in outer_edges]
     if not internal:
         return False
-    sides = _side_sets(g, decoration.corners)
+    sides = [set(path) for path in side_paths(decoration).values()]
     for e in internal:
         u, w = g.edge_ends(e)
         if any(u in s and w in s for s in sides):

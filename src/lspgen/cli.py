@@ -16,10 +16,12 @@ from typing import Optional
 
 from .catalog import OPERATION_NAMES, SEED_NAMES, lookup, seed
 from .chambers import apply_decoration
-from .decorations import decoration_identity, read_deco, write_deco
-from .maps import read_planar_code, write_planar_code
+from .decorations import (decoration_identity, read_deco, type1_subgraph,
+                          write_deco)
+from .maps import canonical_code, read_planar_code, write_planar_code
 from .oracle import cross_check
 from .pipeline import run_pipeline
+from .predecorations import normalized_for_export
 
 
 def _parse_rate(text: str) -> tuple[int, int]:
@@ -35,8 +37,7 @@ def cmd_generate(args) -> int:
     sink = []
     want_records = not args.count
     result = run_pipeline(rmin, rmax, args.k,
-                          on_decoration=sink.append if want_records else None,
-                          threads=args.threads)
+                          on_decoration=sink.append if want_records else None)
     if args.count:
         source = (result.predecorations if args.predecorations
                   else result.decorations)
@@ -44,9 +45,6 @@ def cmd_generate(args) -> int:
             print(f"{r} {args.k} {source[r]}")
         return 0
     if args.predecorations:
-        from .decorations import type1_subgraph
-        from .maps import canonical_code
-        from .predecorations import normalized_for_export
         seen = {}
         for d in sink:
             p, _ = type1_subgraph(d)
@@ -130,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count or emit type-1 skeletons instead")
     g.add_argument("--sorted", action="store_true",
                    help="canonical, byte-stable output order")
-    g.add_argument("--threads", type=int, default=1)
     g.add_argument("--format", choices=("deco", "pc"), default="deco")
     g.add_argument("--sidecar", metavar="FILE",
                    help="with --format pc: write types and corners here")

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .decorations import (Decoration, connectivity_class, corner_pairs,
                           decoration_identity, validate)
 from .maps import PlaneGraph, automorphisms_flagged, vertex_mapping
-from .predecorations import Predecoration
+from .predecorations import Predecoration, outer_vertex_occurrences
 from .surgery import Surgeon
 
 Choice = tuple[str, int]                       # ("v", vertex) or ("g", slot)
@@ -54,9 +54,7 @@ class _Completer:
         self.vmaps = [vertex_mapping(self.g, perm) for perm, _ in self.auts]
         self.pos = {d: i for i, d in enumerate(self.walk)}
         self.col = bipartition(self.g)
-        self.occ: dict[int, int] = {}
-        for d in self.walk:
-            self.occ[self.g.org[d]] = self.occ.get(self.g.org[d], 0) + 1
+        self.occ = outer_vertex_occurrences(self.g)
         self.fills = [self.g.degree(v) - self.occ.get(v, 0)
                       for v in range(self.g.n)]
         self.quads = [f for f in range(len(self.g.faces))

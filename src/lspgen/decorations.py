@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import classify
 from .maps import (MapError, PlaneGraph, build_from_rotations,
                    canonical_code, canonical_order,
                    vertex_connectivity_capped)
-from .predecorations import Predecoration
+from .predecorations import Predecoration, outer_vertex_occurrences
 
 
 @dataclass(frozen=True)
@@ -34,33 +35,8 @@ class Decoration:
     et: tuple[int, ...]
     corners: tuple[int, int, int]   # (v0, v1, v2); v1 is identity-relevant
 
-    @property
-    def v1(self) -> int:
-        return self.corners[1]
-
     def rate(self) -> int:
         return len(self.g.faces) - 1
-
-    def identity_code(self) -> tuple[int, ...]:
-        return decoration_identity(self)
-
-    def connectivity_class(self) -> int:
-        return connectivity_class(self)
-
-
-def inflation_rate(d: Decoration) -> int:
-    return d.rate()
-
-
-def _outer_vertices(g: PlaneGraph) -> list[int]:
-    seen = []
-    got = set()
-    for dd in g.faces[g.outer]:
-        v = g.org[dd]
-        if v not in got:
-            got.add(v)
-            seen.append(v)
-    return seen
 
 
 def _noncorner_ok(g: PlaneGraph, vt, v: int, outer: bool) -> bool:
@@ -70,12 +46,12 @@ def _noncorner_ok(g: PlaneGraph, vt, v: int, outer: bool) -> bool:
     return deg == 4 if vt[v] == 1 else deg > 4
 
 
-def validate(g: PlaneGraph, vt, et, v1: Optional[int] = None,
+def validate(g: PlaneGraph, vt, et, v1: int,
              v0: Optional[int] = None, v2: Optional[int] = None) -> list[str]:
     """All violations of the decoration conditions (empty if valid).
 
-    With only v1 given, v0 and v2 are required to exist somewhere; with
-    all three given, that rooting itself is checked.
+    Without v0 and v2, some valid placement of them is required to exist;
+    with both given, that rooting itself is checked.
     """
     problems: list[str] = []
     if g.genus != 0:
@@ -102,15 +78,14 @@ def validate(g: PlaneGraph, vt, et, v1: Optional[int] = None,
     if problems:
         return problems
 
-    outer_set = set(_outer_vertices(g))
-    if v1 is not None and v1 not in outer_set:
+    outer_set = set(outer_vertex_occurrences(g))
+    if v1 not in outer_set:
         return [f"v1={v1} not on the outer face"]
-    if v1 is not None:
-        deg = g.degree(v1)
-        if vt[v1] == 1 and deg != 2:
-            problems.append(f"v1 of type 1 must have degree 2, has {deg}")
-        if vt[v1] != 1 and deg <= 2:
-            problems.append(f"v1 of type {vt[v1]} must have degree > 2")
+    deg = g.degree(v1)
+    if vt[v1] == 1 and deg != 2:
+        problems.append(f"v1 of type 1 must have degree 2, has {deg}")
+    if vt[v1] != 1 and deg <= 2:
+        problems.append(f"v1 of type {vt[v1]} must have degree > 2")
     for v in range(g.n):
         if v in (v0, v1, v2):
             continue
@@ -132,20 +107,12 @@ def validate(g: PlaneGraph, vt, et, v1: Optional[int] = None,
         elif not {v0, v2} <= outer_set:
             problems.append("corners must lie on the outer face")
         return problems
-
-    if v1 is None:
-        for cand in outer_set:
-            deg = g.degree(cand)
-            ok = deg == 2 if vt[cand] == 1 else deg > 2
-            if ok and not validate(g, vt, et, cand):
-                return []
-        return ["no valid v1"]
     return [] if corner_pairs(g, vt, v1) else ["no valid v0/v2 assignment"]
 
 
 def corner_pairs(g: PlaneGraph, vt, v1: int) -> list[tuple[int, int]]:
     """All valid {v0, v2} assignments for a fixed v1."""
-    outer = _outer_vertices(g)
+    outer = list(outer_vertex_occurrences(g))
     forced = [v for v in outer
               if v != v1 and not _noncorner_ok(g, vt, v, outer=True)]
     if len(forced) > 2 or any(vt[v] == 1 for v in forced):
@@ -168,8 +135,7 @@ def connectivity_class(d: Decoration) -> int:
     The class belongs to the rooted decoration (it depends on where the
     corners are placed); see lspgen.classify for the procedure.
     """
-    from .classify import connectivity_class_of
-    return connectivity_class_of(d)
+    return classify.connectivity_class_of(d)
 
 
 # -- transforms and identity -------------------------------------------------
@@ -286,7 +252,7 @@ def write_deco(d: Decoration) -> str:
         rows.append(darts)
     lines = [
         "deco 1",
-        f"n {g.n} rate {d.rate()} k {d.connectivity_class()}",
+        f"n {g.n} rate {d.rate()} k {connectivity_class(d)}",
         f"corners {d.corners[0] + 1} {d.corners[1] + 1} {d.corners[2] + 1}",
         "types " + " ".join(str(t) for t in d.vt),
     ]
@@ -383,6 +349,6 @@ def read_deco(text: str) -> Decoration:
         raise DecoFormatError("invalid decoration: " + "; ".join(problems))
     if d.rate() != rate:
         raise DecoFormatError(f"rate mismatch: {d.rate()} != {rate}")
-    if d.connectivity_class() < kcls:
+    if connectivity_class(d) < kcls:
         raise DecoFormatError("connectivity class below declared value")
     return d

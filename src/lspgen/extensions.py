@@ -46,8 +46,27 @@ def _arc_after(rot: list[int], start: int, stop: int) -> list[int]:
         i = (i + 1) % len(rot)
 
 
-def _sigma(g: PlaneGraph, d: int) -> int:
-    return g.nxt[d]
+def _split(g: PlaneGraph, walk: tuple[int, ...], i: int, j: int
+           ) -> Optional[tuple[Surgeon, int, list[int], list[int]]]:
+    """The vertex v met at outer positions i and j, cut between them: a
+    Surgeon on g, v, and v's rotation arcs after position i and after
+    position j.  None unless i and j are two sectors of one vertex."""
+    pi, pj = walk[i], walk[j]
+    v = g.org[pi]
+    if g.org[pj] != v or pi == pj:
+        return None
+    s = Surgeon(g)
+    rot = s.rot[v]
+    return (s, v, _arc_after(rot, g.nxt[pi], pj),
+            _arc_after(rot, g.nxt[pj], pi))
+
+
+def _child(s: Surgeon, outer_token: int, site: tuple[int, ...]
+           ) -> ExtResult:
+    """The finished child, outer face at outer_token, and the site's
+    tokens as sorted child darts."""
+    child, tr = s.freeze(outer_token)
+    return child, tuple(sorted(tr[t] for t in site))
 
 
 # -- extensions -------------------------------------------------------------
@@ -58,19 +77,14 @@ def _sigma(g: PlaneGraph, d: int) -> int:
 
 def ext1_split(g: PlaneGraph, walk: tuple[int, ...], i: int, j: int
                ) -> Optional[ExtResult]:
-    pi, pj = walk[i], walk[j]
-    v = g.org[pi]
-    if g.org[pj] != v or pi == pj:
+    split = _split(g, walk, i, j)
+    if split is None:
         return None
-    s = Surgeon(g)
-    rot = s.rot[v]
-    arc1 = _arc_after(rot, _sigma(g, pi), pj)
-    arc2 = _arc_after(rot, _sigma(g, pj), pi)
+    s, v, arc1, arc2 = split
     n1, n2 = s.fresh_pair()
     s.rot[v] = arc1 + [n1]
     s.new_vertex(arc2 + [n2])
-    child, tr = s.freeze(n1)
-    return child, tuple(sorted((tr[n1], tr[n2])))
+    return _child(s, n1, (n1, n2))
 
 
 def ext2_pendant(g: PlaneGraph, walk: tuple[int, ...], i: int
@@ -81,20 +95,15 @@ def ext2_pendant(g: PlaneGraph, walk: tuple[int, ...], i: int
     n1, n2 = s.fresh_pair()
     s.insert_after(v, p, [n1])
     s.new_vertex([n2])
-    child, tr = s.freeze(n1)
-    return child, tuple(sorted((tr[n1], tr[n2])))
+    return _child(s, n1, (n1, n2))
 
 
 def ext3_split_quad(g: PlaneGraph, walk: tuple[int, ...], i: int, j: int
                     ) -> Optional[ExtResult]:
-    pi, pj = walk[i], walk[j]
-    v = g.org[pi]
-    if g.org[pj] != v or pi == pj:
+    split = _split(g, walk, i, j)
+    if split is None:
         return None
-    s = Surgeon(g)
-    rot = s.rot[v]
-    arc1 = _arc_after(rot, _sigma(g, pi), pj)
-    arc2 = _arc_after(rot, _sigma(g, pj), pi)
+    s, v, arc1, arc2 = split
     e1, e1r = s.fresh_pair()   # v1 - x
     e2, e2r = s.fresh_pair()   # x - v2
     e3, e3r = s.fresh_pair()   # v2 - y
@@ -103,22 +112,16 @@ def ext3_split_quad(g: PlaneGraph, walk: tuple[int, ...], i: int, j: int
     s.new_vertex(arc2 + [e3, e2r])     # v2
     s.new_vertex([e2, e1r])            # x
     s.new_vertex([e4, e3r])            # y
-    child, tr = s.freeze(e4r)
-    site = (e1, e1r, e2, e2r, e3, e3r, e4, e4r)
-    return child, tuple(sorted(tr[t] for t in site))
+    return _child(s, e4r, (e1, e1r, e2, e2r, e3, e3r, e4, e4r))
 
 
 def ext4_split_edge_quad(g: PlaneGraph, walk: tuple[int, ...], a: int, b: int
                          ) -> Optional[ExtResult]:
     """Split with direct edge filling gap `a` and the quad spanning gap `b`."""
-    pa, pb = walk[a], walk[b]
-    v = g.org[pa]
-    if g.org[pb] != v or pa == pb:
+    split = _split(g, walk, a, b)
+    if split is None:
         return None
-    s = Surgeon(g)
-    rot = s.rot[v]
-    arc1 = _arc_after(rot, _sigma(g, pa), pb)
-    arc2 = _arc_after(rot, _sigma(g, pb), pa)
+    s, v, arc1, arc2 = split
     de, der = s.fresh_pair()   # v1 - v2 (direct)
     x1, x1r = s.fresh_pair()   # v1 - x
     xy, xyr = s.fresh_pair()   # x - y
@@ -127,9 +130,7 @@ def ext4_split_edge_quad(g: PlaneGraph, walk: tuple[int, ...], a: int, b: int
     s.new_vertex(arc2 + [der, yer])    # v2
     s.new_vertex([xy, x1r])            # x
     s.new_vertex([ye, xyr])            # y
-    child, tr = s.freeze(de)
-    site = (de, der, x1, x1r, xy, xyr, ye, yer)
-    return child, tuple(sorted(tr[t] for t in site))
+    return _child(s, de, (de, der, x1, x1r, xy, xyr, ye, yer))
 
 
 def ext5_attach_quad(g: PlaneGraph, walk: tuple[int, ...], i: int
@@ -145,9 +146,7 @@ def ext5_attach_quad(g: PlaneGraph, walk: tuple[int, ...], i: int
     s.new_vertex([xm, vxr])   # x
     s.new_vertex([my, xmr])   # m
     s.new_vertex([yv, myr])   # y
-    child, tr = s.freeze(yvr)
-    site = (vx, vxr, xm, xmr, my, myr, yv, yvr)
-    return child, tuple(sorted(tr[t] for t in site))
+    return _child(s, yvr, (vx, vxr, xm, xmr, my, myr, yv, yvr))
 
 
 def ext6_attach_double(g: PlaneGraph, walk: tuple[int, ...], i: int
@@ -168,9 +167,8 @@ def ext6_attach_double(g: PlaneGraph, walk: tuple[int, ...], i: int
     s.new_vertex([dwr, vwr, bwr])      # w
     s.new_vertex([vcr, cd])            # c
     s.new_vertex([cdr, dw])            # d
-    child, tr = s.freeze(vc)
-    site = (va, var, ab, abr, bw, bwr, vw, vwr, vc, vcr, cd, cdr, dw, dwr)
-    return child, tuple(sorted(tr[t] for t in site))
+    return _child(s, vc, (va, var, ab, abr, bw, bwr, vw, vwr,
+                          vc, vcr, cd, cdr, dw, dwr))
 
 
 def ext7_attach_strip(g: PlaneGraph, walk: tuple[int, ...], i: int,
@@ -204,9 +202,8 @@ def ext7_attach_strip(g: PlaneGraph, walk: tuple[int, ...], i: int,
     s.new_vertex(rot_q)
     s.new_vertex(rot_t)
     s.new_vertex(rot_s)
-    child, tr = s.freeze(ins[-1])
-    site = (vp, vpr, pr_, prr, rq, rqr, qv, qvr, rt, rtr, ts, tsr, sq, sqr)
-    return child, tuple(sorted(tr[t] for t in site))
+    return _child(s, ins[-1], (vp, vpr, pr_, prr, rq, rqr, qv, qvr,
+                               rt, rtr, ts, tsr, sq, sqr))
 
 
 def ext8_glue(g: PlaneGraph, walk: tuple[int, ...], i: int
@@ -223,9 +220,7 @@ def ext8_glue(g: PlaneGraph, walk: tuple[int, ...], i: int
     s.insert_before(v, d ^ 1, [bvr])
     s.new_vertex([uar, ab])   # a
     s.new_vertex([abr, bv])   # b
-    child, tr = s.freeze(ua)
-    site = (ua, uar, ab, abr, bv, bvr)
-    return child, tuple(sorted(tr[t] for t in site))
+    return _child(s, ua, (ua, uar, ab, abr, bv, bvr))
 
 
 def ext9_close2(g: PlaneGraph, walk: tuple[int, ...], i: int
@@ -243,9 +238,7 @@ def ext9_close2(g: PlaneGraph, walk: tuple[int, ...], i: int
     s.insert_before(w, d2 ^ 1, [wx])
     s.insert_after(u, d1, [xur])
     s.new_vertex([xu, wxr])   # x
-    child, tr = s.freeze(xur)
-    site = (wx, wxr, xu, xur)
-    return child, tuple(sorted(tr[t] for t in site))
+    return _child(s, xur, (wx, wxr, xu, xur))
 
 
 def ext10_close3(g: PlaneGraph, walk: tuple[int, ...], i: int
@@ -261,8 +254,7 @@ def ext10_close3(g: PlaneGraph, walk: tuple[int, ...], i: int
     ad, adr = s.fresh_pair()
     s.insert_after(a, d1, [ad])
     s.insert_before(dd, d3 ^ 1, [adr])
-    child, tr = s.freeze(ad)
-    return child, tuple(sorted((tr[ad], tr[adr])))
+    return _child(s, ad, (ad, adr))
 
 
 def extension_sites(g: PlaneGraph, walk: tuple[int, ...]
@@ -574,11 +566,6 @@ def apply_reduction(g: PlaneGraph, num: int, data: tuple) -> PlaneGraph:
         s.delete_vertices(dead_vertices)
     parent, _ = s.freeze(outer_token)
     return parent
-
-
-def smallest_reduction(g: PlaneGraph) -> Optional[int]:
-    sites = scan_reductions(g)
-    return min(sites) if sites else None
 
 
 def applicable_reductions(g: PlaneGraph) -> list[tuple[int, Site]]:

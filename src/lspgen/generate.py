@@ -100,7 +100,6 @@ def canonical_parent(p: Predecoration
 
 def generate(task: GenerationTask,
              visitor: Optional[Callable[[Predecoration], None]] = None,
-             prune_rate: bool = True,
              prune_ext10: bool = True) -> GenerationStats:
     """Visits every predecoration relevant to the task exactly once.
 
@@ -129,7 +128,7 @@ def generate(task: GenerationTask,
             child_g, inv_site = result
             if validate_predecoration(child_g):
                 continue
-            if prune_rate and rate_bounds_of(child_g)[0] > task.rate_max:
+            if rate_bounds_of(child_g)[0] > task.rate_max:
                 continue
             code = is_canonical_child(child_g, num, inv_site)
             if code is None:
@@ -141,6 +140,6 @@ def generate(task: GenerationTask,
             explore(Predecoration(child_g))
 
     for base in (base_k2(), base_c4()):
-        if not (prune_rate and base.lo > task.rate_max):
+        if base.lo <= task.rate_max:
             explore(base)
     return stats

@@ -132,14 +132,8 @@ class PlaneGraph:
     def degree(self, v: int) -> int:
         return len(self._vdarts[v])
 
-    def fnext(self, d: int) -> int:
-        return self.prv[d ^ 1]
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self.org[d ^ 1] for d in self._vdarts[v])
-
-    def face_size(self, f: int) -> int:
-        return len(self.faces[f])
 
     def edge_ends(self, e: int) -> tuple[int, int]:
         return self.org[2 * e], self.org[2 * e + 1]
@@ -186,8 +180,7 @@ class PlaneGraph:
                 f"f={len(self.faces)}, genus={self.genus})")
 
 
-def build_from_rotations(rotations: dict[int, Sequence[int]],
-                         outer: Optional[Sequence[int]] = None) -> PlaneGraph:
+def build_from_rotations(rotations: dict[int, Sequence[int]]) -> PlaneGraph:
     """Builds a PlaneGraph from per-vertex counterclockwise neighbor lists.
 
     Vertex ids may be arbitrary integers; they are densified in sorted
@@ -196,12 +189,10 @@ def build_from_rotations(rotations: dict[int, Sequence[int]],
     (the k-th occurrence of ``v`` around ``u`` matches the (m-1-k)-th
     occurrence of ``u`` around ``v``), which requires the occurrences to
     be cyclically consecutive; other multi-edge patterns are rejected as
-    ambiguous.
+    ambiguous.  No outer face is marked.
 
     Args:
         rotations: mapping vertex -> neighbor list in ccw order.
-        outer: optional directed edge (u, v) whose left face is the outer
-            face, in original vertex ids.
     """
     ids = sorted(rotations)
     index = {u: i for i, u in enumerate(ids)}
@@ -273,16 +264,7 @@ def build_from_rotations(rotations: dict[int, Sequence[int]],
             d = starts[u] + i
             org2[new_id[d]] = u
             nxt2[new_id[d]] = new_id[starts[u] + (i + 1) % deg]
-    outer_dart = None
-    if outer is not None:
-        u, w = index[outer[0]], index[outer[1]]
-        for i, x in enumerate(rots[u]):
-            if x == w:
-                outer_dart = new_id[starts[u] + i]
-                break
-        if outer_dart is None:
-            raise MapError("outer edge not present")
-    return PlaneGraph(org2, nxt2, outer_dart)
+    return PlaneGraph(org2, nxt2)
 
 
 def _consecutive_run(ds: list[int], start: int, deg: int) -> Optional[list[int]]:
@@ -448,10 +430,10 @@ def automorphisms(g: PlaneGraph, mode: str = "full",
     Respects labels and the outer face; ``fixed`` vertices must be mapped
     to themselves.  The identity is always included.
     """
-    _, hits = canonical_data(g, mode, vlab, elab)
-    ref = hits[0]
-    # a map that equals its own mirror yields each permutation twice
-    perms = list(dict.fromkeys(_dart_map(g, ref, h) for h in hits))
+    # a map that equals its own mirror has each permutation in both
+    # orientations
+    perms = list(dict.fromkeys(
+        p for p, _ in automorphisms_flagged(g, mode, vlab, elab)))
     if fixed is not None:
         fix = list(fixed)
         perms = [p for p in perms
@@ -612,6 +594,17 @@ def _articulation_or_disconnected(adj: list[list[int]],
     return count != left or root_children >= 2
 
 
+def _connected(adj: list[list[int]]) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
 def vertex_connectivity_capped(g: PlaneGraph | list[list[int]],
                                cap: int = 3,
                                removable: Optional[Iterable[int]] = None
@@ -631,8 +624,12 @@ def vertex_connectivity_capped(g: PlaneGraph | list[list[int]],
     n = len(adj)
     if n < 2:
         return 0
-    if _articulation_or_disconnected(adj) or n == 2 or cap == 1:
-        return 1 if cap >= 1 else cap
+    if _articulation_or_disconnected(adj):
+        # a PlaneGraph is connected by construction
+        connected = isinstance(g, PlaneGraph) or _connected(adj)
+        return min(cap, 1 if connected else 0)
+    if n == 2 or cap == 1:
+        return min(cap, 1)
     if n == 3 or cap == 2:
         return 2
     for v in range(n) if removable is None else removable:

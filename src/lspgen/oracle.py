@@ -11,11 +11,15 @@ completion search.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import Iterable, Optional
 
 from .classify import connectivity_class_of
+from .complete import complete
 from .decorations import Decoration, corner_pairs, decoration_identity, validate
+from .generate import GenerationTask, generate
 from .maps import PlaneGraph, build_from_rotations, canonical_code
+from .predecorations import outer_vertex_occurrences
 from .surgery import Surgeon
 
 
@@ -54,9 +58,9 @@ def _useless(g: PlaneGraph) -> bool:
     return any(g.degree(v) < 4 for v in range(g.n) if v not in on_outer)
 
 
-def triangulated_disks(r: int, prune_inner: bool = True
-                       ) -> list[PlaneGraph]:
-    """All triangulated disks with r triangles, up to isomorphism."""
+def triangulated_disks(r: int) -> list[PlaneGraph]:
+    """All triangulated disks with r triangles and no inner vertex of
+    degree below 4, up to isomorphism."""
     level = {canonical_code(_triangle(), "full"): _triangle()}
     for _ in range(r - 1):
         nxt: dict[tuple, PlaneGraph] = {}
@@ -69,7 +73,7 @@ def triangulated_disks(r: int, prune_inner: bool = True
             for child in children:
                 if child is None:
                     continue
-                if prune_inner and _useless(child):
+                if _useless(child):
                     continue
                 code = canonical_code(child, "full")
                 if code not in nxt:
@@ -135,7 +139,6 @@ def _edge_colorings(g: PlaneGraph) -> Iterable[tuple[int, ...]]:
         if not free:
             rec(i + 1)
             return
-        from itertools import permutations
         for perm in permutations(rest):
             done = []
             ok = True
@@ -160,13 +163,7 @@ def decorations_brute(r: int) -> dict[tuple, Decoration]:
     disks = triangulated_disks(r)
     # decorations are chiral objects: enumerate both embeddings
     for g in [g for d in disks for g in (d, d.mirrored())]:
-        outer_vertices = []
-        got = set()
-        for d in g.faces[g.outer]:
-            v = g.org[d]
-            if v not in got:
-                got.add(v)
-                outer_vertices.append(v)
+        outer_vertices = list(outer_vertex_occurrences(g))
         for et in _edge_colorings(g):
             vt = [0] * g.n
             bad = False
@@ -203,9 +200,6 @@ def bruteforce_decorations(r: int, k: int = 1) -> set[tuple]:
 
 def cross_check(r: int, k: int = 1) -> dict:
     """Set comparison between the brute-force and main pipelines."""
-    from .complete import complete
-    from .generate import GenerationTask, generate
-
     main: set[tuple] = set()
 
     def visit(p):

@@ -1,13 +1,12 @@
 """End-to-end driver: generate skeletons, complete them, aggregate counts.
 
-Completion jobs for distinct predecorations are independent; they can be
-dispatched to a thread pool and merged in generation order, so results
-are identical for any thread count.
+Each skeleton is completed as soon as the generator visits it, so
+decorations are counted and streamed in generation order and nothing is
+kept between skeletons.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -29,8 +28,8 @@ class PipelineResult:
 
 
 def run_pipeline(rate_min: int, rate_max: int, k: int = 1,
-                 on_decoration: Optional[Callable[[Decoration], None]] = None,
-                 threads: int = 1) -> PipelineResult:
+                 on_decoration: Optional[Callable[[Decoration], None]] = None
+                 ) -> PipelineResult:
     """Counts (and optionally streams) all k-connected decorations with
     inflation rate in [rate_min, rate_max].
 
@@ -43,33 +42,19 @@ def run_pipeline(rate_min: int, rate_max: int, k: int = 1,
         result.decorations[r] = 0
         result.predecorations[r] = 0
 
-    candidates: list[Predecoration] = []
-    stats = generate(task, visitor=candidates.append)
-    result.visited = stats.visited
+    def visit(p: Predecoration) -> None:
+        rates: set[int] = set()
 
-    def job(p: Predecoration) -> tuple[dict[int, int], list[Decoration], int]:
-        counts: dict[int, int] = {}
-        emitted: list[Decoration] = []
-
-        def visit(d: Decoration) -> None:
-            counts[d.rate()] = counts.get(d.rate(), 0) + 1
+        def emit(d: Decoration) -> None:
+            result.decorations[d.rate()] += 1
+            rates.add(d.rate())
             if on_decoration:
-                emitted.append(d)
-
-        complete(p, k, rate_min, rate_max, visit)
-        return counts, emitted, 2 if is_chiral(p) else 1
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(job, candidates))
-    else:
-        outputs = [job(p) for p in candidates]
-
-    for counts, emitted, weight in outputs:
-        for r, n in counts.items():
-            result.decorations[r] += n
-            result.predecorations[r] += weight
-        if on_decoration:
-            for d in emitted:
                 on_decoration(d)
+
+        complete(p, k, rate_min, rate_max, emit)
+        weight = 2 if is_chiral(p) else 1
+        for r in rates:
+            result.predecorations[r] += weight
+
+    result.visited = generate(task, visitor=visit).visited
     return result

@@ -8,7 +8,7 @@ n_A + n_B + n_C <= 3.
 
 from __future__ import annotations
 
-from .maps import PlaneGraph
+from .maps import PlaneGraph, build_from_rotations, canonical_order
 
 
 class Predecoration:
@@ -44,11 +44,6 @@ def outer_vertex_occurrences(g: PlaneGraph) -> dict[int, int]:
         v = g.org[d]
         occ[v] = occ.get(v, 0) + 1
     return occ
-
-
-def inner_vertices(g: PlaneGraph) -> list[int]:
-    on_outer = {g.org[d] for d in outer_walk(g)}
-    return [v for v in range(g.n) if v not in on_outer]
 
 
 def counters(g: PlaneGraph) -> tuple[int, int, int]:
@@ -114,17 +109,10 @@ def rate_bounds_of(g: PlaneGraph) -> tuple[int, int]:
     return 4 * quads + 2 * extra, 2 * g.ne
 
 
-def rate_bounds(p: "Predecoration | PlaneGraph") -> tuple[int, int]:
-    if isinstance(p, Predecoration):
-        return p.lo, p.hi
-    return rate_bounds_of(p)
-
-
 def normalized_for_export(p: Predecoration) -> PlaneGraph:
     """Relabels so the outer face is the one left of the first listed
     dart of vertex 0 (vertex 1 in external 1-based ids), the planar_code
     convention for serialized predecorations."""
-    from .maps import build_from_rotations, canonical_order
     g = p.g.relabeled(canonical_order(p.g, "oriented"))
     rows = {}
     for v in range(g.n):

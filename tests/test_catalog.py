@@ -4,7 +4,8 @@ from lspgen.catalog import (CONWAY_SYMBOL, OPERATION_NAMES, SEED_NAMES,
                             lookup, seed)
 from lspgen.chambers import apply_decoration
 from lspgen.complete import complete
-from lspgen.decorations import decoration_identity, swap02, validate
+from lspgen.decorations import (connectivity_class, decoration_identity,
+                                swap02, validate)
 from lspgen.generate import GenerationTask, generate
 from lspgen.maps import vertex_connectivity_capped
 
@@ -31,7 +32,7 @@ def test_entries_validate_with_expected_rate_and_class():
         assert validate(d.g, d.vt, d.et, d.corners[1],
                         d.corners[0], d.corners[2]) == []
         assert d.rate() == rate
-        assert d.connectivity_class() == 3
+        assert connectivity_class(d) == 3
 
 
 def test_dual_is_swap_of_identity():

@@ -7,9 +7,8 @@ from lspgen.catalog import lookup
 from lspgen.complete import complete
 from lspgen.decorations import (DecoFormatError, Decoration, canonicalized,
                                 connectivity_class, corner_pairs,
-                                decoration_identity, inflation_rate, mirror,
-                                read_deco, swap02, type1_subgraph, validate,
-                                write_deco)
+                                decoration_identity, mirror, read_deco,
+                                swap02, type1_subgraph, validate, write_deco)
 from lspgen.generate import GenerationTask, generate
 
 
@@ -23,13 +22,13 @@ def _collect(rmin, rmax, k=1):
 def test_identity_is_valid():
     d = lookup("identity")
     assert validate(d.g, d.vt, d.et, d.corners[1]) == []
-    assert inflation_rate(d) == 1
+    assert d.rate() == 1
 
 
 def test_ambo_is_valid_rate_2():
     d = lookup("ambo")
     assert validate(d.g, d.vt, d.et, d.corners[1]) == []
-    assert inflation_rate(d) == 2
+    assert d.rate() == 2
 
 
 def test_degree_violation_detected():
@@ -41,9 +40,9 @@ def test_degree_violation_detected():
 
 
 def test_rates_of_named_operations():
-    assert inflation_rate(lookup("identity")) == 1
-    assert inflation_rate(lookup("ambo")) == 2
-    assert inflation_rate(lookup("truncate")) == 3
+    assert lookup("identity").rate() == 1
+    assert lookup("ambo").rate() == 2
+    assert lookup("truncate").rate() == 3
 
 
 def test_small_rates_are_3_connected():

@@ -161,8 +161,8 @@ def test_connectivity_caps():
 
 
 def _brute_connectivity(adj, cap):
-    """Smallest number of removed vertices (below cap) that disconnects
-    a connected graph or leaves one vertex, by trying every vertex set."""
+    """Smallest number of removed vertices (below cap) that leaves the
+    graph disconnected or with one vertex, by trying every vertex set."""
     from itertools import combinations
     n = len(adj)
     for k in range(cap):
@@ -185,11 +185,12 @@ def test_connectivity_of_adjacency_lists_matches_brute_force():
     rng = random.Random(11)
     for _ in range(400):
         n = rng.randint(1, 8)
+        tree = rng.random() < 0.75  # else the graph may be disconnected
         adj = [[] for _ in range(n)]
         for w in range(1, n):       # a random spanning tree, then more
             parent = rng.randrange(w)
             for u in range(w):
-                if u == parent or rng.random() < 0.4:
+                if (tree and u == parent) or rng.random() < 0.4:
                     adj[u].append(w)
                     adj[w].append(u)
         assert vertex_connectivity_capped(adj, 3) == \
