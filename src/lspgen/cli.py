@@ -11,6 +11,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import sys
 from typing import Optional
 
@@ -34,17 +36,16 @@ def _parse_rate(text: str) -> tuple[int, int]:
 
 def cmd_generate(args) -> int:
     rmin, rmax = args.rate
-    sink = []
-    want_records = not args.count
-    result = run_pipeline(rmin, rmax, args.k,
-                          on_decoration=sink.append if want_records else None)
     if args.count:
+        result = run_pipeline(rmin, rmax, args.k)
         source = (result.predecorations if args.predecorations
                   else result.decorations)
         for r in range(rmin, rmax + 1):
             print(f"{r} {args.k} {source[r]}")
         return 0
+    sink = []
     if args.predecorations:
+        run_pipeline(rmin, rmax, args.k, on_decoration=sink.append)
         seen = {}
         for d in sink:
             p, _ = type1_subgraph(d)
@@ -54,20 +55,30 @@ def cmd_generate(args) -> int:
         graphs = [normalized_for_export(p) for _, (_, p) in records]
         sys.stdout.buffer.write(write_planar_code(graphs))
         return 0
-    if args.sorted:
+    # records are written as they arrive unless they must be sorted first
+    sidecar = args.sidecar if args.format == "pc" else None
+    with (open(sidecar, "w", encoding="ascii") if sidecar
+          else contextlib.nullcontext()) as side:
+        if args.format == "pc":
+            sys.stdout.buffer.write(write_planar_code([]))   # the header
+        index = itertools.count()
+
+        def write(d) -> None:
+            if args.format == "deco":
+                sys.stdout.write(write_deco(d) + "\n")
+                return
+            sys.stdout.buffer.write(write_planar_code([d.g], header=False))
+            if side:
+                vt = " ".join(str(t) for t in d.vt)
+                v0, v1, v2 = (c + 1 for c in d.corners)
+                side.write(f"{next(index)} corners {v0} {v1} {v2} "
+                           f"types {vt}\n")
+
+        run_pipeline(rmin, rmax, args.k,
+                     on_decoration=sink.append if args.sorted else write)
         sink.sort(key=lambda d: (d.rate(), decoration_identity(d)))
-    if args.format == "deco":
         for d in sink:
-            sys.stdout.write(write_deco(d))
-            sys.stdout.write("\n")
-    else:
-        sys.stdout.buffer.write(write_planar_code([d.g for d in sink]))
-        if args.sidecar:
-            with open(args.sidecar, "w", encoding="ascii") as fh:
-                for i, d in enumerate(sink):
-                    vt = " ".join(str(t) for t in d.vt)
-                    v0, v1, v2 = (c + 1 for c in d.corners)
-                    fh.write(f"{i} corners {v0} {v1} {v2} types {vt}\n")
+            write(d)
     return 0
 
 

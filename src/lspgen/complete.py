@@ -3,9 +3,15 @@
 A completion fills every inner quadrangle with a degree-4 type-1 vertex,
 optionally adds one degree-2 type-1 vertex in the outer face (which must
 be v1), and covers outer-walk slots with degree-3 type-1 vertices, each
-attached to three consecutive boundary vertices.  The choice of v1 and
-the cover set are enumerated up to the symmetry of the predecoration;
-both bipartition type assignments of the skeleton are emitted.
+attached to three consecutive boundary vertices.  The choice of v1 is
+enumerated up to the symmetry of the predecoration.  For each choice a
+depth-first search adds degree-3 vertices in slot order.  It screens a
+boundary vertex once no later slot can touch it (`_corner_demand`), cuts
+a branch at the first vertex that fails or the third forced corner, and
+enters no branch that cannot reach the rate window.  Of the cover sets
+that survive, the first in search order of each orbit under the v1
+choice's stabilizer is kept.  Both bipartition type assignments of the
+skeleton are emitted.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .decorations import (Decoration, connectivity_class, corner_pairs,
                           decoration_identity, validate)
-from .maps import PlaneGraph, automorphisms_flagged, vertex_mapping
+from .maps import PlaneGraph, vertex_mapping
 from .predecorations import Predecoration, outer_vertex_occurrences
 from .surgery import Surgeon
 
@@ -37,166 +43,167 @@ def bipartition(g: PlaneGraph) -> list[int]:
     return col
 
 
+def _corner_demand(deg: int, left: int, is_v1: bool) -> int:
+    """The corners besides v1 that a screened boundary vertex of degree
+    `deg`, with `left` outer-walk occurrences not cut off, must be: one
+    if its degree is <= 3; 3 (more than there are) if it is cut off with
+    degree <= 4 or as v1, or if it is v1 of degree <= 2."""
+    if left == 0:
+        return 3 if deg <= 4 or is_v1 else 0
+    if is_v1:
+        return 3 if deg <= 2 else 0
+    return 1 if deg <= 3 else 0
+
+
 class _Completer:
+    """Completes one skeleton.  Search state for a v1 choice: ``deg[v]``,
+    the degree of v so far; ``left[v]``, its outer-walk occurrences not
+    cut off by a degree-3 vertex; ``used``, the slots taken;
+    ``closing[b]`` and ``open[b]``, the boundary vertices whose last slot
+    is b - 1 and b or later; ``fewest`` and ``most``, the numbers of
+    degree-3 vertices the rate window allows."""
+
     def __init__(self, p: Predecoration, k: int, rmin: int, rmax: int):
-        self.p = p
-        self.g = p.g
-        self.k = k
-        self.rmin = rmin
-        self.rmax = rmax
-        self.walk = p.walk
-        self.m = len(self.walk)
+        self.g = g = p.g
+        self.k, self.rmin, self.rmax = k, rmin, rmax
+        self.walk = walk = p.walk
+        self.m = m = len(walk)
         # orientation-reversing symmetries must not be quotiented out:
         # they relate mirror completions, which are distinct decorations
-        flagged = automorphisms_flagged(self.g, "full")
-        self.chiral = not any(rev for _, rev in flagged)
-        self.auts = [a for a in flagged if not a[1]]
-        self.vmaps = [vertex_mapping(self.g, perm) for perm, _ in self.auts]
-        self.pos = {d: i for i, d in enumerate(self.walk)}
-        self.col = bipartition(self.g)
-        self.occ = outer_vertex_occurrences(self.g)
-        self.fills = [self.g.degree(v) - self.occ.get(v, 0)
-                      for v in range(self.g.n)]
-        self.quads = [f for f in range(len(self.g.faces))
-                      if f != self.g.outer]
+        self.chiral = is_chiral(p)
+        auts = [perm for perm, rev in p.automorphisms() if not rev]
+        self.vmaps = [vertex_mapping(g, perm) for perm in auts]
+        pos = {d: i for i, d in enumerate(walk)}
+        self.smaps = [[pos[perm[d]] for d in walk] for perm in auts]
+        self.col = bipartition(g)
+        self.occ = outer_vertex_occurrences(g)
+        self.quads = [f for f in range(len(g.faces)) if f != g.outer]
+        # the boundary vertices a degree-3 vertex at slot i attaches to;
+        # the middle one is cut off from the outer face
+        self.triples = [(g.org[walk[i]], g.org[walk[(i + 1) % m]],
+                         g.org[walk[(i + 1) % m] ^ 1]) for i in range(m)]
 
     # -- symmetry ----------------------------------------------------------
-
-    def _slot_image(self, i: int, ai: int) -> int:
-        perm, rev = self.auts[ai]
-        d = perm[self.walk[i]]
-        return self.pos[d ^ 1 if rev else d]
 
     def _choice_image(self, choice: Choice, ai: int) -> Choice:
         kind, x = choice
         if kind == "v":
             return ("v", self.vmaps[ai][x])
-        return ("g", self._slot_image(x, ai))
+        return ("g", self.smaps[ai][x])
 
     def v1_choices(self) -> list[Choice]:
         cands: list[Choice] = [("v", v) for v in sorted(self.occ)]
         cands += [("g", i) for i in range(self.m)]
-        reps = []
-        seen = set()
+        reps, seen = [], set()
         for c in cands:
             key = min(self._choice_image(c, ai)
-                      for ai in range(len(self.auts)))
+                      for ai in range(len(self.smaps)))
             if key not in seen:
                 seen.add(key)
                 reps.append(c)
         return reps
 
     def _stabilizer(self, choice: Choice) -> list[int]:
-        return [ai for ai in range(len(self.auts))
+        return [ai for ai in range(len(self.smaps))
                 if self._choice_image(choice, ai) == choice]
-
-    def _cover_key(self, cover: Iterable[int], ai: int) -> tuple:
-        out = []
-        for i in cover:
-            js = (self._slot_image(i, ai),
-                  self._slot_image((i + 1) % self.m, ai))
-            out.append(tuple(sorted(js)))
-        return tuple(sorted(out))
 
     # -- enumeration ---------------------------------------------------------
 
     def run(self, visitor: Callable[[Decoration], None]) -> int:
-        emitted = 0
         seen_codes = set()
-        base_rate = 4 * len(self.quads)
-        if base_rate > self.rmax:
-            return 0
         for choice in self.v1_choices():
             stab = self._stabilizer(choice)
-            blocked = {choice[1]} if choice[0] == "g" else set()
-            budget = (self.rmax - base_rate - len(blocked)) // 2
             covers_seen = set()
-            for cover in self._cover_sets(blocked, budget):
-                key = min(self._cover_key(cover, ai) for ai in stab)
-                if key in covers_seen:
-                    continue
-                covers_seen.add(key)
-                rate = base_rate + 2 * len(cover) + len(blocked)
-                if not self.rmin <= rate <= self.rmax:
-                    continue
+            for cover in self._cover_sets(choice):
+                if len(stab) > 1:
+                    key = min(tuple(sorted(self.smaps[ai][i] for i in cover))
+                              for ai in stab)
+                    if key in covers_seen:
+                        continue
+                    covers_seen.add(key)
                 for d in self._build(choice, cover):
                     code = decoration_identity(d)
                     if code in seen_codes:
                         continue
                     seen_codes.add(code)
-                    emitted += 1
                     visitor(d)
-        return emitted
+        return len(seen_codes)
 
-    def _cover_sets(self, blocked: set[int], budget: int
-                    ) -> Iterable[frozenset]:
-        g, walk, m = self.g, self.walk, self.m
-        ok_pair = []
-        for i in range(m):
-            j = (i + 1) % m
-            if i in blocked or j in blocked:
-                ok_pair.append(False)
-                continue
-            u, v = g.org[walk[i]], g.org[walk[j]]
-            w = g.org[walk[j] ^ 1]
-            ok_pair.append(len({u, v, w}) == 3)
-        out: list[frozenset] = []
+    def _start(self, choice: Choice) -> None:
+        """Search state for a v1 choice with no degree-3 vertex placed."""
+        g = self.g
+        self.v1 = choice[1] if choice[0] == "v" else None
+        self.deg = [2 * g.degree(v) - self.occ.get(v, 0)
+                    for v in range(g.n)]          # skeleton plus fills
+        self.left = [self.occ.get(v, 0) for v in range(g.n)]
+        self.used = [False] * self.m
+        if choice[0] == "g":
+            d = self.walk[choice[1]]
+            self.deg[g.org[d]] += 1
+            self.deg[g.org[d ^ 1]] += 1
+            self.used[choice[1]] = True
 
-        def rec(i: int, used: set[int], chosen: list[int]) -> None:
-            out.append(frozenset(chosen))
-            if len(chosen) >= budget:
-                return
-            for j in range(i, m):
-                nj = (j + 1) % m
-                if ok_pair[j] and j not in used and nj not in used:
-                    used.add(j)
-                    used.add(nj)
-                    chosen.append(j)
-                    rec(j + 2, used, chosen)
-                    chosen.pop()
-                    used.discard(j)
-                    used.discard(nj)
+    def _place(self, i: int, step: int) -> None:
+        """Adds (step 1) or removes (step -1) the degree-3 vertex at i."""
+        u, v, w = self.triples[i]
+        self.deg[u] += step
+        self.deg[v] += step
+        self.deg[w] += step
+        self.left[v] -= step
+        self.used[i] = self.used[(i + 1) % self.m] = step > 0
 
-        if budget >= 0:
-            rec(0, set(), [])
-        return out
+    def _demand(self, vertices: Iterable[int]) -> int:
+        deg, left, v1 = self.deg, self.left, self.v1
+        return sum(_corner_demand(deg[v], left[v], v == v1)
+                   for v in vertices)
+
+    def _cover_sets(self, choice: Choice) -> Iterator[tuple[int, ...]]:
+        """The slot sets of degree-3 vertices that pass the degree screen
+        and give a rate in [rmin, rmax], in depth-first order."""
+        self._start(choice)
+        m, used = self.m, self.used
+        extra = 4 * len(self.quads) + (choice[0] == "g")
+        self.fewest = max(0, -((extra - self.rmin) // 2))
+        self.most = (self.rmax - extra) // 2
+        self.ok = [len(set(t)) == 3 and not used[i] and
+                   not used[(i + 1) % m] for i, t in enumerate(self.triples)]
+        last = {v: i for i, t in enumerate(self.triples) if self.ok[i]
+                for v in t}
+        self.closing = [[v for v in self.occ if last.get(v, -1) == b - 1]
+                        for b in range(m + 2)]
+        self.open = [sum(self.closing[b + 1:], []) for b in range(m + 2)]
+        forced = self._demand(self.closing[0])
+        if self.fewest <= self.most and forced <= 2:
+            yield from self._extend(0, [], forced)
+
+    def _extend(self, i: int, chosen: list[int], forced: int
+                ) -> Iterator[tuple[int, ...]]:
+        # the vertices closed before slot i force `forced` corners
+        m, n, used, closing = self.m, len(chosen), self.used, self.closing
+        if n + (m - i + 1) // 2 < self.fewest:
+            return
+        if n >= self.fewest and forced + self._demand(self.open[i]) <= 2:
+            yield tuple(chosen)
+        if n >= self.most:
+            return
+        for j in range(i, m):
+            if j > i and closing[j]:
+                forced += self._demand(closing[j])
+                if forced > 2:
+                    return
+            if self.ok[j] and not used[j] and not used[(j + 1) % m]:
+                self._place(j, 1)
+                chosen.append(j)
+                f = forced + self._demand(closing[j + 1] + closing[j + 2])
+                if f <= 2:
+                    yield from self._extend(j + 2, chosen, f)
+                chosen.pop()
+                self._place(j, -1)
 
     # -- construction --------------------------------------------------------
 
-    def _feasible(self, choice: Choice, cover: frozenset) -> bool:
-        """Cheap degree screen before building the candidate graph."""
-        g, walk, m = self.g, self.walk, self.m
-        added = [0] * g.n
-        mid_cut = [0] * g.n
-        for i in cover:
-            j = (i + 1) % m
-            added[g.org[walk[i]]] += 1
-            added[g.org[walk[j]]] += 1
-            added[g.org[walk[j] ^ 1]] += 1
-            mid_cut[g.org[walk[j]]] += 1
-        if choice[0] == "g":
-            i = choice[1]
-            added[g.org[walk[i]]] += 1
-            added[g.org[walk[i] ^ 1]] += 1
-        v1v = choice[1] if choice[0] == "v" else None
-        need_corner = 0
-        for v, cnt in self.occ.items():
-            deg = g.degree(v) + self.fills[v] + added[v]
-            left = cnt - mid_cut[v]
-            if left == 0:
-                if deg <= 4 or v == v1v:
-                    return False
-            elif v == v1v:
-                if deg <= 2:
-                    return False
-            elif deg <= 3:
-                need_corner += 1
-        return need_corner <= 2
-
-    def _build(self, choice: Choice, cover: frozenset
+    def _build(self, choice: Choice, cover: Iterable[int]
                ) -> Iterator[Decoration]:
-        if not self._feasible(choice, cover):
-            return
         g, walk, m = self.g, self.walk, self.m
         s = Surgeon(g)
         outer_candidates: list[int] = []
@@ -227,10 +234,7 @@ class _Completer:
         else:
             v1_vertex = choice[1]
 
-        covered = set()
-        for i in cover:
-            covered.add(walk[i])
-            covered.add(walk[(i + 1) % m])
+        covered = {walk[j % m] for i in cover for j in (i, i + 1)}
         if choice[0] == "g":
             covered.add(walk[choice[1]])
         outer_token = next((d for d in walk if d not in covered), None)
@@ -278,7 +282,7 @@ def complete(p: Predecoration, k: int = 1, rmin: int = 1,
 
 def is_chiral(p: Predecoration) -> bool:
     """True when the predecoration has no orientation-reversing symmetry."""
-    return not any(rev for _, rev in automorphisms_flagged(p.g, "full"))
+    return not any(rev for _, rev in p.automorphisms())
 
 
 def decorations_from_state(p: Predecoration, v1_choice: Choice,
@@ -292,4 +296,8 @@ def decorations_from_state(p: Predecoration, v1_choice: Choice,
     yields the empty list.
     """
     comp = _Completer(p, 1, 1, p.hi)
-    return list(comp._build(v1_choice, cover))
+    comp._start(v1_choice)
+    for i in cover:
+        comp._place(i, 1)
+    feasible = comp._demand(comp.occ) <= 2
+    return list(comp._build(v1_choice, cover)) if feasible else []

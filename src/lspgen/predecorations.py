@@ -8,13 +8,15 @@ n_A + n_B + n_C <= 3.
 
 from __future__ import annotations
 
-from .maps import PlaneGraph, build_from_rotations, canonical_order
+from .maps import (PlaneGraph, automorphisms_flagged, build_from_rotations,
+                   canonical_order)
 
 
 class Predecoration:
     """A validated predecoration with cached derived data."""
 
-    __slots__ = ("g", "nA", "nB", "nC", "quad_count", "lo", "hi", "walk")
+    __slots__ = ("g", "nA", "nB", "nC", "quad_count", "lo", "hi", "walk",
+                 "_automorphisms")
 
     def __init__(self, g: PlaneGraph):
         problems = validate_predecoration(g)
@@ -26,6 +28,13 @@ class Predecoration:
         self.quad_count = sum(1 for f in range(len(g.faces))
                               if f != g.outer)
         self.lo, self.hi = rate_bounds_of(g)
+        self._automorphisms = None
+
+    def automorphisms(self) -> list[tuple[tuple[int, ...], bool]]:
+        """`automorphisms_flagged(g, "full")`, computed once."""
+        if self._automorphisms is None:
+            self._automorphisms = automorphisms_flagged(self.g, "full")
+        return self._automorphisms
 
     def __repr__(self) -> str:
         return (f"Predecoration(n={self.g.n}, ne={self.g.ne}, "

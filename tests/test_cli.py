@@ -139,3 +139,27 @@ def test_k2_rate10_count_line(capsys):
                         capsys)
     assert code == 0
     assert out.strip() == "10 2 168"
+
+
+def test_unsorted_records_are_written_as_they_arrive(tmp_path, monkeypatch):
+    import lspgen.cli as cli
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout",
+                        io.TextIOWrapper(raw, encoding="ascii",
+                                         write_through=True))
+    sizes = []     # output size when each decoration arrives
+    real = cli.run_pipeline
+
+    def pipeline(*args, on_decoration):
+        def emit(d):
+            sizes.append(len(raw.getvalue()))
+            on_decoration(d)
+        return real(*args, on_decoration=emit)
+
+    monkeypatch.setattr(cli, "run_pipeline", pipeline)
+    for fmt in ("deco", "pc"):
+        sizes.clear()
+        assert main(["generate", "--rate", "1-4", "--format", fmt,
+                     "--sidecar", str(tmp_path / "side")]) == 0
+        # every record is out before the next one arrives
+        assert len(sizes) == 14 and sizes == sorted(set(sizes))

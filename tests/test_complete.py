@@ -1,8 +1,13 @@
-from lspgen.complete import complete, is_chiral
+import gc
+import types
+
+from lspgen import predecorations
+from lspgen.complete import _Completer, complete, is_chiral
 from lspgen.decorations import decoration_identity, type1_subgraph, validate
 from lspgen.generate import GenerationTask, base_c4, base_k2, generate
 from lspgen.maps import build_from_rotations, canonical_code
-from lspgen.predecorations import Predecoration
+from lspgen.pipeline import run_pipeline
+from lspgen.predecorations import Predecoration, outer_vertex_occurrences
 
 
 def _pre(rot):
@@ -127,3 +132,128 @@ def test_decorations_from_state():
     # an impossible state yields nothing: v1 at a leaf of the 2-path
     p = _pre({1: [2], 2: [1, 3], 3: [2]})
     assert decorations_from_state(p, ("v", 0), frozenset()) == []
+
+
+# -- the pruned cover search against the unpruned one ------------------------
+
+def _reference_covers(comp, choice, budget):
+    """Every cover set of at most `budget` slots, in depth-first order of
+    increasing slots, with no screen: the enumeration the pruned search
+    replaces."""
+    g, walk, m = comp.g, comp.walk, comp.m
+    blocked = {choice[1]} if choice[0] == "g" else set()
+    ok_pair = []
+    for i in range(m):
+        j = (i + 1) % m
+        u, v, w = g.org[walk[i]], g.org[walk[j]], g.org[walk[j] ^ 1]
+        ok_pair.append(i not in blocked and j not in blocked
+                       and len({u, v, w}) == 3)
+    out = []
+    stack = [(0, ())]
+    while stack:
+        i, chosen = stack.pop()
+        out.append(chosen)
+        if len(chosen) >= budget:
+            continue
+        used = {s for c in chosen for s in (c, (c + 1) % m)}
+        for j in reversed(range(i, m)):
+            if ok_pair[j] and j not in used and (j + 1) % m not in used:
+                stack.append((j + 2, chosen + (j,)))
+    return out if budget >= 0 else []
+
+
+def _reference_screen(comp, choice, cover):
+    """The degree screen, written out on its own."""
+    g, walk, m = comp.g, comp.walk, comp.m
+    added = [0] * g.n
+    mid_cut = [0] * g.n
+    for i in cover:
+        j = (i + 1) % m
+        for v in (g.org[walk[i]], g.org[walk[j]], g.org[walk[j] ^ 1]):
+            added[v] += 1
+        mid_cut[g.org[walk[j]]] += 1
+    if choice[0] == "g":
+        added[g.org[walk[choice[1]]]] += 1
+        added[g.org[walk[choice[1]] ^ 1]] += 1
+    v1 = choice[1] if choice[0] == "v" else None
+    corners = 0
+    for v, cnt in outer_vertex_occurrences(g).items():
+        fills = g.degree(v) - cnt
+        deg = g.degree(v) + fills + added[v]
+        if cnt == mid_cut[v]:
+            if deg <= 4 or v == v1:
+                return False
+        elif v == v1:
+            if deg <= 2:
+                return False
+        elif deg <= 3:
+            corners += 1
+    return corners <= 2
+
+
+def test_cover_search_equals_screened_reference():
+    skeletons = []
+    generate(GenerationTask(1, 11, 1), visitor=skeletons.append)
+    checked = 0
+    for p in skeletons:
+        windows = [(1, p.hi)] + [(r, r) for r in range(1, p.hi + 1)]
+        probe = _Completer(p, 1, 1, p.hi)
+        choices = [("v", v) for v in sorted(probe.occ)]
+        choices += [("g", i) for i in range(probe.m)]
+        for choice in choices:
+            base = 4 * len(probe.quads) + (choice[0] == "g")
+            ref = [c for c in _reference_covers(probe, choice,
+                                                (p.hi - base) // 2)
+                   if _reference_screen(probe, choice, c)]
+            for rmin, rmax in windows:
+                comp = _Completer(p, 1, rmin, rmax)
+                want = [c for c in ref
+                        if rmin <= base + 2 * len(c) <= rmax]
+                assert list(comp._cover_sets(choice)) == want
+                checked += len(want)
+    assert checked > 1000
+
+
+def test_cover_funnel_below_five_per_decoration(monkeypatch):
+    enumerated = [0]
+    search = _Completer._cover_sets
+
+    def counted(self, choice):
+        for cover in search(self, choice):
+            enumerated[0] += 1
+            yield cover
+
+    monkeypatch.setattr(_Completer, "_cover_sets", counted)
+    total = run_pipeline(1, 12, 2).decoration_total()
+    assert total == 2 + 2 + 4 + 6 + 6 + 20 + 28 + 58 + 82 + 168 + 200 + 492
+    assert enumerated[0] < 5 * total
+
+
+def test_completion_leaves_no_cyclic_functions():
+    skeletons = []
+    generate(GenerationTask(12, 12, 1), visitor=skeletons.append)
+    p = max(skeletons, key=lambda q: complete(q, 1, 12, 12))
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert complete(p, 1, 12, 12) > 0
+        gc.collect()
+        leaked = [o for o in gc.garbage if isinstance(o, types.FunctionType)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
+
+
+def test_chirality_is_computed_once_per_skeleton(monkeypatch):
+    calls = []
+    real = predecorations.automorphisms_flagged
+    monkeypatch.setattr(predecorations, "automorphisms_flagged",
+                        lambda *a: calls.append(a) or real(*a))
+    p = _pre({1: [5, 7], 2: [7, 3, 6], 3: [2, 4], 4: [3, 7],
+              5: [1], 6: [2], 7: [1, 4, 2]})
+    assert isinstance(complete(p, 1, 10, 10), int)
+    assert is_chiral(p)
+    # one for the skeleton, one for its mirror image
+    assert len(calls) == 2
