@@ -43,19 +43,20 @@ def cmd_generate(args) -> int:
         for r in range(rmin, rmax + 1):
             print(f"{r} {args.k} {source[r]}")
         return 0
-    sink = []
     if args.predecorations:
-        run_pipeline(rmin, rmax, args.k, on_decoration=sink.append)
         seen = {}
-        for d in sink:
+
+        def keep(d) -> None:
             p, _ = type1_subgraph(d)
-            code = canonical_code(p.g, "oriented")
-            seen.setdefault(code, (d.rate(), p))
+            seen.setdefault(canonical_code(p.g, "oriented"), (d.rate(), p))
+
+        run_pipeline(rmin, rmax, args.k, on_decoration=keep)
         records = sorted(seen.items()) if args.sorted else list(seen.items())
         graphs = [normalized_for_export(p) for _, (_, p) in records]
         sys.stdout.buffer.write(write_planar_code(graphs))
         return 0
     # records are written as they arrive unless they must be sorted first
+    sink = []
     sidecar = args.sidecar if args.format == "pc" else None
     with (open(sidecar, "w", encoding="ascii") if sidecar
           else contextlib.nullcontext()) as side:

@@ -10,7 +10,10 @@ dart.  An optional distinguished face is marked as the outer face.
 
 The module also provides plantri-style breadth-first canonical codes (with
 optional vertex/edge label channels and an optional outer-face restriction),
-automorphism groups derived from them, and planar_code I/O.
+automorphism groups derived from them, and planar_code I/O.  A code is
+read from every start dart, but each reading stops at its first vertex row
+larger than the best so far, and starts that a known automorphism maps to
+a tested start are skipped (see ``canonical_data``).
 """
 
 from __future__ import annotations
@@ -287,17 +290,12 @@ def to_rotations(g: PlaneGraph) -> dict[int, list[int]]:
 # -- canonical codes -------------------------------------------------------
 
 
-def _start_darts(g: PlaneGraph, mirror: bool) -> Iterable[int]:
-    if g.outer is None:
-        return range(2 * g.ne)
-    if not mirror:
-        return g.faces[g.outer]
-    return [d ^ 1 for d in g.faces[g.outer]]
-
-
 def _bfs_code(g: PlaneGraph, d0: int, mirror: bool,
               vlab: Optional[Sequence[int]],
-              elab: Optional[Sequence[int]]) -> tuple[int, ...]:
+              elab: Optional[Sequence[int]],
+              bound: Optional[list[int]] = None) -> Optional[list[int]]:
+    """The BFS code from ``d0``, or None once a finished vertex row makes
+    it larger than ``bound`` (all codes of one map have equal length)."""
     org = g.org
     step = g.prv if mirror else g.nxt
     lab = [0] * g.n
@@ -308,7 +306,7 @@ def _bfs_code(g: PlaneGraph, d0: int, mirror: bool,
     code = [g.n, g.ne]
     if vlab is not None:
         code.append(vlab[org[d0]])
-    qi = 0
+    lo = qi = 0
     while qi < len(order):
         v = order[qi]
         qi += 1
@@ -328,7 +326,14 @@ def _bfs_code(g: PlaneGraph, d0: int, mirror: bool,
             if d == entry[v]:
                 break
         code.append(0)
-    return tuple(code)
+        if bound is not None:
+            new, old = code[lo:], bound[lo:len(code)]
+            if new > old:
+                return None
+            if new < old:
+                bound = None    # smaller from here on: nothing to compare
+            lo = len(code)
+    return code
 
 
 def dart_sequence(g: PlaneGraph, d0: int, mirror: bool) -> list[int]:
@@ -363,28 +368,62 @@ def canonical_data(g: PlaneGraph, mode: str = "full",
                    vlab: Optional[Sequence[int]] = None,
                    elab: Optional[Sequence[int]] = None
                    ) -> tuple[tuple[int, ...], list[tuple[int, bool]]]:
-    """Canonical code and every (start dart, mirror) pair achieving it.
+    """Canonical code and every (start dart, mirror) pair achieving it,
+    in the order the starts are read (counterclockwise ones first).
 
     mode "full" minimizes over both orientations, "oriented" over
     counterclockwise readings only.  When ``g.outer`` is set, start darts
     are restricted to the outer face, so equality of codes means
     isomorphism preserving the outer face.
+
+    A code is abandoned at its first vertex row larger than the best so
+    far.  A start tying the best gives an automorphism gamma, the dart
+    map from ``ref`` (the first best start) to it, which takes each start
+    ``(d, m)`` to ``(gamma[d], m ^ flip)``; a start is skipped when its
+    orbit under the automorphisms found so far holds an earlier start.
+    Starts in one orbit have equal codes, and a start with the best code
+    ties or lies in the orbit of one that tied, so the achieving pairs
+    are the orbit of ``ref``, its first member.
     """
     if mode not in ("full", "oriented"):
         raise ValueError(f"unknown mode {mode!r}")
-    best = None
-    hits: list[tuple[int, bool]] = []
     mirrors = (False, True) if mode == "full" else (False,)
-    for mirror in mirrors:
-        for d0 in _start_darts(g, mirror):
-            code = _bfs_code(g, d0, mirror, vlab, elab)
-            if best is None or code < best:
-                best = code
-                hits = [(d0, mirror)]
-            elif code == best:
-                hits.append((d0, mirror))
+    if g.outer is None:
+        starts = [(d, m) for m in mirrors for d in range(2 * g.ne)]
+    else:   # mirror readings of the outer face start on its reversed darts
+        starts = [(d ^ m, m) for m in mirrors for d in g.faces[g.outer]]
+    best: Optional[list[int]] = None
+    ref = 0
+    perms: list[list[int]] = []   # automorphisms found, on start positions
+    orbit: Optional[list[int]] = None   # start -> first start of its orbit
+    for i, (d0, mirror) in enumerate(starts):
+        if orbit is not None and orbit[i] != i:
+            continue
+        code = _bfs_code(g, d0, mirror, vlab, elab, best)
+        if code is None:
+            continue
+        if best is None or code < best:
+            best, ref = code, i
+            continue
+        if not perms:
+            index = {2 * d + m: j for j, (d, m) in enumerate(starts)}
+        gamma = _dart_map(g, starts[ref], starts[i])
+        flip = mirror != starts[ref][1]
+        perms.append([index[2 * gamma[d] + (m ^ flip)] for d, m in starts])
+        orbit = [-1] * len(starts)
+        for j in range(len(starts)):
+            if orbit[j] < 0:
+                orbit[j] = j
+                queue = [j]
+                for x in queue:
+                    for p in perms:
+                        if orbit[p[x]] < 0:
+                            orbit[p[x]] = j
+                            queue.append(p[x])
     assert best is not None
-    return best, hits
+    if orbit is None:
+        return tuple(best), [starts[ref]]
+    return tuple(best), [s for j, s in enumerate(starts) if orbit[j] == ref]
 
 
 def canonical_code(g: PlaneGraph, mode: str = "full",

@@ -1,10 +1,20 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lspgen.maps import (MapError, automorphism_orbits, build_from_rotations,
-                         canonical_code, isomorphisms_brute, read_planar_code,
-                         random_relabeling, to_rotations,
+from lspgen import maps
+from lspgen.catalog import OPERATION_NAMES, lookup, seed
+from lspgen.chambers import apply_decoration
+from lspgen.complete import complete
+from lspgen.decorations import _corner_marks
+from lspgen.generate import GenerationTask, generate
+from lspgen.maps import (MapError, automorphism_orbits, automorphisms,
+                         automorphisms_flagged, build_from_rotations,
+                         canonical_code, canonical_data, isomorphisms_brute,
+                         read_planar_code, random_relabeling, to_rotations,
                          vertex_connectivity_capped, write_planar_code)
 
 CUBE = {1: [2, 4, 5], 2: [3, 1, 6], 3: [4, 2, 7], 4: [1, 3, 8],
@@ -200,3 +210,186 @@ def test_connectivity_of_adjacency_lists_matches_brute_force():
 def test_to_rotations_round_trip():
     g = cube()
     assert canonical_code(build_from_rotations(to_rotations(g))) == canonical_code(g)
+
+
+# -- canonical codes against an unpruned reference --------------------------
+
+PLATONIC = ("tetrahedron", "cube", "octahedron", "dodecahedron",
+            "icosahedron")
+MULTIGRAPHS = ("k2", "bowtie", "k4-minus-edge")
+
+
+def _reference_bfs_code(g, d0, mirror, vlab, elab):
+    """The whole BFS code from ``d0``, with no bound."""
+    org = g.org
+    step = g.prv if mirror else g.nxt
+    lab = [0] * g.n
+    entry = [0] * g.n
+    order = [org[d0]]
+    lab[org[d0]] = 1
+    entry[org[d0]] = d0
+    code = [g.n, g.ne]
+    if vlab is not None:
+        code.append(vlab[org[d0]])
+    qi = 0
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        d = entry[v]
+        while True:
+            w = org[d ^ 1]
+            if not lab[w]:
+                order.append(w)
+                lab[w] = len(order)
+                entry[w] = d ^ 1
+            code.append(lab[w])
+            if elab is not None:
+                code.append(elab[d >> 1])
+            if vlab is not None:
+                code.append(vlab[w])
+            d = step[d]
+            if d == entry[v]:
+                break
+        code.append(0)
+    return tuple(code)
+
+
+def reference_canonical_data(g, mode="full", vlab=None, elab=None):
+    """The least code over every start, and every start reaching it in
+    reading order: the definition of ``maps.canonical_data``."""
+    best, hits = None, []
+    for mirror in (False, True) if mode == "full" else (False,):
+        if g.outer is None:
+            darts = range(2 * g.ne)
+        elif mirror:
+            darts = [d ^ 1 for d in g.faces[g.outer]]
+        else:
+            darts = g.faces[g.outer]
+        for d0 in darts:
+            code = _reference_bfs_code(g, d0, mirror, vlab, elab)
+            if best is None or code < best:
+                best, hits = code, [(d0, mirror)]
+            elif code == best:
+                hits.append((d0, mirror))
+    return best, hits
+
+
+def _catalog_results(seeds):
+    out = []
+    for name in seeds:
+        for op in OPERATION_NAMES:
+            try:
+                out.append(apply_decoration(seed(name), lookup(op)))
+            except MapError:    # extraction would make a loop
+                pass
+    return out
+
+
+@lru_cache(maxsize=None)
+def _skeletons():
+    """Every skeleton up to rate 14."""
+    skeletons = []
+    generate(GenerationTask(1, 14, 1), skeletons.append)
+    return tuple(skeletons)
+
+
+@lru_cache(maxsize=None)
+def _skeleton_graphs():
+    """Every skeleton up to rate 14, with and without its outer face."""
+    return tuple(g for p in _skeletons() for g in (p.g, p.g.with_outer(None)))
+
+
+def test_canonical_data_matches_reference_on_catalog_results():
+    graphs = _catalog_results(PLATONIC + MULTIGRAPHS)
+    assert len(graphs) > 70
+    for g in graphs:
+        for mode in ("full", "oriented"):
+            assert canonical_data(g, mode) == \
+                reference_canonical_data(g, mode), (to_rotations(g), mode)
+
+
+def test_canonical_data_matches_reference_on_skeletons():
+    for g in _skeleton_graphs():
+        for mode in ("full", "oriented"):
+            assert canonical_data(g, mode) == \
+                reference_canonical_data(g, mode), (to_rotations(g), mode)
+
+
+def test_canonical_data_matches_reference_on_identity_codes():
+    decorations = []
+    for p in _skeletons():
+        if p.lo <= 12:
+            complete(p, 1, 1, 12, decorations.append)
+    assert len(decorations) > 1000
+    for d in decorations:
+        vlab = tuple(3 * t + m for t, m in zip(d.vt, _corner_marks(d)))
+        assert canonical_data(d.g, "oriented", vlab, d.et) == \
+            reference_canonical_data(d.g, "oriented", vlab, d.et)
+
+
+def _count_codes(monkeypatch):
+    """Wraps the BFS-code kernel; returns one entry per call, True when
+    the call built its code in full."""
+    built = []
+    kernel = maps._bfs_code
+
+    def counted(*args):
+        code = kernel(*args)
+        built.append(code is not None)
+        return code
+
+    monkeypatch.setattr(maps, "_bfs_code", counted)
+    return built
+
+
+def test_symmetric_map_builds_few_codes(monkeypatch):
+    g = apply_decoration(seed("icosahedron"), lookup("ambo"))
+    built = _count_codes(monkeypatch)
+    _, hits = canonical_data(g, "full")
+    assert 4 * g.ne == 240 and len(hits) == 120
+    assert sum(built) <= 8
+    assert len(built) <= 24
+
+
+def test_asymmetric_map_tries_every_start(monkeypatch):
+    g = next(g for g in _skeleton_graphs() if g.outer is not None
+             and len(reference_canonical_data(g)[1]) == 1)
+    built = _count_codes(monkeypatch)
+    canonical_data(g, "full")
+    assert len(built) == 2 * len(g.faces[g.outer])
+
+
+# -- properties of canonical codes on random maps ---------------------------
+
+PROPERTIES = settings(derandomize=True, database=None, deadline=None,
+                      max_examples=40)
+catalog_results = st.builds(
+    lambda name, op: apply_decoration(seed(name), lookup(op)),
+    st.sampled_from(PLATONIC), st.sampled_from(OPERATION_NAMES))
+skeletons = st.deferred(lambda: st.sampled_from(_skeleton_graphs()))
+plane_maps = st.one_of(catalog_results, skeletons)
+
+
+@PROPERTIES
+@given(plane_maps, st.randoms(use_true_random=False))
+def test_canonical_code_ignores_vertex_names(g, rng):
+    h = random_relabeling(g, rng)
+    for mode in ("full", "oriented"):
+        assert canonical_code(h, mode) == canonical_code(g, mode)
+
+
+@PROPERTIES
+@given(plane_maps)
+def test_full_canonical_code_ignores_mirroring(g):
+    assert canonical_code(g.mirrored(), "full") == canonical_code(g, "full")
+
+
+@PROPERTIES
+@given(plane_maps, st.sampled_from(("full", "oriented")))
+def test_automorphism_count_matches_reference(g, mode):
+    hits = reference_canonical_data(g, mode)[1]
+    assert len(automorphisms_flagged(g, mode)) == len(hits)
+    # with every rotation its own inverse, the identity may also reverse
+    # orientation, and each permutation then occurs with both flags
+    if g.nxt != g.prv:
+        assert len(automorphisms(g, mode)) == len(hits)
