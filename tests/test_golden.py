@@ -10,6 +10,13 @@
 for K = 1, 2, 3 (the sidecar files are digested too).  Unsorted output
 is in generation order, so a change to the search that reorders, drops
 or adds a record shows up here even where the counts stay the same.
+
+It also holds the output of
+
+    lspgen apply --op OP --seed SEED
+
+for every catalog operation and seed, except the pairs in APPLY_ERRORS,
+which exit with code 2 and the one-line error given there.
 """
 
 import hashlib
@@ -19,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from lspgen.catalog import OPERATION_NAMES, SEED_NAMES
 from lspgen.cli import main
 
 DIGESTS = dict(
@@ -34,6 +42,12 @@ CASES = {
     "pre": ["--rate", "1-10", "--predecorations"],
     "pre_sorted": ["--rate", "1-10", "--predecorations", "--sorted"],
     "count": ["--rate", "1-14", "--count"],
+}
+
+
+APPLY_ERRORS = {
+    (op, "k2"): "error: extraction would create a loop\n"
+    for op in ("ambo", "dual", "needle", "subdivide", "truncate")
 }
 
 
@@ -57,3 +71,15 @@ def test_generate_output_matches_digest(case, k, tmp_path, monkeypatch):
     assert _sha(raw.getvalue()) == DIGESTS[name]
     if case.startswith("pc"):
         assert _sha(sidecar.read_bytes()) == DIGESTS[name + ".sidecar"]
+
+
+@pytest.mark.parametrize("host", SEED_NAMES)
+@pytest.mark.parametrize("op", OPERATION_NAMES)
+def test_apply_output_matches_digest(op, host, capsysbinary):
+    code = main(["apply", "--op", op, "--seed", host])
+    out, err = capsysbinary.readouterr()
+    if (op, host) in APPLY_ERRORS:
+        assert (code, out, err.decode()) == (2, b"", APPLY_ERRORS[op, host])
+    else:
+        assert (code, err) == (0, b"")
+        assert _sha(out) == DIGESTS[f"apply_{op}_{host}"]
