@@ -3,9 +3,7 @@ operations on embedded graphs."""
 
 from .maps import (PlaneGraph, build_from_rotations, canonical_code,
                    automorphism_orbits, read_planar_code, write_planar_code)
-from .chambers import (ChamberSystem, apply_decoration,
-                       barycentric_subdivision, connectivity_of_chamber_system,
-                       extract_original)
+from .chambers import apply_decoration
 from .decorations import (Decoration, connectivity_class, decoration_identity,
                           mirror, read_deco, swap02, type1_subgraph, validate,
                           write_deco)
@@ -18,8 +16,7 @@ from .pipeline import run_pipeline
 __all__ = [
     "PlaneGraph", "build_from_rotations", "canonical_code",
     "automorphism_orbits", "read_planar_code", "write_planar_code",
-    "ChamberSystem", "apply_decoration", "barycentric_subdivision",
-    "connectivity_of_chamber_system", "extract_original",
+    "apply_decoration",
     "Decoration", "connectivity_class", "decoration_identity",
     "mirror", "read_deco", "swap02", "type1_subgraph", "validate",
     "write_deco",

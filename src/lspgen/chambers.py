@@ -1,12 +1,16 @@
-"""Chamber systems and the application of decorations.
+"""The application of decorations to embedded graphs.
 
-The chamber system of an embedded graph is its barycentric subdivision:
-one new vertex per edge and per face, each original vertex typed 0, edge
-midpoints typed 1, face centers typed 2, and each edge typed like the
-vertex opposite to it in its two triangles.  Applying a decoration
-replaces every chamber by a copy of the decoration (mirrored in every
-other chamber), identifies the copies along shared sides, and reads the
-resulting graph off the type structure.
+The chambers of an embedded graph are the triangles of its barycentric
+subdivision, one per flag (dart, side): each has an original vertex
+(type 0), an edge midpoint (type 1) and a face center (type 2) as its
+corners.  Applying a decoration puts a copy of it into every chamber,
+mirrored in every other one, and identifies the copies along the sides
+that neighbouring chambers share (``_glue``).  The result is read off
+that gluing alone: its vertices are the glued type-0 classes, and each
+glued type-1 class joins the type-0 ends of its two type-2 edges into
+one edge (``_links``).  ``apply_decoration`` adds the rotations and
+builds the result; ``decorated_adjacency`` gives only its adjacency,
+for the classifier.  Neither builds the decorated chamber system.
 """
 
 from __future__ import annotations
@@ -17,143 +21,6 @@ from .maps import MapError, PlaneGraph
 
 if TYPE_CHECKING:
     from .decorations import Decoration
-
-
-class ChamberSystem:
-    """A typed barycentric-subdivision-like triangulated map."""
-
-    __slots__ = ("g", "vertex_type", "edge_type")
-
-    def __init__(self, g: PlaneGraph, vertex_type, edge_type):
-        self.g = g
-        self.vertex_type = tuple(vertex_type)
-        self.edge_type = tuple(edge_type)
-
-    def check(self) -> None:
-        g = self.g
-        for f, darts in enumerate(g.faces):
-            if len(darts) != 3:
-                raise MapError("chamber system face is not a triangle")
-            types = {self.vertex_type[g.org[d]] for d in darts}
-            if types != {0, 1, 2}:
-                raise MapError("chamber corners must have types 0,1,2")
-        for e in range(g.ne):
-            u, w = g.edge_ends(e)
-            if {self.edge_type[e], self.vertex_type[u],
-                    self.vertex_type[w]} != {0, 1, 2}:
-                raise MapError("edge type must complete its endpoints")
-
-
-def barycentric_subdivision(g: PlaneGraph) -> ChamberSystem:
-    """The chamber system of a connected embedded graph."""
-    nv, ne, nf = g.n, g.ne, len(g.faces)
-    vid = list(range(nv))
-    eid = [nv + e for e in range(ne)]
-    fid = [nv + ne + f for f in range(nf)]
-
-    # tokens: per original dart d there are three half-edge pairs
-    #   type-2: org(d) -- mid(e(d))     tokens (6d, 6d+1)
-    #   type-1: org(d) -- center(left)  tokens (6d+2, 6d+3)
-    #   type-0: mid(e(d)) -- center(left)  tokens (6d+4, 6d+5)
-    def t2(d): return 6 * d
-    def t1(d): return 6 * d + 2
-    def t0(d): return 6 * d + 4
-
-    rot: list[list[int]] = [[] for _ in range(nv + ne + nf)]
-    for v in range(nv):
-        for d in g.darts_at(v):
-            rot[vid[v]] += [t2(d), t1(d)]
-    for e in range(ne):
-        d, dr = 2 * e, 2 * e + 1
-        rot[eid[e]] = [t2(d) + 1, t0(dr), t2(dr) + 1, t0(d)]
-    for f in range(nf):
-        for d in g.faces[f]:
-            rot[fid[f]] += [t1(d) + 1, t0(d) + 1]
-
-    pair: dict[int, int] = {}
-    for d in range(2 * ne):
-        for base in (t2(d), t1(d), t0(d)):
-            pair[base] = base + 1
-            pair[base + 1] = base
-
-    trans: dict[int, int] = {}
-    k = 0
-    for row in rot:
-        for t in row:
-            if t not in trans:
-                trans[t] = 2 * k
-                trans[pair[t]] = 2 * k + 1
-                k += 1
-    org = [0] * (2 * k)
-    nxt = [0] * (2 * k)
-    for v, row in enumerate(rot):
-        for i, t in enumerate(row):
-            org[trans[t]] = v
-            nxt[trans[t]] = trans[row[(i + 1) % len(row)]]
-    # the outer face of a subdivision is not well defined, so chamber
-    # systems carry no marked outer face
-    cg = PlaneGraph(org, nxt)
-
-    vertex_type = [0] * nv + [1] * ne + [2] * nf
-    edge_type = [0] * cg.ne
-    for e2 in range(cg.ne):
-        u, w = cg.edge_ends(e2)
-        edge_type[e2] = 3 - vertex_type[u] - vertex_type[w]
-    cs = ChamberSystem(cg, vertex_type, edge_type)
-    cs.check()
-    return cs
-
-
-def extract_original(c: ChamberSystem) -> PlaneGraph:
-    """Rebuilds the graph whose chamber system this is.
-
-    Vertices are the type-0 vertices; each type-1 vertex carries exactly
-    two type-2 edges which merge into one edge of the result.
-    """
-    g = c.g
-    vt, et = c.vertex_type, c.edge_type
-    verts = [v for v in range(g.n) if vt[v] == 0]
-    vmap = {v: i for i, v in enumerate(verts)}
-
-    # per type-0 vertex: its type-2 darts in rotation order
-    half: dict[int, list[int]] = {}
-    for v in verts:
-        half[v] = [d for d in g.darts_at(v) if et[d >> 1] == 2]
-        if not half[v]:
-            raise MapError("type-0 vertex without type-2 edges")
-    # pair the two type-2 darts through each type-1 vertex
-    mate: dict[int, int] = {}
-    for m in range(g.n):
-        if vt[m] != 1:
-            continue
-        t2 = [d for d in g.darts_at(m) if et[d >> 1] == 2]
-        if len(t2) != 2:
-            raise MapError("type-1 vertex without exactly two type-2 edges")
-        a, b = t2[0] ^ 1, t2[1] ^ 1   # darts from the type-0 endpoints
-        mate[a] = b
-        mate[b] = a
-        if g.org[a] == g.org[b]:
-            raise MapError("extraction would create a loop")
-
-    dart_id: dict[int, int] = {}
-    k = 0
-    for v in verts:
-        for d in half[v]:
-            if d not in dart_id:
-                dart_id[d] = 2 * k
-                dart_id[mate[d]] = 2 * k + 1
-                k += 1
-    org = [0] * (2 * k)
-    nxt = [0] * (2 * k)
-    for v in verts:
-        row = half[v]
-        for i, d in enumerate(row):
-            org[dart_id[d]] = vmap[v]
-            nxt[dart_id[d]] = dart_id[row[(i + 1) % len(row)]]
-    return PlaneGraph(org, nxt)
-
-
-# -- decoration application --------------------------------------------------
 
 
 def side_paths(d: Decoration) -> dict[int, list[int]]:
@@ -184,11 +51,6 @@ def side_paths(d: Decoration) -> dict[int, list[int]]:
             path.reverse()
         sides[k] = path
     return sides
-
-
-def apply_decoration(g: PlaneGraph, d: Decoration) -> PlaneGraph:
-    """The graph obtained by decorating every chamber of g."""
-    return extract_original(decorate_chambers(g, d))
 
 
 def _glue(g: PlaneGraph, d: Decoration
@@ -257,108 +119,14 @@ def _side_edges(d: Decoration, sides: dict[int, list[int]]
     return side_of_edge
 
 
-def decorate_chambers(g: PlaneGraph, d: Decoration) -> ChamberSystem:
-    """The chamber system produced by filling every chamber of C_g with
-    the decoration (mirrored in alternate chambers)."""
-    nbrs, side_of_edge, cls = _glue(g, d)
-    dg = d.g
+def _links(g: PlaneGraph, d: Decoration):
+    """The gluing of ``_glue`` and the edges of the result read off it.
 
-    # faces of the new chamber system: one per (chamber, inner face of d)
-    face_walks: list[list[tuple[int, int]]] = []   # [(chamber, d-dart)]
-    for ch in range(len(nbrs)):
-        s = ch & 1
-        for f, darts in enumerate(dg.faces):
-            if f == dg.outer:
-                continue
-            if s == 0:
-                face_walks.append([(ch, x) for x in darts])
-            else:
-                # mirror: reverse the walk and flip each dart
-                face_walks.append([(ch, x ^ 1) for x in reversed(darts)])
-
-    # edge classes: interior edges pair inside a chamber, boundary edges
-    # pair with the neighbor across the side they lie on
-    def edge_class(ch: int, e: int) -> tuple[int, int]:
-        k = side_of_edge.get(e)
-        if k is None:
-            return (ch, e)
-        return (min(ch, nbrs[ch][k]), e)
-
-    # build the map from oriented face walks
-    walk_flat = [dart for fw in face_walks for dart in fw]
-    nd = len(walk_flat)
-    fnext = [0] * nd
-    i = 0
-    for fw in face_walks:
-        L = len(fw)
-        for j in range(L):
-            fnext[i + j] = i + (j + 1) % L
-        i += L
-    # reverse pairing: group darts by edge class
-    by_edge: dict[tuple[int, int], list[int]] = {}
-    for idx, (ch, x) in enumerate(walk_flat):
-        by_edge.setdefault(edge_class(ch, x >> 1), []).append(idx)
-    rev = [0] * nd
-    for key, idxs in by_edge.items():
-        if len(idxs) != 2:
-            raise MapError(f"edge class {key} has {len(idxs)} sides")
-        a, b = idxs
-        rev[a] = b
-        rev[b] = a
-
-    # sigma = alpha o fprev; renumber with rev = ^1
-    fprev = [0] * nd
-    for x in range(nd):
-        fprev[fnext[x]] = x
-    sigma = [rev[fprev[x]] for x in range(nd)]
-
-    new_id = [-1] * nd
-    k2 = 0
-    for x in range(nd):
-        if new_id[x] < 0:
-            new_id[x] = 2 * k2
-            new_id[rev[x]] = 2 * k2 + 1
-            k2 += 1
-
-    # glued vertex classes, numbered densely
-    cls_id: dict[int, int] = {}
-
-    def vclass(ch: int, x: int) -> int:
-        root = cls[ch * dg.n + dg.org[x]]
-        if root not in cls_id:
-            cls_id[root] = len(cls_id)
-        return cls_id[root]
-
-    org = [0] * nd
-    nxt = [0] * nd
-    for x in range(nd):
-        ch, dd = walk_flat[x]
-        org[new_id[x]] = vclass(ch, dd)
-        nxt[new_id[x]] = new_id[sigma[x]]
-    cg = PlaneGraph(org, nxt)
-
-    vertex_type = [0] * cg.n
-    for x in range(nd):
-        ch, dd = walk_flat[x]
-        vertex_type[org[new_id[x]]] = d.vt[dg.org[dd]]
-    edge_type = [0] * cg.ne
-    for x in range(nd):
-        ch, dd = walk_flat[x]
-        edge_type[new_id[x] >> 1] = d.et[dd >> 1]
-    cs = ChamberSystem(cg, vertex_type, edge_type)
-    cs.check()
-    return cs
-
-
-def decorated_adjacency(g: PlaneGraph, d: Decoration
-                        ) -> tuple[list[list[int]], list[int]]:
-    """The simple vertex adjacency of ``apply_decoration(g, d)``, read off
-    the gluing alone, and the vertices that lie in chamber 0.
-
-    The vertices are the glued type-0 classes, chamber 0's first; each
-    glued type-1 class joins the type-0 ends of its two type-2 edges.  No
-    chamber system is built; the checks ``extract_original`` makes on it
-    are made on the classes and raise the same errors.
+    Each edge of the result is a glued type-1 class, which joins the
+    type-0 ends of its two type-2 edges.  Returns the gluing, the glued
+    type-0 classes numbered chamber by chamber, and the two type-0 ends
+    of every type-1 class; raises ``MapError`` when the result would not
+    be a loop-free graph.
     """
     nbrs, side_of_edge, cls = _glue(g, d)
     dg, vt, et = d.g, d.vt, d.et
@@ -371,8 +139,7 @@ def decorated_adjacency(g: PlaneGraph, d: Decoration
             if vt[a] == 1:
                 a, m = m, a
             t2.append((a, m, side_of_edge.get(e)))
-    # type-1 class -> the type-0 classes at the far ends of its type-2
-    # edges; an edge on a side is counted in the lower of its two chambers
+    # an edge on a side is counted in the lower of its two chambers
     ends: dict[int, list[int]] = {}
     for ch, row in enumerate(nbrs):
         base = ch * n
@@ -388,83 +155,89 @@ def decorated_adjacency(g: PlaneGraph, d: Decoration
     if len({a for far in ends.values() for a in far}) != len(index):
         raise MapError("type-0 vertex without type-2 edges")
     t1 = [v for v in range(n) if vt[v] == 1]
-    if any(cls[base + m] not in ends
-           for base in range(0, len(cls), n) for m in t1):
+    if (len({cls[base + m] for base in range(0, len(cls), n) for m in t1})
+            != len(ends) or any(len(far) != 2 for far in ends.values())):
         raise MapError("type-1 vertex without exactly two type-2 edges")
+    if any(a == b for a, b in ends.values()):
+        raise MapError("extraction would create a loop")
+    return (nbrs, side_of_edge, cls), index, ends
+
+
+def apply_decoration(g: PlaneGraph, d: Decoration) -> PlaneGraph:
+    """The graph obtained by decorating every chamber of g.
+
+    It is read off the gluing.  A dart of the decoration lies on an
+    inner face of the even chambers, and its reverse on one of the odd
+    (mirrored) chambers, except on the sides, where it lies in only one
+    chamber of each glued pair.  The vertices are the glued type-0
+    classes, in order of first appearance on the inner faces, chamber by
+    chamber; the rotation at a vertex starts at the first dart of those
+    faces that has the vertex at one of its ends.  It steps around the
+    vertex with ``nxt`` in even chambers and ``prv`` in odd ones, crosses
+    a side into the neighbouring chamber on the same dart, and keeps the
+    type-2 darts, each standing for the edge of its type-1 end's class.
+    """
+    (nbrs, side_of_edge, cls), _, ends = _links(g, d)
+    dg, vt, et = d.g, d.vt, d.et
+    n, org, outer, face_of = dg.n, dg.org, dg.outer, dg.face_of
+
+    def home(ch: int, x: int) -> int:
+        """The chamber, ch or its neighbour across the side of x, in
+        which x lies on an inner face."""
+        if face_of[x ^ (ch & 1)] != outer:
+            return ch
+        return nbrs[ch][side_of_edge[x >> 1]]
+
+    # per inner face and parity, the first dart of its walk that has the
+    # face's type-0 corner at one of its ends, leaving the corner
+    inner = [w for f, w in enumerate(dg.faces) if f != outer]
+    mirrored = [[x ^ 1 for x in reversed(w)] for w in inner]
+    firsts = [[next(y for x in w for y in (x, x ^ 1) if vt[org[y]] == 0)
+               for w in walks] for walks in (inner, mirrored)]
+    start: dict[int, tuple[int, int]] = {}
+    for ch in range(len(nbrs)):
+        base = ch * n
+        for y in firsts[ch & 1]:
+            if cls[base + org[y]] not in start:
+                start[cls[base + org[y]]] = (home(ch, y), y)
+
+    # the dart of an edge at the end where the edge is met first is even
+    first_dart: dict[int, int] = {}
+    out_org = [0] * (2 * len(ends))
+    out_nxt = [0] * (2 * len(ends))
+    for v, first in enumerate(start.values()):
+        row = []
+        ch, x = first
+        while True:
+            if et[x >> 1] == 2:
+                m = cls[ch * n + org[x ^ 1]]
+                if m in first_dart:
+                    row.append(first_dart[m] + 1)
+                else:
+                    first_dart[m] = 2 * len(first_dart)
+                    row.append(first_dart[m])
+            x = dg.prv[x] if ch & 1 else dg.nxt[x]
+            ch = home(ch, x)
+            if (ch, x) == first:
+                break
+        for i, dart in enumerate(row):
+            out_org[dart] = v
+            out_nxt[dart] = row[i + 1 - len(row)]
+    return PlaneGraph(out_org, out_nxt)
+
+
+def decorated_adjacency(g: PlaneGraph, d: Decoration
+                        ) -> tuple[list[list[int]], list[int]]:
+    """The simple vertex adjacency of ``apply_decoration(g, d)`` and the
+    vertices that lie in chamber 0, read off ``_links`` without building
+    rotations.  Vertices are numbered chamber by chamber, chamber 0's
+    first."""
+    (_, _, cls), index, ends = _links(g, d)
     adj: list[list[int]] = [[] for _ in index]
     for far in ends.values():
-        if len(far) != 2:
-            raise MapError("type-1 vertex without exactly two type-2 edges")
         a, b = index[far[0]], index[far[1]]
-        if a == b:
-            raise MapError("extraction would create a loop")
         if b not in adj[a]:
             adj[a].append(b)
             adj[b].append(a)
+    t0 = [v for v in range(d.g.n) if d.vt[v] == 0]
     return adj, sorted({index[cls[v]] for v in t0})
-
-
-# -- connectivity from the chamber system ------------------------------------
-
-
-def connectivity_of_chamber_system(c: ChamberSystem) -> int:
-    """1, 2 or 3 from the type-1 cycle structure (plane case only)."""
-    g = c.g
-    if g.genus != 0:
-        raise MapError("type-1 cycle test is only valid at genus 0")
-    et = c.edge_type
-    pairs: dict[tuple[int, int], int] = {}
-    for e in range(g.ne):
-        if et[e] != 1:
-            continue
-        key = tuple(sorted(g.edge_ends(e)))
-        if key in pairs:
-            return 1
-        pairs[key] = e
-
-    # type-1 4-cycles: v - f - w - g alternating between the two color
-    # classes of the bipartite type-1 subgraph
-    nbrs: dict[int, dict[int, int]] = {}
-    for key, e in pairs.items():
-        u, w = key
-        nbrs.setdefault(u, {})[w] = e
-        nbrs.setdefault(w, {})[u] = e
-    sub_vertices = set(nbrs)
-    verts = sorted(nbrs)
-    for i, u in enumerate(verts):
-        for w in verts[i + 1:]:
-            if w in nbrs[u]:
-                continue
-            common = sorted(set(nbrs[u]) & set(nbrs[w]))
-            for ai in range(len(common)):
-                for bi in range(ai + 1, len(common)):
-                    a, b = common[ai], common[bi]
-                    cyc = (nbrs[u][a], nbrs[a][w], nbrs[w][b], nbrs[b][u])
-                    if _nonempty_cycle(g, cyc, sub_vertices):
-                        return 2
-    return 3
-
-
-def _nonempty_cycle(g: PlaneGraph, cycle_edges, sub_vertices) -> bool:
-    cyc = set(cycle_edges)
-    cyc_verts = set()
-    for e in cycle_edges:
-        cyc_verts.update(g.edge_ends(e))
-    d0 = 2 * cycle_edges[0]
-    for start in (d0, d0 ^ 1):
-        seen = {g.face_of[start]}
-        stack = [g.face_of[start]]
-        verts = set()
-        while stack:
-            f = stack.pop()
-            for dd in g.faces[f]:
-                verts.add(g.org[dd])
-                if (dd >> 1) in cyc:
-                    continue
-                f2 = g.face_of[dd ^ 1]
-                if f2 not in seen:
-                    seen.add(f2)
-                    stack.append(f2)
-        if not (verts - cyc_verts) & sub_vertices:
-            return False
-    return True

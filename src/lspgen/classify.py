@@ -38,15 +38,16 @@ the tetrahedron has the fewest chambers a polyhedron allows (six around
 vertices and faces, four around edge midpoints), so a short cycle that
 winds around a point in some polyhedral application also appears on it.
 
-The result's graph is read off the gluing alone
-(``chambers.decorated_adjacency``): its vertices are the glued type-0
-classes, and each glued type-1 class joins the ends of its two type-2
-edges.  No chamber system is built and ``apply_decoration`` is not
-called.  The operation keeps every symmetry of the tetrahedron, and
-that group of order 24 acts regularly on the chambers, so any
-separating pair of the result is the image of one through a vertex of
-chamber 0.  Only those vertices (about 4 of about 39 at rates up to 14)
-are removed when the scan looks for a separating pair.
+Only the adjacency of the result is needed, and
+``chambers.decorated_adjacency`` reads it off the gluing that
+``apply_decoration`` also starts from (the glued type-0 classes, each
+glued type-1 class joining the ends of its two type-2 edges), without
+the rotations that ``apply_decoration`` adds.  The operation keeps
+every symmetry of the tetrahedron, and that group of order 24 acts
+regularly on the chambers, so any separating pair of the result is the
+image of one through a vertex of chamber 0.  Only those vertices (about
+4 of about 39 at rates up to 14) are removed when the scan looks for a
+separating pair.
 """
 
 from __future__ import annotations

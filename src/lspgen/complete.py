@@ -283,21 +283,3 @@ def complete(p: Predecoration, k: int = 1, rmin: int = 1,
 def is_chiral(p: Predecoration) -> bool:
     """True when the predecoration has no orientation-reversing symmetry."""
     return not any(rev for _, rev in p.automorphisms())
-
-
-def decorations_from_state(p: Predecoration, v1_choice: Choice,
-                           cover: frozenset) -> list[Decoration]:
-    """Builds the decorations determined by one completion state.
-
-    The state names the v1 choice (existing vertex or a boundary slot
-    for the new degree-2 vertex) and the set of slots that receive
-    degree-3 boundary vertices; quadrangle fills are implied.  Both type
-    assignments and all corner placements are returned; an invalid state
-    yields the empty list.
-    """
-    comp = _Completer(p, 1, 1, p.hi)
-    comp._start(v1_choice)
-    for i in cover:
-        comp._place(i, 1)
-    feasible = comp._demand(comp.occ) <= 2
-    return list(comp._build(v1_choice, cover)) if feasible else []

@@ -19,7 +19,7 @@ a tested start are skipped (see ``canonical_data``).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 PLANAR_CODE_HEADER = b">>planar_code<<"
 
@@ -394,6 +394,7 @@ def canonical_data(g: PlaneGraph, mode: str = "full",
         starts = [(d ^ m, m) for m in mirrors for d in g.faces[g.outer]]
     best: Optional[list[int]] = None
     ref = 0
+    ref_seq: Optional[list[int]] = None   # dart_sequence from starts[ref]
     perms: list[list[int]] = []   # automorphisms found, on start positions
     orbit: Optional[list[int]] = None   # start -> first start of its orbit
     for i, (d0, mirror) in enumerate(starts):
@@ -403,11 +404,13 @@ def canonical_data(g: PlaneGraph, mode: str = "full",
         if code is None:
             continue
         if best is None or code < best:
-            best, ref = code, i
+            best, ref, ref_seq = code, i, None
             continue
         if not perms:
             index = {2 * d + m: j for j, (d, m) in enumerate(starts)}
-        gamma = _dart_map(g, starts[ref], starts[i])
+        if ref_seq is None:
+            ref_seq = dart_sequence(g, *starts[ref])
+        gamma = _dart_map(g, ref_seq, starts[i])
         flip = mirror != starts[ref][1]
         perms.append([index[2 * gamma[d] + (m ^ flip)] for d, m in starts])
         orbit = [-1] * len(starts)
@@ -449,12 +452,12 @@ def canonical_order(g: PlaneGraph, mode: str = "full",
     return new_of_old
 
 
-def _dart_map(g: PlaneGraph, ref: tuple[int, bool],
+def _dart_map(g: PlaneGraph, ref_seq: list[int],
               other: tuple[int, bool]) -> tuple[int, ...]:
-    seq_a = dart_sequence(g, *ref)
-    seq_b = dart_sequence(g, *other)
+    """The dart map from the BFS visit order ``ref_seq`` to the one from
+    the start ``other``."""
     gamma = [0] * (2 * g.ne)
-    for a, b in zip(seq_a, seq_b):
+    for a, b in zip(ref_seq, dart_sequence(g, *other)):
         gamma[a] = b
     return tuple(gamma)
 
@@ -492,9 +495,10 @@ def automorphisms_flagged(g: PlaneGraph, mode: str = "full",
     """
     _, hits = canonical_data(g, mode, vlab, elab)
     ref = hits[0]
+    ref_seq = dart_sequence(g, *ref)
     out: dict[tuple[tuple[int, ...], bool], None] = {}
     for h in hits:
-        out.setdefault((_dart_map(g, ref, h), h[1] != ref[1]), None)
+        out.setdefault((_dart_map(g, ref_seq, h), h[1] != ref[1]), None)
     return list(out)
 
 
@@ -536,60 +540,6 @@ def random_relabeling(g: PlaneGraph, rng: random.Random) -> PlaneGraph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return g.relabeled(perm)
-
-
-# -- brute-force oracles (small graphs) ------------------------------------
-
-
-def isomorphisms_brute(a: PlaneGraph, b: PlaneGraph, mode: str = "full"
-                       ) -> Iterator[list[int]]:
-    """All vertex bijections a -> b compatible with the rotation systems.
-
-    Exponential; intended as an independent oracle for graphs with at
-    most ~8 vertices.  Ignores outer faces and labels.
-    """
-    if a.n != b.n or a.ne != b.ne:
-        return
-    dega = sorted(a.degree(v) for v in range(a.n))
-    degb = sorted(b.degree(v) for v in range(b.n))
-    if dega != degb:
-        return
-    mirrors = (False, True) if mode == "full" else (False,)
-    seen = set()
-    for mirror in mirrors:
-        d0 = 0
-        for e0 in range(2 * b.ne):
-            m = _try_map(a, b, d0, e0, mirror)
-            if m is not None and tuple(m) not in seen:
-                seen.add(tuple(m))
-                yield m
-
-
-def _try_map(a: PlaneGraph, b: PlaneGraph, d0: int, e0: int,
-             mirror: bool) -> Optional[list[int]]:
-    stepb = b.prv if mirror else b.nxt
-    dart_map = [-1] * (2 * a.ne)
-    vmap = [-1] * a.n
-    stack = [(d0, e0)]
-    while stack:
-        d, e = stack.pop()
-        if dart_map[d] >= 0:
-            if dart_map[d] != e:
-                return None
-            continue
-        va, vb = a.org[d], b.org[e]
-        if vmap[va] >= 0 and vmap[va] != vb:
-            return None
-        if a.degree(va) != b.degree(vb):
-            return None
-        vmap[va] = vb
-        dart_map[d] = e
-        stack.append((d ^ 1, e ^ 1))
-        stack.append((a.nxt[d], stepb[e]))
-    if any(x < 0 for x in dart_map):
-        # disconnected never happens (graphs are connected)
-        return None
-    return vmap
 
 
 def _articulation_or_disconnected(adj: list[list[int]],

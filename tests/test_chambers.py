@@ -1,11 +1,20 @@
+import random
+
 import pytest
 
-from lspgen.catalog import lookup, seed
-from lspgen.chambers import (apply_decoration, barycentric_subdivision,
-                             connectivity_of_chamber_system, decorate_chambers,
-                             extract_original)
-from lspgen.maps import (MapError, automorphism_orbits, build_from_rotations,
-                         canonical_code, vertex_connectivity_capped)
+from chamber_reference import (barycentric_subdivision,
+                               connectivity_of_chamber_system,
+                               decorate_chambers, extract_original)
+from lspgen.catalog import OPERATION_NAMES, SEED_NAMES, lookup, seed
+from lspgen.chambers import apply_decoration
+from lspgen.maps import (MapError, PlaneGraph, automorphism_orbits,
+                         build_from_rotations, canonical_code,
+                         random_relabeling, vertex_connectivity_capped,
+                         write_planar_code)
+from lspgen.pipeline import run_pipeline
+
+# theta graph embedded on the torus: both rotations in the same order
+THETA = PlaneGraph([0, 1, 0, 1, 0, 1], [2, 3, 4, 5, 0, 1])
 
 
 def test_barycentric_cube():
@@ -123,9 +132,50 @@ def test_connectivity_preservation():
 
 
 def test_genus_guard():
-    from lspgen.maps import PlaneGraph
-    # theta graph embedded on the torus: both rotations in the same order
-    torus = PlaneGraph([0, 1, 0, 1, 0, 1], [2, 3, 4, 5, 0, 1])
-    assert torus.genus == 1
+    assert THETA.genus == 1
     with pytest.raises(MapError):
-        connectivity_of_chamber_system(barycentric_subdivision(torus))
+        connectivity_of_chamber_system(barycentric_subdivision(THETA))
+
+
+# -- the gluing route against the chamber-system route -----------------------
+
+
+def _hosts():
+    """Every catalog seed and the torus theta graph, each as is, randomly
+    relabelled and mirrored."""
+    rng = random.Random(7)
+    out = []
+    for name, g in [(s, seed(s)) for s in SEED_NAMES] + [("theta", THETA)]:
+        relabelled = random_relabeling(g, rng)
+        out += [pytest.param(g, id=name),
+                pytest.param(relabelled, id=f"{name}-relabelled"),
+                pytest.param(g.mirrored(), id=f"{name}-mirrored")]
+    return out
+
+
+@pytest.fixture(scope="module")
+def operations():
+    """The catalog operations and every decoration up to rate 7."""
+    out = [lookup(name) for name in OPERATION_NAMES]
+    run_pipeline(1, 7, 1, on_decoration=out.append)
+    assert len(out) == 78
+    return out
+
+
+def _outcome(route, g, d):
+    try:
+        return write_planar_code([route(g, d)])
+    except MapError as exc:
+        return f"MapError: {exc}"
+
+
+@pytest.mark.parametrize("host", _hosts())
+def test_apply_matches_chamber_system_route(host, operations):
+    def reference(g, d):
+        cs = decorate_chambers(g, d)
+        cs.check()
+        return extract_original(cs)
+
+    for d in operations:
+        assert _outcome(apply_decoration, host, d) \
+            == _outcome(reference, host, d), d

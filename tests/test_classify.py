@@ -11,8 +11,9 @@ from collections import Counter
 
 import pytest
 
+from chamber_reference import apply_decoration
 from lspgen.catalog import OPERATION_NAMES, SEED_NAMES, lookup, seed
-from lspgen.chambers import apply_decoration, decorated_adjacency
+from lspgen.chambers import decorated_adjacency
 from lspgen.classify import _tetrahedron, tetrahedron_class
 from lspgen.maps import MapError, PlaneGraph, vertex_connectivity_capped
 from lspgen.pipeline import run_pipeline

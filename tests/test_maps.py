@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chamber_reference import isomorphisms_brute
 from lspgen import maps
 from lspgen.catalog import OPERATION_NAMES, lookup, seed
 from lspgen.chambers import apply_decoration
@@ -13,8 +14,8 @@ from lspgen.decorations import _corner_marks
 from lspgen.generate import GenerationTask, generate
 from lspgen.maps import (MapError, automorphism_orbits, automorphisms,
                          automorphisms_flagged, build_from_rotations,
-                         canonical_code, canonical_data, isomorphisms_brute,
-                         read_planar_code, random_relabeling, to_rotations,
+                         canonical_code, canonical_data, read_planar_code,
+                         random_relabeling, to_rotations,
                          vertex_connectivity_capped, write_planar_code)
 
 CUBE = {1: [2, 4, 5], 2: [3, 1, 6], 3: [4, 2, 7], 4: [1, 3, 8],
