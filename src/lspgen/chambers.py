@@ -65,8 +65,6 @@ def _glue(g: PlaneGraph, d: Decoration
     (chamber, decoration vertex) pair, indexed ``chamber * d.g.n +
     vertex`` and named by its smallest pair.
     """
-    if g.ne < 1:
-        raise MapError("seed graph needs at least one edge")
     nbrs: list[tuple[int, int, int]] = []
     for dd in range(2 * g.ne):
         nbrs.append((2 * (dd ^ 1) + 1, 2 * g.nxt[dd] + 1, 2 * dd + 1))
@@ -100,23 +98,12 @@ def _glue(g: PlaneGraph, d: Decoration
 def _side_edges(d: Decoration, sides: dict[int, list[int]]
                 ) -> dict[int, int]:
     """Decoration edge -> the side it lies on, for the edges of the outer
-    walk."""
-    dg = d.g
-    side_of_edge: dict[int, int] = {}
-    for k in range(3):
-        path = sides[k]
-        for i in range(len(path) - 1):
-            u, w = path[i], path[i + 1]
-            for dd in dg.darts_at(u):
-                if dg.org[dd ^ 1] == w and dg.face_of[dd] == dg.outer:
-                    side_of_edge[dd >> 1] = k
-                    break
-            else:
-                for dd in dg.darts_at(u):
-                    if dg.org[dd ^ 1] == w and dg.face_of[dd ^ 1] == dg.outer:
-                        side_of_edge[dd >> 1] = k
-                        break
-    return side_of_edge
+    walk.  The outer walk is a cycle that the sides split at the corners,
+    so each of its edges has both ends on exactly one side."""
+    g = d.g
+    on = [set(sides[k]) for k in range(3)]
+    return {x >> 1: k for x in g.faces[g.outer] for k in range(3)
+            if g.org[x] in on[k] and g.org[x ^ 1] in on[k]}
 
 
 def _links(g: PlaneGraph, d: Decoration):
