@@ -119,6 +119,9 @@ def cmd_verify(args) -> int:
         status = "ok" if report["equal"] else "MISMATCH"
         print(f"rate {r} k {args.k}: main={report['main']} "
               f"brute={report['brute']} {status}")
+        for side in ("only_main", "only_brute"):
+            for d in report[side]:
+                print(f"{side}\n\n{write_deco(d)}")
         ok &= report["equal"]
     return 0 if ok else 1
 

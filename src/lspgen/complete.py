@@ -8,16 +8,18 @@ enumerated up to the symmetry of the predecoration.  For each choice a
 depth-first search adds degree-3 vertices in slot order.  It screens a
 boundary vertex once no later slot can touch it (`_corner_demand`), cuts
 a branch at the first vertex that fails or the third forced corner, and
-enters no branch that cannot reach the rate window.  Of the cover sets
-that survive, the first in search order of each orbit under the v1
-choice's stabilizer is kept.  Both bipartition type assignments of the
-skeleton are emitted.
+enters no branch that cannot reach the rate window.  The screen decides
+validity alone: the disk is triangulated by construction, and it is
+2-connected when no vertex is left twice on the outer walk.  The first
+cover set of each orbit under the v1 choice's stabilizer is built, with
+both bipartition type assignments and every placement of v0 and v2.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Optional
 
+# validate, decoration_identity: unused, kept for perfbench/spans.py
 from .decorations import (Decoration, connectivity_class, corner_pairs,
                           decoration_identity, validate)
 from .maps import PlaneGraph, vertex_mapping
@@ -46,8 +48,11 @@ def bipartition(g: PlaneGraph) -> list[int]:
 def _corner_demand(deg: int, left: int, is_v1: bool) -> int:
     """The corners besides v1 that a screened boundary vertex of degree
     `deg`, with `left` outer-walk occurrences not cut off, must be: one
-    if its degree is <= 3; 3 (more than there are) if it is cut off with
-    degree <= 4 or as v1, or if it is v1 of degree <= 2."""
+    if its degree is <= 3; 3 (more than there are) if it is left twice
+    on the outer walk (a cut vertex), if it is cut off with degree <= 4
+    or as v1, or if it is v1 of degree <= 2."""
+    if left > 1:
+        return 3
     if left == 0:
         return 3 if deg <= 4 or is_v1 else 0
     if is_v1:
@@ -110,7 +115,14 @@ class _Completer:
     # -- enumeration ---------------------------------------------------------
 
     def run(self, visitor: Callable[[Decoration], None]) -> int:
-        seen_codes = set()
+        """Visits each decoration of this embedding once; returns how many.
+
+        An orientation-preserving symmetry fixing an outer dart is the
+        identity, so a "g" choice has a trivial stabilizer; one fixing a
+        "v" choice moves every walk occurrence of v1, and a valid cover
+        keeps one, so only the identity fixes the cover.  Hence no two
+        type flips or corner pairs of one build coincide."""
+        visited = 0
         for choice in self.v1_choices():
             stab = self._stabilizer(choice)
             covers_seen = set()
@@ -122,12 +134,9 @@ class _Completer:
                         continue
                     covers_seen.add(key)
                 for d in self._build(choice, cover):
-                    code = decoration_identity(d)
-                    if code in seen_codes:
-                        continue
-                    seen_codes.add(code)
                     visitor(d)
-        return len(seen_codes)
+                    visited += 1
+        return visited
 
     def _start(self, choice: Choice) -> None:
         """Search state for a v1 choice with no degree-3 vertex placed."""
@@ -243,17 +252,15 @@ class _Completer:
             # first host token of the last attachments (u -> new darts)
             outer_token = outer_candidates[-1]
         built, trans = s.freeze(outer_token)
-        n_old = g.n
-
-        for flip in (False, True):
-            vt = tuple((self.col[v] ^ flip) * 2 if v < n_old else 1
-                       for v in range(built.n))
+        vts = [tuple((self.col[v] ^ flip) * 2 if v < g.n else 1
+                     for v in range(built.n)) for flip in (False, True)]
+        # the 0 <-> 2 flip keeps the degrees and the type-1 vertices
+        pairs = corner_pairs(built, vts[0], v1_vertex)
+        for vt in vts:
             et = tuple(3 - vt[a] - vt[b]
                        for a, b in (built.edge_ends(e)
                                     for e in range(built.ne)))
-            if validate(built, vt, et, v1_vertex):
-                continue
-            for v0, v2 in corner_pairs(built, vt, v1_vertex):
+            for v0, v2 in pairs:
                 d = Decoration(built, vt, et, (v0, v1_vertex, v2))
                 # every decoration has class >= 1: k=1 filters nothing
                 if self.k == 1 or connectivity_class(d) >= self.k:

@@ -566,12 +566,3 @@ def apply_reduction(g: PlaneGraph, num: int, data: tuple) -> PlaneGraph:
         s.delete_vertices(dead_vertices)
     parent, _ = s.freeze(outer_token)
     return parent
-
-
-def applicable_reductions(g: PlaneGraph) -> list[tuple[int, Site]]:
-    """All (reduction number, site) pairs; errors on the base graphs."""
-    sites = scan_reductions(g)
-    if not sites:
-        raise ValueError("base predecoration has no reduction")
-    return [(num, site) for num in sorted(sites)
-            for site, _ in sites[num]]

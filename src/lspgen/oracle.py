@@ -5,8 +5,8 @@ shelling (gluing one triangle at a time along one or two consecutive
 boundary edges), every admissible edge 3-coloring is enumerated, and the
 valid rooted decorations are collected by identity code.  Only the core
 map machinery, the validator and the classifier are shared with the main
-pipeline; the construction path is disjoint from the generator and the
-completion search.
+pipeline.  The construction path is disjoint from the generator and the
+completion search, and neither of them calls the validator.
 """
 
 from __future__ import annotations
@@ -190,29 +190,35 @@ def decorations_brute(r: int) -> dict[tuple, Decoration]:
     return found
 
 
-def bruteforce_decorations(r: int, k: int = 1) -> set[tuple]:
-    """Identity codes of all decorations with rate r and class >= k."""
+def _brute_by_code(r: int, k: int) -> dict[tuple, Decoration]:
     if not 1 <= r <= 8:
         raise ValueError("brute force supports rates 1..8")
-    return {code for code, d in decorations_brute(r).items()
+    return {code: d for code, d in decorations_brute(r).items()
             if k == 1 or connectivity_class_of(d) >= k}
 
 
+def bruteforce_decorations(r: int, k: int = 1) -> set[tuple]:
+    """Identity codes of all decorations with rate r and class >= k."""
+    return set(_brute_by_code(r, k))
+
+
 def cross_check(r: int, k: int = 1) -> dict:
-    """Set comparison between the brute-force and main pipelines."""
-    main: set[tuple] = set()
+    """Comparison of the brute-force and main pipelines by identity code;
+    the decorations found on one side only are listed in code order."""
+    main: dict[tuple, Decoration] = {}
 
     def visit(p):
-        complete(p, k, r, r, lambda d: main.add(decoration_identity(d)))
+        complete(p, k, r, r,
+                 lambda d: main.setdefault(decoration_identity(d), d))
 
     generate(GenerationTask(r, r, k), visitor=visit)
-    brute = bruteforce_decorations(r, k)
+    brute = _brute_by_code(r, k)
     return {
         "rate": r,
         "k": k,
         "main": len(main),
         "brute": len(brute),
-        "only_main": sorted(main - brute),
-        "only_brute": sorted(brute - main),
-        "equal": main == brute,
+        "only_main": [main[c] for c in sorted(main.keys() - brute.keys())],
+        "only_brute": [brute[c] for c in sorted(brute.keys() - main.keys())],
+        "equal": main.keys() == brute.keys(),
     }

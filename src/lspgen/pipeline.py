@@ -23,9 +23,6 @@ class PipelineResult:
     predecorations: dict[int, int] = field(default_factory=dict)
     visited: int = 0
 
-    def decoration_total(self) -> int:
-        return sum(self.decorations.values())
-
 
 def run_pipeline(rate_min: int, rate_max: int, k: int = 1,
                  on_decoration: Optional[Callable[[Decoration], None]] = None

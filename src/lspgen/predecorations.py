@@ -133,9 +133,3 @@ def normalized_for_export(p: Predecoration) -> PlaneGraph:
         rows[v + 1] = [g.org[d ^ 1] + 1 for d in darts]
     out = build_from_rotations(rows)
     return out.with_outer(out.face_of[out.darts_at(0)[0]])
-
-
-def predecoration_from_planar_code_graph(g: PlaneGraph) -> Predecoration:
-    """Reads back a serialized predecoration: the outer face is the face
-    left of the first dart of vertex 0."""
-    return Predecoration(g.with_outer(g.face_of[g.darts_at(0)[0]]))

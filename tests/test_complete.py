@@ -1,6 +1,7 @@
 import gc
 import types
 
+from lspgen import complete as complete_module
 from lspgen import predecorations
 from lspgen.complete import _Completer, complete, is_chiral
 from lspgen.decorations import decoration_identity, type1_subgraph, validate
@@ -8,6 +9,10 @@ from lspgen.generate import GenerationTask, base_c4, base_k2, generate
 from lspgen.maps import build_from_rotations, canonical_code
 from lspgen.pipeline import run_pipeline
 from lspgen.predecorations import Predecoration, outer_vertex_occurrences
+
+
+# k=2 counts at rates 1-12 (criterion 1 of tests/test_acceptance.py)
+K2_PINS = [2, 2, 4, 6, 6, 20, 28, 58, 82, 168, 200, 492]
 
 
 def _pre(rot):
@@ -180,7 +185,8 @@ def _reference_covers(comp, choice, budget):
 
 
 def _reference_screen(comp, choice, cover):
-    """The degree screen, written out on its own."""
+    """The degree screen, written out on its own, with the cut-vertex
+    rule: a vertex left twice on the outer walk fails."""
     g, walk, m = comp.g, comp.walk, comp.m
     added = [0] * g.n
     mid_cut = [0] * g.n
@@ -197,6 +203,8 @@ def _reference_screen(comp, choice, cover):
     for v, cnt in outer_vertex_occurrences(g).items():
         fills = g.degree(v) - cnt
         deg = g.degree(v) + fills + added[v]
+        if cnt - mid_cut[v] > 1:
+            return False
         if cnt == mid_cut[v]:
             if deg <= 4 or v == v1:
                 return False
@@ -210,7 +218,7 @@ def _reference_screen(comp, choice, cover):
 
 def test_cover_search_equals_screened_reference():
     skeletons = []
-    generate(GenerationTask(1, 11, 1), visitor=skeletons.append)
+    generate(GenerationTask(1, 12, 1), visitor=skeletons.append)
     checked = 0
     for p in skeletons:
         windows = [(1, p.hi)] + [(r, r) for r in range(1, p.hi + 1)]
@@ -241,9 +249,47 @@ def test_cover_funnel_below_five_per_decoration(monkeypatch):
             yield cover
 
     monkeypatch.setattr(_Completer, "_cover_sets", counted)
-    total = run_pipeline(1, 12, 2).decoration_total()
-    assert total == 2 + 2 + 4 + 6 + 6 + 20 + 28 + 58 + 82 + 168 + 200 + 492
+    total = sum(run_pipeline(1, 12, 2).decorations.values())
+    assert total == sum(K2_PINS)
     assert enumerated[0] < 5 * total
+
+
+def test_cover_search_equals_full_validator():
+    # the unscreened covers whose disks pass the full validator are
+    # exactly the covers the search yields; a disk with no corner
+    # placement builds no decoration and fails the validator too
+    skeletons = []
+    generate(GenerationTask(1, 10, 1), visitor=skeletons.append)
+    checked = 0
+    for p in skeletons:
+        comp = _Completer(p, 1, 1, p.hi)
+        choices = [("v", v) for v in sorted(comp.occ)]
+        choices += [("g", i) for i in range(comp.m)]
+        for choice in choices:
+            base = 4 * len(comp.quads) + (choice[0] == "g")
+            want = []
+            for cover in _reference_covers(comp, choice,
+                                           (p.hi - base) // 2):
+                if base + 2 * len(cover) < 1:
+                    continue
+                valid = {not validate(d.g, d.vt, d.et, d.corners[1])
+                         for d in comp._build(choice, cover)}
+                assert len(valid) <= 1
+                if valid == {True}:
+                    want.append(cover)
+            assert list(comp._cover_sets(choice)) == want
+            checked += len(want)
+    assert checked > 400
+
+
+def test_completion_calls_no_validator_and_no_identity_code(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("completion must not call this")
+
+    monkeypatch.setattr(complete_module, "validate", forbidden)
+    monkeypatch.setattr(complete_module, "decoration_identity", forbidden)
+    res = run_pipeline(1, 12, 2)
+    assert [res.decorations[r] for r in range(1, 13)] == K2_PINS
 
 
 def test_completion_leaves_no_cyclic_functions():

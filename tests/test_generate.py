@@ -1,6 +1,6 @@
 import pytest
 
-from lspgen.extensions import applicable_reductions, scan_reductions
+from lspgen.extensions import scan_reductions
 from lspgen.generate import (GenerationTask, base_c4, base_k2,
                              canonical_parent, generate)
 from lspgen.maps import build_from_rotations, canonical_code
@@ -11,6 +11,15 @@ def _pre(rot):
     g = build_from_rotations(rot)
     face = max(range(len(g.faces)), key=lambda f: len(g.faces[f]))
     return Predecoration(g.with_outer(face))
+
+
+def applicable_reductions(g):
+    """All (reduction number, site) pairs; errors on the base graphs."""
+    sites = scan_reductions(g)
+    if not sites:
+        raise ValueError("base predecoration has no reduction")
+    return [(num, site) for num in sorted(sites)
+            for site, _ in sites[num]]
 
 
 def test_bases_have_no_reduction():

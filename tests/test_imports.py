@@ -3,6 +3,7 @@ cycle among the modules of the package.  Imports inside functions count
 as edges too, so a cycle cannot hide behind a lazy import."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lspgen"
@@ -85,3 +86,37 @@ def test_reference_shares_only_maps():
                        {f"lspgen.{a.name}" for a in node.names})
     package = {m for m in loaded if m.split(".")[0] == "lspgen"}
     assert package == {"lspgen.maps"}
+
+
+def _names(tree) -> list[str]:
+    """Every identifier that code under tree names: variables,
+    attributes, imported names and string constants (the tracer looks
+    functions up by name)."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif isinstance(node, ast.alias):
+            out.append(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append(node.value)
+    return out
+
+
+def test_every_definition_is_used_outside_tests():
+    # code that only the tests call belongs in the tests
+    roots = [PACKAGE, PACKAGE.parents[1] / "perfbench"]
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for root in roots for p in sorted(root.rglob("*.py"))]
+    named = Counter(n for tree in trees for n in _names(tree))
+    unused = set()
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("__")
+                    and named[node.name] == _names(node).count(node.name)):
+                unused.add(f"{name}.{node.name}")
+    assert not sorted(unused)

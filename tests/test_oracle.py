@@ -1,8 +1,14 @@
+import importlib
+
 import pytest
 
-from lspgen import oracle
+from lspgen import extensions
+from lspgen.cli import main
+from lspgen.decorations import decoration_identity, read_deco
 from lspgen.oracle import (bruteforce_decorations, cross_check,
                            decorations_brute, triangulated_disks)
+
+genmod = importlib.import_module("lspgen.generate")
 
 TABLE_K1 = {1: 2, 2: 2, 3: 4, 4: 6, 5: 6, 6: 20}
 
@@ -35,19 +41,31 @@ def test_cross_check_small():
         assert report["equal"], report
 
 
-def test_cross_check_catches_mutations(monkeypatch):
+@pytest.fixture
+def without_extension_2(monkeypatch):
     # drop pendant attachment (extension 2): the star skeleton is lost
     # and the rate-4 sets must differ
-    import importlib
-    genmod = importlib.import_module("lspgen.generate")
-    from lspgen import extensions
-
     original = extensions.extension_sites
 
     def crippled(g, walk):
         return [(num, fn) for num, fn in original(g, walk) if num != 2]
 
     monkeypatch.setattr(genmod, "extension_sites", crippled)
+
+
+def test_cross_check_catches_mutations(without_extension_2):
     report = cross_check(4, 1)
     assert not report["equal"]
     assert report["only_brute"]
+
+
+def test_verify_prints_the_decorations_that_differ(without_extension_2,
+                                                   capsys):
+    assert main(["verify", "--rate", "4"]) == 1
+    out = capsys.readouterr().out
+    records = [read_deco(chunk) for chunk in out.split("\n\n")
+               if chunk.startswith("deco ")]
+    report = cross_check(4, 1)
+    assert out.count("only_brute\n") == len(report["only_brute"]) > 0
+    assert [decoration_identity(d) for d in records] == \
+        [decoration_identity(d) for d in report["only_brute"]]

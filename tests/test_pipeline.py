@@ -23,6 +23,6 @@ def test_k3_filter():
 def test_emission_matches_count():
     sink = []
     res = run_pipeline(1, 6, 1, on_decoration=sink.append)
-    assert len(sink) == res.decoration_total()
+    assert len(sink) == sum(res.decorations.values())
     codes = {decoration_identity(d) for d in sink}
     assert len(codes) == len(sink)

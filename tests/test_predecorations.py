@@ -120,11 +120,16 @@ def test_counters_brute_recomputation():
         assert (p.nA, p.nB, p.nC) == brute(p.g)
 
 
+def predecoration_from_planar_code_graph(g):
+    """Reads back a serialized predecoration: the outer face is the face
+    left of the first dart of vertex 0."""
+    return Predecoration(g.with_outer(g.face_of[g.darts_at(0)[0]]))
+
+
 def test_planar_code_export_convention():
     from lspgen.generate import GenerationTask, generate
     from lspgen.maps import canonical_code, read_planar_code, write_planar_code
-    from lspgen.predecorations import (normalized_for_export,
-                                       predecoration_from_planar_code_graph)
+    from lspgen.predecorations import normalized_for_export
     ps = []
     generate(GenerationTask(1, 8, 1), visitor=ps.append)
     for p in ps:
