@@ -23,6 +23,18 @@ graphs through canonical labelings.  The degree and occupancy conditions
 mirror the extension pictures exactly: splits need both arcs non-empty,
 attachments need the host vertex to keep a neighbor after reduction, and
 closures need at least one vertex outside the affected quadrangle.
+
+Each extension moves the lower rate bound lo = 4*quads + 2*(len(walk) -
+#outer vertices) of `rate_bounds_of` by a step read off the parent's
+outer walk, so a child above the rate window is never built.  With b, c
+the origins of walk[i+1], walk[i+2] and occ(v) the occurrences of v on
+the walk (a vertex stays outer after a closure iff occ >= 2):
+  1, 2     +2                               walk +2, one new outer vertex
+  3, 4, 5  +6                               a quad, walk +4, three new
+  6, 7     +10                              two quads, walk +6, five new
+  8        +4                               a quad, walk +2, two new
+  9        4 - 2[occ(b)>=2]                 a quad, walk +0, one new, b may go
+  10       4 - 2([occ(b)>=2] + [occ(c)>=2]) a quad, walk -2, b and c may go
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from .maps import PlaneGraph
 from .surgery import Surgeon
 
 ExtResult = tuple[PlaneGraph, tuple[int, ...]]
+Applier = Callable[[], Optional[ExtResult]]
 
 
 def _arc_after(rot: list[int], start: int, stop: int) -> list[int]:
@@ -258,30 +271,33 @@ def ext10_close3(g: PlaneGraph, walk: tuple[int, ...], i: int
 
 
 def extension_sites(g: PlaneGraph, walk: tuple[int, ...]
-                    ) -> list[tuple[int, Callable[[], Optional[ExtResult]]]]:
-    """All (extension number, applier) pairs for one predecoration."""
+                    ) -> list[tuple[int, int, Applier]]:
+    """All (extension number, step in the lower rate bound, applier)
+    triples for one predecoration; the steps are the module's table."""
     m = len(walk)
     by_vertex: dict[int, list[int]] = {}
     for i, d in enumerate(walk):
         by_vertex.setdefault(g.org[d], []).append(i)
-    out: list[tuple[int, Callable[[], Optional[ExtResult]]]] = []
+    cut = [2 * (len(by_vertex[g.org[d]]) >= 2) for d in walk]  # 2[occ>=2]
+    out: list[tuple[int, int, Applier]] = []
     for positions in by_vertex.values():
         for ii in range(len(positions)):
             for jj in range(ii + 1, len(positions)):
                 i, j = positions[ii], positions[jj]
-                out.append((1, lambda i=i, j=j: ext1_split(g, walk, i, j)))
-                out.append((3, lambda i=i, j=j: ext3_split_quad(g, walk, i, j)))
-                out.append((4, lambda i=i, j=j: ext4_split_edge_quad(g, walk, i, j)))
-                out.append((4, lambda i=i, j=j: ext4_split_edge_quad(g, walk, j, i)))
+                out.append((1, 2, lambda i=i, j=j: ext1_split(g, walk, i, j)))
+                out.append((3, 6, lambda i=i, j=j: ext3_split_quad(g, walk, i, j)))
+                out.append((4, 6, lambda i=i, j=j: ext4_split_edge_quad(g, walk, i, j)))
+                out.append((4, 6, lambda i=i, j=j: ext4_split_edge_quad(g, walk, j, i)))
     for i in range(m):
-        out.append((2, lambda i=i: ext2_pendant(g, walk, i)))
-        out.append((5, lambda i=i: ext5_attach_quad(g, walk, i)))
-        out.append((6, lambda i=i: ext6_attach_double(g, walk, i)))
-        out.append((7, lambda i=i: ext7_attach_strip(g, walk, i, False)))
-        out.append((7, lambda i=i: ext7_attach_strip(g, walk, i, True)))
-        out.append((8, lambda i=i: ext8_glue(g, walk, i)))
-        out.append((9, lambda i=i: ext9_close2(g, walk, i)))
-        out.append((10, lambda i=i: ext10_close3(g, walk, i)))
+        b, c = cut[(i + 1) % m], cut[(i + 2) % m]
+        out.append((2, 2, lambda i=i: ext2_pendant(g, walk, i)))
+        out.append((5, 6, lambda i=i: ext5_attach_quad(g, walk, i)))
+        out.append((6, 10, lambda i=i: ext6_attach_double(g, walk, i)))
+        out.append((7, 10, lambda i=i: ext7_attach_strip(g, walk, i, False)))
+        out.append((7, 10, lambda i=i: ext7_attach_strip(g, walk, i, True)))
+        out.append((8, 4, lambda i=i: ext8_glue(g, walk, i)))
+        out.append((9, 4 - b, lambda i=i: ext9_close2(g, walk, i)))
+        out.append((10, 4 - b - c, lambda i=i: ext10_close3(g, walk, i)))
     return out
 
 

@@ -7,8 +7,9 @@ canonically relabeled dart tuple is minimal.  Together with one child per
 isomorphism class per (parent, extension) batch this visits every
 predecoration exactly once up to isomorphism.
 
-Rate-bound pruning follows the two bounds: a branch is dropped once its
-lower bound exceeds the target, and completion is skipped (but extension
+Rate-bound pruning follows the two bounds: a child whose lower bound
+exceeds the target is never built (each extension moves the bound by an
+exact step, see `extensions`), and completion is skipped (but extension
 continues) while the upper bound is below the target.
 """
 
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .maps import PlaneGraph, build_from_rotations, canonical_data, dart_sequence
-from .predecorations import (Predecoration, rate_bounds_of,
-                             validate_predecoration)
+from .predecorations import Predecoration, validate_predecoration
 from .extensions import apply_reduction, extension_sites, scan_reductions
 
 
@@ -48,7 +48,13 @@ class GenerationTask:
 
 @dataclass
 class GenerationStats:
+    """Funnel: built = invalid + rejected + duplicates + visited - bases."""
     visited: int = 0
+    screened: int = 0
+    built: int = 0
+    invalid: int = 0
+    rejected: int = 0
+    duplicates: int = 0
 
 
 def _site_keys(g: PlaneGraph, sites: list[tuple[int, ...]],
@@ -77,10 +83,9 @@ def is_canonical_child(child: PlaneGraph, ext_num: int,
     if not reductions or min(reductions) != ext_num:
         return None
     code, labelings = canonical_data(child, "full")
-    sites = [site for site, _ in reductions[ext_num]]
+    sites = [inv_site] + [site for site, _ in reductions[ext_num]]
     keys = _site_keys(child, sites, labelings)
-    applied = _site_keys(child, [inv_site], labelings)[0]
-    return code if applied == min(keys) else None
+    return code if keys[0] == min(keys[1:]) else None
 
 
 def canonical_parent(p: Predecoration
@@ -116,25 +121,28 @@ def generate(task: GenerationTask,
             visitor(p)
         walk = p.walk
         batches: dict[int, set] = {}
-        for num, apply_ext in extension_sites(p.g, walk):
-            if prune_ext10 and num == 10:
-                if task.k >= 2 and len(walk) == 4:
-                    continue
-                if task.k == 3 and len(walk) == 6:
-                    continue
+        for num, step, apply_ext in extension_sites(p.g, walk):
+            if p.lo + step > task.rate_max:
+                stats.screened += 1
+                continue
+            if prune_ext10 and num == 10 and (len(walk), task.k) in (
+                    (4, 2), (4, 3), (6, 3)):
+                continue
             result = apply_ext()
             if result is None:
                 continue
+            stats.built += 1
             child_g, inv_site = result
             if validate_predecoration(child_g):
-                continue
-            if rate_bounds_of(child_g)[0] > task.rate_max:
+                stats.invalid += 1
                 continue
             code = is_canonical_child(child_g, num, inv_site)
             if code is None:
+                stats.rejected += 1
                 continue
             seen = batches.setdefault(num, set())
             if code in seen:
+                stats.duplicates += 1
                 continue
             seen.add(code)
             explore(Predecoration(child_g))

@@ -41,7 +41,8 @@ class Surgeon:
         self.rot[v][i:i] = tokens
 
     def remove_tokens(self, v: int, tokens: list[int]) -> None:
-        self.rot[v] = [t for t in self.rot[v] if t not in set(tokens)]
+        drop = set(tokens)
+        self.rot[v] = [t for t in self.rot[v] if t not in drop]
 
     def delete_vertices(self, vs: list[int]) -> list[int]:
         """Drops vertices entirely; returns old_of_new index table."""

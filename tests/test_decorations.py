@@ -1,3 +1,4 @@
+import os
 import random
 from pathlib import Path
 
@@ -69,13 +70,13 @@ def test_mirror_involution():
         assert decoration_identity(mirror(mirror(d))) == decoration_identity(d)
 
 
-def test_closure_under_mirror_and_swap():
+def _assert_closed_under_mirror_and_swap(rate_min, rate_max):
     # closure audit: mirror and the 0/2 swap (duality) keep the rate and
     # the connectivity class, so every image of an emitted decoration is
     # emitted too, with the same rate and class; an image without its
     # partner is a decoration the generator missed or emitted wrongly
     decos = []
-    run_pipeline(1, 12, 1, on_decoration=decos.append)
+    run_pipeline(rate_min, rate_max, 1, on_decoration=decos.append)
     emitted = {decoration_identity(d): (d.rate(), connectivity_class(d))
                for d in decos}
     assert len(emitted) == len(decos)
@@ -83,6 +84,18 @@ def test_closure_under_mirror_and_swap():
         for t in (mirror(d), swap02(d)):
             assert emitted.get(decoration_identity(t)) \
                 == emitted[decoration_identity(d)], write_deco(d)
+
+
+def test_closure_under_mirror_and_swap():
+    _assert_closed_under_mirror_and_swap(1, 12)
+
+
+@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                    reason="set LSPGEN_STRETCH=1 for the rates 13-17 audit")
+def test_closure_under_mirror_and_swap_stretch():
+    # a decoration missing at rate 17 (k=3 gives 2768 against the
+    # published 2769) would show up as an image without its partner
+    _assert_closed_under_mirror_and_swap(13, 17)
 
 
 def test_identity_code_is_relabeling_invariant():

@@ -113,7 +113,7 @@ def test_lower_bound_monotone_under_extensions():
     seen = []
     generate(GenerationTask(1, 8, 1), visitor=seen.append)
     for p in seen[:8]:
-        for _, apply_ext in extension_sites(p.g, p.walk):
+        for _, _, apply_ext in extension_sites(p.g, p.walk):
             result = apply_ext()
             if result is None:
                 continue
@@ -121,3 +121,32 @@ def test_lower_bound_monotone_under_extensions():
             if validate_predecoration(child):
                 continue
             assert rate_bounds_of(child)[0] >= p.lo
+
+
+def test_extension_steps_are_exact():
+    # the step extension_sites reports is the exact change of the lower
+    # rate bound for every valid child, so generate may screen on it
+    from lspgen.extensions import extension_sites
+    from lspgen.predecorations import rate_bounds_of
+    seen = []
+    generate(GenerationTask(1, 14, 1), visitor=seen.append)
+    checked = set()
+    for p in seen:
+        for num, step, apply_ext in extension_sites(p.g, p.walk):
+            result = apply_ext()
+            if result is None or validate_predecoration(result[0]):
+                continue
+            assert rate_bounds_of(result[0])[0] == p.lo + step, num
+            checked.add(num)
+    assert checked == set(range(1, 11))
+
+
+def test_funnel_counters():
+    stats = generate(GenerationTask(1, 14, 1))
+    assert stats.visited == 165
+    assert stats.built <= 3000       # 16,598 before the rate screen
+    assert stats.screened > 0
+    # every built child ends in exactly one funnel stage; the two bases
+    # are visited without being built
+    assert stats.built == (stats.invalid + stats.rejected
+                           + stats.duplicates + stats.visited - 2)

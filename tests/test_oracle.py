@@ -48,7 +48,8 @@ def without_extension_2(monkeypatch):
     original = extensions.extension_sites
 
     def crippled(g, walk):
-        return [(num, fn) for num, fn in original(g, walk) if num != 2]
+        return [(num, step, fn) for num, step, fn in original(g, walk)
+                if num != 2]
 
     monkeypatch.setattr(genmod, "extension_sites", crippled)
 
