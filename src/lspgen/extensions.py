@@ -302,142 +302,189 @@ def extension_sites(g: PlaneGraph, walk: tuple[int, ...]
 
 
 # -- reductions -------------------------------------------------------------
+# One finder per reduction number.  A finder takes g and its vertex
+# degrees and returns every site of its number, in edge or face order,
+# as (site darts, application data); the data is what apply_reduction
+# needs to rebuild the parent.
 
 Site = tuple[int, ...]
+Entry = tuple[Site, tuple]
 
 
 def _quad_faces(g: PlaneGraph) -> list[tuple[int, ...]]:
     return [darts for f, darts in enumerate(g.faces) if f != g.outer]
 
 
-def scan_reductions(g: PlaneGraph) -> dict[int, list[tuple[Site, tuple]]]:
-    """All structurally applicable reduction sites, keyed by number.
+def _site(darts) -> Site:
+    """The darts and their reverses, sorted."""
+    return tuple(sorted({t for d in darts for t in (d, d ^ 1)}))
 
-    Each entry is (site darts, application data); the data is what
-    apply_reduction needs to rebuild the parent.
-    """
-    deg = [g.degree(v) for v in range(g.n)]
-    out: dict[int, list[tuple[Site, tuple]]] = {}
 
-    def add(num: int, site: Site, data: tuple) -> None:
-        out.setdefault(num, []).append((site, data))
-
-    # 1: contract an outer bridge with both endpoints of degree >= 2
-    for e in range(g.ne):
-        d = 2 * e
+def _reduction1(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+    """Contract an outer bridge with both endpoints of degree >= 2."""
+    out = []
+    for d in range(0, 2 * g.ne, 2):
         if (g.face_of[d] == g.outer and g.face_of[d ^ 1] == g.outer
                 and deg[g.org[d]] >= 2 and deg[g.org[d ^ 1]] >= 2):
-            add(1, (d, d ^ 1), (d,))
+            out.append(((d, d ^ 1), (d,)))
+    return out
 
-    # 2: delete a pendant vertex whose neighbor keeps a neighbor
-    for e in range(g.ne):
-        d = 2 * e
+
+def _reduction2(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+    """Delete a pendant vertex whose neighbor keeps a neighbor."""
+    out = []
+    for d in range(0, 2 * g.ne, 2):
         for x in (d, d ^ 1):
             if deg[g.org[x ^ 1]] == 1 and deg[g.org[x]] >= 2:
-                add(2, (d, d ^ 1), (x,))
+                out.append(((d, d ^ 1), (x,)))
+    return out
 
-    quads = _quad_faces(g)
 
-    # 3: quad with a degree-2 diagonal, other diagonal >= 3 and non-adjacent
-    for q in quads:
+def _reduction3(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+    """Quad with a degree-2 diagonal, other diagonal >= 3 and
+    non-adjacent."""
+    out = []
+    for q in _quad_faces(g):
         for k in range(2):
             x, y = g.org[q[k]], g.org[q[k + 2]]
             v1, v2 = g.org[q[k + 1]], g.org[q[(k + 3) % 4]]
             if (deg[x] == 2 and deg[y] == 2 and deg[v1] >= 3 and deg[v2] >= 3
                     and not g.has_edge(v1, v2)):
-                site = tuple(sorted(t for d in q for t in (d, d ^ 1)))
-                add(3, site, (q, k))
+                out.append((_site(q), (q, k)))
+    return out
 
-    # 4: quad over a direct edge whose far side is outer
-    for q in quads:
+
+def _reduction4(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+    """Quad over a direct edge whose far side is outer."""
+    out = []
+    for q in _quad_faces(g):
         for k in range(4):
             v2, v1 = g.org[q[k]], g.org[q[(k + 1) % 4]]
             x, y = g.org[q[(k + 2) % 4]], g.org[q[(k + 3) % 4]]
             if (g.face_of[q[k] ^ 1] == g.outer and deg[x] == 2 and deg[y] == 2
                     and deg[v1] >= 3 and deg[v2] >= 3):
-                site = tuple(sorted(t for d in q for t in (d, d ^ 1)))
-                add(4, site, (q, k))
+                out.append((_site(q), (q, k)))
+    return out
 
-    # 5: quad with three degree-2 corners hanging at one vertex
-    for q in quads:
+
+def _reduction5(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+    """Quad with three degree-2 corners hanging at one vertex."""
+    out = []
+    for q in _quad_faces(g):
         for k in range(4):
             v = g.org[q[k]]
             others = [g.org[q[(k + j) % 4]] for j in (1, 2, 3)]
             if deg[v] >= 3 and all(deg[o] == 2 for o in others):
-                site = tuple(sorted(t for d in q for t in (d, d ^ 1)))
-                add(5, site, (q, k))
-
-    # 6 and 7: double-quad bundles over an inner edge
-    for e in range(g.ne):
-        d = 2 * e
-        f1, f2 = g.face_of[d], g.face_of[d ^ 1]
-        if f1 == g.outer or f2 == g.outer or f1 == f2:
-            continue
-        for dq in (d, d ^ 1):
-            # 6: dq = v -> w with w of degree 3 shared by both quads
-            v, w = g.org[dq], g.org[dq ^ 1]
-            wv = dq ^ 1
-            q2 = g.faces[g.face_of[dq]]       # walk (v,w,d2,c2)
-            q1 = g.faces[g.face_of[wv]]       # walk (w,v,a,b)
-            if deg[w] == 3 and deg[v] >= 4:
-                i1 = q1.index(wv)
-                a, b = g.org[q1[(i1 + 2) % 4]], g.org[q1[(i1 + 3) % 4]]
-                i2 = q2.index(dq)
-                d2, c2 = g.org[q2[(i2 + 2) % 4]], g.org[q2[(i2 + 3) % 4]]
-                if (all(deg[z] == 2 for z in (a, b, c2, d2))
-                        and len({v, w, a, b, c2, d2}) == 6):
-                    darts = set()
-                    for dz in q1 + q2:
-                        darts.add(dz)
-                        darts.add(dz ^ 1)
-                    add(6, tuple(sorted(darts)), (dq,))
-            # 7: dq = q -> r shared by the strip quads
-            qv_, rv = g.org[dq], g.org[dq ^ 1]
-            if deg[qv_] == 3 and deg[rv] == 3:
-                quad2 = g.faces[g.face_of[dq]]     # (q,r,t,s)
-                quad1 = g.faces[g.face_of[dq ^ 1]]  # (r,q,v,p1)
-                i2 = quad2.index(dq)
-                t, sv = g.org[quad2[(i2 + 2) % 4]], g.org[quad2[(i2 + 3) % 4]]
-                i1 = quad1.index(dq ^ 1)
-                v7, p1 = g.org[quad1[(i1 + 2) % 4]], g.org[quad1[(i1 + 3) % 4]]
-                if (deg[t] == 2 and deg[sv] == 2 and deg[p1] == 2
-                        and deg[v7] >= 3
-                        and len({v7, p1, qv_, rv, t, sv}) == 6):
-                    darts = set()
-                    for dz in quad1 + quad2:
-                        darts.add(dz)
-                        darts.add(dz ^ 1)
-                    add(7, tuple(sorted(darts)), (dq,))
-
-    # 8: remove an adjacent degree-2 pair from a quad
-    if g.n >= 5:
-        for q in quads:
-            for k in range(4):
-                a, b = g.org[q[(k + 1) % 4]], g.org[q[(k + 2) % 4]]
-                if deg[a] == 2 and deg[b] == 2:
-                    site = tuple(sorted(
-                        t for d in (q[k], q[(k + 1) % 4], q[(k + 2) % 4])
-                        for t in (d, d ^ 1)))
-                    add(8, site, (q, k))
-
-    # 9: remove a degree-2 corner of a quad
-    if g.n >= 5:
-        for q in quads:
-            for k in range(4):
-                x = g.org[q[k]]
-                if deg[x] == 2:
-                    site = tuple(sorted(
-                        t for d in g.darts_at(x) for t in (d, d ^ 1)))
-                    add(9, site, (q, k))
-
-    # 10: remove a quad edge whose far side is outer
-    if g.n >= 5:
-        for q in quads:
-            for k in range(4):
-                if g.face_of[q[k] ^ 1] == g.outer:
-                    add(10, (min(q[k], q[k] ^ 1), max(q[k], q[k] ^ 1)),
-                        (q[k],))
+                out.append((_site(q), (q, k)))
     return out
+
+
+def _inner_darts(g: PlaneGraph) -> list[int]:
+    """Both darts of each edge between two distinct inner faces, in edge
+    order."""
+    out = []
+    for d in range(0, 2 * g.ne, 2):
+        f1, f2 = g.face_of[d], g.face_of[d ^ 1]
+        if f1 != g.outer and f2 != g.outer and f1 != f2:
+            out += (d, d ^ 1)
+    return out
+
+
+def _reduction6(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+    """Double-quad bundle: dq = v -> w with w of degree 3 shared by both
+    quads."""
+    out = []
+    for dq in _inner_darts(g):
+        v, w = g.org[dq], g.org[dq ^ 1]
+        if deg[w] != 3 or deg[v] < 4:
+            continue
+        q2 = g.faces[g.face_of[dq]]       # walk (v,w,d2,c2)
+        q1 = g.faces[g.face_of[dq ^ 1]]   # walk (w,v,a,b)
+        i1 = q1.index(dq ^ 1)
+        a, b = g.org[q1[(i1 + 2) % 4]], g.org[q1[(i1 + 3) % 4]]
+        i2 = q2.index(dq)
+        d2, c2 = g.org[q2[(i2 + 2) % 4]], g.org[q2[(i2 + 3) % 4]]
+        if (all(deg[z] == 2 for z in (a, b, c2, d2))
+                and len({v, w, a, b, c2, d2}) == 6):
+            out.append((_site(q1 + q2), (dq,)))
+    return out
+
+
+def _reduction7(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+    """Quad strip: dq = q -> r shared by the strip quads."""
+    out = []
+    for dq in _inner_darts(g):
+        qv_, rv = g.org[dq], g.org[dq ^ 1]
+        if deg[qv_] != 3 or deg[rv] != 3:
+            continue
+        quad2 = g.faces[g.face_of[dq]]     # (q,r,t,s)
+        quad1 = g.faces[g.face_of[dq ^ 1]]  # (r,q,v,p1)
+        i2 = quad2.index(dq)
+        t, sv = g.org[quad2[(i2 + 2) % 4]], g.org[quad2[(i2 + 3) % 4]]
+        i1 = quad1.index(dq ^ 1)
+        v7, p1 = g.org[quad1[(i1 + 2) % 4]], g.org[quad1[(i1 + 3) % 4]]
+        if (deg[t] == 2 and deg[sv] == 2 and deg[p1] == 2 and deg[v7] >= 3
+                and len({v7, p1, qv_, rv, t, sv}) == 6):
+            out.append((_site(quad1 + quad2), (dq,)))
+    return out
+
+
+def _reduction8(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+    """Remove an adjacent degree-2 pair from a quad."""
+    if g.n < 5:
+        return []
+    out = []
+    for q in _quad_faces(g):
+        for k in range(4):
+            a, b = g.org[q[(k + 1) % 4]], g.org[q[(k + 2) % 4]]
+            if deg[a] == 2 and deg[b] == 2:
+                site = _site((q[k], q[(k + 1) % 4], q[(k + 2) % 4]))
+                out.append((site, (q, k)))
+    return out
+
+
+def _reduction9(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+    """Remove a degree-2 corner of a quad."""
+    if g.n < 5:
+        return []
+    out = []
+    for q in _quad_faces(g):
+        for k in range(4):
+            x = g.org[q[k]]
+            if deg[x] == 2:
+                out.append((_site(g.darts_at(x)), (q, k)))
+    return out
+
+
+def _reduction10(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+    """Remove a quad edge whose far side is outer."""
+    if g.n < 5:
+        return []
+    return [((min(d, d ^ 1), max(d, d ^ 1)), (d,))
+            for q in _quad_faces(g) for d in q
+            if g.face_of[d ^ 1] == g.outer]
+
+
+# REDUCTIONS[num - 1] finds the sites of reduction num
+REDUCTIONS = (_reduction1, _reduction2, _reduction3, _reduction4,
+              _reduction5, _reduction6, _reduction7, _reduction8,
+              _reduction9, _reduction10)
+
+
+def scan_reductions(g: PlaneGraph) -> Optional[tuple[int, list[Entry]]]:
+    """The smallest applicable reduction number and all its sites, or
+    None when g has no reduction (the two bases).
+
+    The numbers are tried in increasing order, and the scan stops at the
+    first that has a site.  Numbers 1 and 2 take one pass over the
+    edges, and they end most scans of rejected children.
+    """
+    deg = [g.degree(v) for v in range(g.n)]
+    for num, find in enumerate(REDUCTIONS, 1):
+        sites = find(g, deg)
+        if sites:
+            return num, sites
+    return None
 
 
 def apply_reduction(g: PlaneGraph, num: int, data: tuple) -> PlaneGraph:

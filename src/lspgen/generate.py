@@ -7,10 +7,21 @@ canonically relabeled dart tuple is minimal.  Together with one child per
 isomorphism class per (parent, extension) batch this visits every
 predecoration exactly once up to isomorphism.
 
-Rate-bound pruning follows the two bounds: a child whose lower bound
-exceeds the target is never built (each extension moves the bound by an
-exact step, see `extensions`), and completion is skipped (but extension
-continues) while the upper bound is below the target.
+Each extension site passes the checks cheapest first, and the first
+that fails ends its way:
+  1. screened: the child's lower rate bound would exceed the target
+     (each extension moves the bound by an exact step, see `extensions`),
+     so the child is never built;
+  2. rejected: the child's smallest reduction number is not the applied
+     extension (`scan_reductions` stops at that number, mostly after one
+     pass over the edges);
+  3. invalid: the child is not a predecoration (`validate_predecoration`);
+  4. rejected: the applied site is not the canonical one among the sites
+     of that number (the only check that takes a canonical code);
+  5. duplicate: an isomorphic child came from the same extension of the
+     same parent.
+Completion is skipped (but extension continues) while the upper bound is
+below the target.
 """
 
 from __future__ import annotations
@@ -48,7 +59,10 @@ class GenerationTask:
 
 @dataclass
 class GenerationStats:
-    """Funnel: built = invalid + rejected + duplicates + visited - bases."""
+    """The funnel of the module docstring, in its order: screened sites
+    are never built, and each built child ends in exactly one of the
+    later stages or is visited, so
+    built = rejected + invalid + duplicates + visited - 2 (the bases)."""
     visited: int = 0
     screened: int = 0
     built: int = 0
@@ -72,31 +86,42 @@ def _site_keys(g: PlaneGraph, sites: list[tuple[int, ...]],
 
 
 def is_canonical_child(child: PlaneGraph, ext_num: int,
-                       inv_site: tuple[int, ...]
+                       inv_site: tuple[int, ...], stats: GenerationStats
                        ) -> Optional[tuple[int, ...]]:
-    """Canonical-construction-path acceptance test.
+    """Canonical-construction-path acceptance test, cheapest check first.
 
-    Returns the child's canonical code when the applied extension is the
-    inverse of the child's canonical reduction, else None.
+    Returns the child's canonical code when the child is a predecoration
+    and the applied extension ext_num, at inv_site, inverts the child's
+    canonical reduction; else None, counting the check that failed in
+    stats.rejected or stats.invalid (stages 2-4 of the module docstring).
     """
-    reductions = scan_reductions(child)
-    if not reductions or min(reductions) != ext_num:
+    # Extensions add only quadrangles to a predecoration, so every inner
+    # face of a built child is a quadrangle: the reduction scan is safe
+    # before the child is validated.
+    found = scan_reductions(child)
+    if found is None or found[0] != ext_num:
+        stats.rejected += 1
+        return None
+    if validate_predecoration(child):
+        stats.invalid += 1
         return None
     code, labelings = canonical_data(child, "full")
-    sites = [inv_site] + [site for site, _ in reductions[ext_num]]
+    sites = [inv_site] + [site for site, _ in found[1]]
     keys = _site_keys(child, sites, labelings)
-    return code if keys[0] == min(keys[1:]) else None
+    if keys[0] != min(keys[1:]):
+        stats.rejected += 1
+        return None
+    return code
 
 
 def canonical_parent(p: Predecoration
                      ) -> tuple[Predecoration, int, tuple[int, ...]]:
     """The canonical parent, reduction number, and canonical site key."""
-    reductions = scan_reductions(p.g)
-    if not reductions:
+    found = scan_reductions(p.g)
+    if found is None:
         raise ValueError("base predecoration has no parent")
-    num = min(reductions)
+    num, entries = found
     _, labelings = canonical_data(p.g, "full")
-    entries = reductions[num]
     keys = _site_keys(p.g, [site for site, _ in entries], labelings)
     best = min(range(len(keys)), key=keys.__getitem__)
     parent = apply_reduction(p.g, num, entries[best][1])
@@ -133,12 +158,8 @@ def generate(task: GenerationTask,
                 continue
             stats.built += 1
             child_g, inv_site = result
-            if validate_predecoration(child_g):
-                stats.invalid += 1
-                continue
-            code = is_canonical_child(child_g, num, inv_site)
+            code = is_canonical_child(child_g, num, inv_site, stats)
             if code is None:
-                stats.rejected += 1
                 continue
             seen = batches.setdefault(num, set())
             if code in seen:

@@ -13,15 +13,17 @@ from .maps import (PlaneGraph, automorphisms_flagged, build_from_rotations,
 
 
 class Predecoration:
-    """A validated predecoration with cached derived data."""
+    """A predecoration with cached derived data.
+
+    The constructor does not check g: callers pass a graph that
+    `validate_predecoration` accepts (`generate` checks each child once,
+    before it is built into one of these).
+    """
 
     __slots__ = ("g", "nA", "nB", "nC", "quad_count", "lo", "hi", "walk",
                  "_automorphisms")
 
     def __init__(self, g: PlaneGraph):
-        problems = validate_predecoration(g)
-        if problems:
-            raise ValueError("; ".join(problems))
         self.g = g
         self.walk = outer_walk(g)
         self.nA, self.nB, self.nC = counters(g)

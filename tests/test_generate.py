@@ -1,10 +1,19 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from lspgen.extensions import scan_reductions
-from lspgen.generate import (GenerationTask, base_c4, base_k2,
-                             canonical_parent, generate)
-from lspgen.maps import build_from_rotations, canonical_code
+from lspgen.extensions import REDUCTIONS, extension_sites, scan_reductions
+from lspgen.generate import (GenerationStats, GenerationTask, _site_keys,
+                             base_c4, base_k2, canonical_parent, generate,
+                             is_canonical_child)
+from lspgen.maps import build_from_rotations, canonical_code, canonical_data
 from lspgen.predecorations import Predecoration, validate_predecoration
+
+DIGESTS = dict(
+    reversed(line.split())
+    for line in (Path(__file__).parent / "data" / "golden.sha256")
+    .read_text().splitlines())
 
 
 def _pre(rot):
@@ -13,9 +22,16 @@ def _pre(rot):
     return Predecoration(g.with_outer(face))
 
 
+def all_reductions(g):
+    """Every reduction number of g with its sites, from every finder."""
+    deg = [g.degree(v) for v in range(g.n)]
+    found = {num: find(g, deg) for num, find in enumerate(REDUCTIONS, 1)}
+    return {num: sites for num, sites in found.items() if sites}
+
+
 def applicable_reductions(g):
     """All (reduction number, site) pairs; errors on the base graphs."""
-    sites = scan_reductions(g)
+    sites = all_reductions(g)
     if not sites:
         raise ValueError("base predecoration has no reduction")
     return [(num, site) for num in sorted(sites)
@@ -23,8 +39,8 @@ def applicable_reductions(g):
 
 
 def test_bases_have_no_reduction():
-    assert scan_reductions(base_k2().g) == {}
-    assert scan_reductions(base_c4().g) == {}
+    assert scan_reductions(base_k2().g) is None
+    assert scan_reductions(base_c4().g) is None
     with pytest.raises(ValueError):
         applicable_reductions(base_k2().g)
 
@@ -108,7 +124,6 @@ def test_rate_bound_pruning_consistency():
 
 
 def test_lower_bound_monotone_under_extensions():
-    from lspgen.extensions import extension_sites
     from lspgen.predecorations import rate_bounds_of
     seen = []
     generate(GenerationTask(1, 8, 1), visitor=seen.append)
@@ -126,7 +141,6 @@ def test_lower_bound_monotone_under_extensions():
 def test_extension_steps_are_exact():
     # the step extension_sites reports is the exact change of the lower
     # rate bound for every valid child, so generate may screen on it
-    from lspgen.extensions import extension_sites
     from lspgen.predecorations import rate_bounds_of
     seen = []
     generate(GenerationTask(1, 14, 1), visitor=seen.append)
@@ -150,3 +164,63 @@ def test_funnel_counters():
     # are visited without being built
     assert stats.built == (stats.invalid + stats.rejected
                            + stats.duplicates + stats.visited - 2)
+
+
+def _reference_decision(child, ext_num, inv_site):
+    """The canonical-child test with every stage run: all reductions,
+    then the validator, then the site keys."""
+    sites = all_reductions(child)
+    problems = validate_predecoration(child)
+    if problems or not sites or min(sites) != ext_num:
+        return None
+    code, labelings = canonical_data(child, "full")
+    keys = _site_keys(child, [inv_site] + [s for s, _ in sites[ext_num]],
+                      labelings)
+    return code if keys[0] == min(keys[1:]) else None
+
+
+def test_staged_canonical_child_test_equals_full_reference():
+    # every child generate builds up to rate 14, through the staged test
+    # (which stops the scan at the first number with a site) and through
+    # a reference that runs every stage
+    seen = []
+    generate(GenerationTask(1, 14, 1), visitor=seen.append)
+    children = accepted = 0
+    for p in seen:
+        for num, step, apply_ext in extension_sites(p.g, p.walk):
+            result = apply_ext() if p.lo + step <= 14 else None
+            if result is None:
+                continue
+            child, inv_site = result
+            children += 1
+            # the reduction scan runs before validation, which is safe
+            # because every inner face of a built child is a quadrangle
+            assert all(len(f) == 4 for i, f in enumerate(child.faces)
+                       if i != child.outer)
+            staged = is_canonical_child(child, num, inv_site,
+                                        GenerationStats())
+            assert staged == _reference_decision(child, num, inv_site)
+            accepted += staged is not None
+            if validate_predecoration(child):
+                continue
+            sites = all_reductions(child)
+            ref_num = min(sites)
+            _, labelings = canonical_data(child, "full")
+            ref_key = min(_site_keys(child, [s for s, _ in sites[ref_num]],
+                                     labelings))
+            _, got_num, got_key = canonical_parent(Predecoration(child))
+            assert (got_num, got_key) == (ref_num, ref_key)
+    assert children == 2498
+    assert accepted == 165 - 2 + 89     # visited less bases, plus duplicates
+
+
+def test_visit_sequence_matches_digest():
+    # each visited graph as generated, in visit order; recorded before
+    # the canonical-child test was staged
+    h = hashlib.sha256()
+
+    def visit(p):
+        h.update((repr((p.g.org, p.g.nxt, p.g.outer)) + "\n").encode())
+
+    generate(GenerationTask(1, 14, 1), visitor=visit)
+    assert h.hexdigest() == DIGESTS["visits_r14"]
