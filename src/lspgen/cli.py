@@ -2,6 +2,7 @@
 
     lspgen generate --rate 5 -k 3 --count
     lspgen generate --rate 1-6 --format deco --sorted
+    lspgen generate --rate 1-14 -k 2 --count --stats
     lspgen apply --op ambo --seed cube > cuboctahedron.pc
     lspgen verify --rate 6 -k 2
 
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import itertools
+import json
 import sys
 from typing import Optional
 
@@ -22,7 +25,7 @@ from .decorations import (decoration_identity, read_deco, type1_subgraph,
                           write_deco)
 from .maps import canonical_code, read_planar_code, write_planar_code
 from .oracle import cross_check
-from .pipeline import run_pipeline
+from .pipeline import PipelineResult, run_pipeline
 from .predecorations import normalized_for_export
 
 
@@ -35,6 +38,14 @@ def _parse_rate(text: str) -> tuple[int, int]:
 
 
 def cmd_generate(args) -> int:
+    result = _generate(args)
+    if args.stats:
+        print(json.dumps(dataclasses.asdict(result)), file=sys.stderr)
+    return 0
+
+
+def _generate(args) -> PipelineResult:
+    """Writes what `lspgen generate` asks for to stdout."""
     rmin, rmax = args.rate
     if args.count:
         result = run_pipeline(rmin, rmax, args.k)
@@ -42,7 +53,7 @@ def cmd_generate(args) -> int:
                   else result.decorations)
         for r in range(rmin, rmax + 1):
             print(f"{r} {args.k} {source[r]}")
-        return 0
+        return result
     if args.predecorations:
         seen = {}
 
@@ -50,11 +61,11 @@ def cmd_generate(args) -> int:
             p, _ = type1_subgraph(d)
             seen.setdefault(canonical_code(p.g, "oriented"), (d.rate(), p))
 
-        run_pipeline(rmin, rmax, args.k, on_decoration=keep)
+        result = run_pipeline(rmin, rmax, args.k, on_decoration=keep)
         records = sorted(seen.items()) if args.sorted else list(seen.items())
         graphs = [normalized_for_export(p) for _, (_, p) in records]
         sys.stdout.buffer.write(write_planar_code(graphs))
-        return 0
+        return result
     # records are written as they arrive unless they must be sorted first
     sink = []
     sidecar = args.sidecar if args.format == "pc" else None
@@ -75,12 +86,13 @@ def cmd_generate(args) -> int:
                 side.write(f"{next(index)} corners {v0} {v1} {v2} "
                            f"types {vt}\n")
 
-        run_pipeline(rmin, rmax, args.k,
-                     on_decoration=sink.append if args.sorted else write)
+        result = run_pipeline(
+            rmin, rmax, args.k,
+            on_decoration=sink.append if args.sorted else write)
         sink.sort(key=lambda d: (d.rate(), decoration_identity(d)))
         for d in sink:
             write(d)
-    return 0
+    return result
 
 
 def _load_seed(args):
@@ -146,6 +158,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--format", choices=("deco", "pc"), default="deco")
     g.add_argument("--sidecar", metavar="FILE",
                    help="with --format pc: write types and corners here")
+    g.add_argument("--stats", action="store_true",
+                   help="write the counts and the generation funnel to "
+                        "stderr as one JSON line")
     g.set_defaults(func=cmd_generate)
 
     a = sub.add_parser("apply", help="apply an operation to a seed graph")

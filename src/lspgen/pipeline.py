@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 from .complete import complete, is_chiral
 from .decorations import Decoration
-from .generate import GenerationTask, generate
+from .generate import GenerationStats, GenerationTask, generate
 from .predecorations import Predecoration
 
 
@@ -21,7 +21,7 @@ class PipelineResult:
     task: GenerationTask
     decorations: dict[int, int] = field(default_factory=dict)
     predecorations: dict[int, int] = field(default_factory=dict)
-    visited: int = 0
+    stats: GenerationStats = field(default_factory=GenerationStats)
 
 
 def run_pipeline(rate_min: int, rate_max: int, k: int = 1,
@@ -53,5 +53,5 @@ def run_pipeline(rate_min: int, rate_max: int, k: int = 1,
         for r in rates:
             result.predecorations[r] += weight
 
-    result.visited = generate(task, visitor=visit).visited
+    result.stats = generate(task, visitor=visit)
     return result

@@ -1,10 +1,12 @@
 import io
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 from lspgen.cli import main
+from lspgen.generate import GenerationTask, generate
 from lspgen.maps import canonical_code, read_planar_code
 
 
@@ -163,3 +165,32 @@ def test_unsorted_records_are_written_as_they_arrive(tmp_path, monkeypatch):
                      "--sidecar", str(tmp_path / "side")]) == 0
         # every record is out before the next one arrives
         assert len(sizes) == 14 and sizes == sorted(set(sizes))
+
+
+def test_stats_line_on_stderr_leaves_stdout_alone(capsys):
+    funnel = vars(generate(GenerationTask(1, 8, 1)))
+    for argv in (["generate", "--rate", "1-8", "--count"],
+                 ["generate", "--rate", "1-8", "--predecorations",
+                  "--count"],
+                 ["generate", "--rate", "1-6", "--format", "deco"]):
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(argv + ["--stats"]) == 0
+        traced = capsys.readouterr()
+        assert traced.out == plain.out and plain.err == ""
+        (line,) = traced.err.splitlines()
+        result = json.loads(line)
+        rmax = int(argv[2][-1])
+        assert result["task"] == {"rate_min": 1, "rate_max": rmax, "k": 1}
+        if "--count" in argv:
+            column = ("predecorations" if "--predecorations" in argv
+                      else "decorations")
+            counts = [ln.split()[2] for ln in plain.out.splitlines()]
+            assert [str(result[column][str(r)])
+                    for r in range(1, rmax + 1)] == counts
+        else:
+            records = sum(ln.startswith("deco ")
+                          for ln in plain.out.splitlines())
+            assert sum(result["decorations"].values()) == records > 0
+        if rmax == 8:
+            assert result["stats"] == funnel

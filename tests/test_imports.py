@@ -3,6 +3,8 @@ cycle among the modules of the package.  Imports inside functions count
 as edges too, so a cycle cannot hide behind a lazy import."""
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -120,3 +122,16 @@ def test_every_definition_is_used_outside_tests():
                     and named[node.name] == _names(node).count(node.name)):
                 unused.add(f"{name}.{node.name}")
     assert not sorted(unused)
+
+
+def test_traced_sites_resolve():
+    # `perfbench/run.py --trace 1` wraps each (module, attribute) of
+    # SITES in perfbench/spans.py; a renamed function would break it
+    path = PACKAGE.parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"lspgen.{mod}.{attr}" for mod, attr, *_ in spans.SITES
+               if not callable(getattr(importlib.import_module(
+                   f"lspgen.{mod}"), attr, None))]
+    assert spans.SITES and not missing
