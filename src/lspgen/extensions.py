@@ -22,7 +22,17 @@ the sorted tuple of the darts it removes; sites are compared between
 graphs through canonical labelings.  The degree and occupancy conditions
 mirror the extension pictures exactly: splits need both arcs non-empty,
 attachments need the host vertex to keep a neighbor after reduction, and
-closures need at least one vertex outside the affected quadrangle.
+closures need at least one vertex outside the affected quadrangle.  Each
+pattern is matched in both handednesses (extension 7 builds its strip in
+both), so a graph and its mirror image have as many sites of each
+number; canonical codes count reflections as isomorphisms, so the
+canonical reduction must not depend on the handedness.
+
+`scan_reductions` tries the numbers in increasing order and stops at the
+first that has a site, since only the smallest number takes part in the
+canonical-child test.  Numbers 1 and 2 need one pass over the edges and
+end most scans; the quadrangle patterns 3-10 are searched only when no
+smaller number applies.
 
 Each extension moves the lower rate bound lo = 4*quads + 2*(len(walk) -
 #outer vertices) of `rate_bounds_of` by a step read off the parent's
@@ -411,21 +421,28 @@ def _reduction6(g: PlaneGraph, deg: list[int]) -> list[Entry]:
 
 
 def _reduction7(g: PlaneGraph, deg: list[int]) -> list[Entry]:
-    """Quad strip: dq = q -> r shared by the strip quads."""
+    """Quad strip: quad1 = (r,q,v,p1) hangs at v, and quad2 = (q,r,t,s)
+    shares the edge dq = q -> r of two degree-3 vertices.  Extension 7
+    builds the strip in both handednesses, so both are matched: quad1
+    lies right of dq, or left of it in the mirror image (flip)."""
     out = []
     for dq in _inner_darts(g):
         qv_, rv = g.org[dq], g.org[dq ^ 1]
         if deg[qv_] != 3 or deg[rv] != 3:
             continue
-        quad2 = g.faces[g.face_of[dq]]     # (q,r,t,s)
-        quad1 = g.faces[g.face_of[dq ^ 1]]  # (r,q,v,p1)
-        i2 = quad2.index(dq)
-        t, sv = g.org[quad2[(i2 + 2) % 4]], g.org[quad2[(i2 + 3) % 4]]
-        i1 = quad1.index(dq ^ 1)
-        v7, p1 = g.org[quad1[(i1 + 2) % 4]], g.org[quad1[(i1 + 3) % 4]]
-        if (deg[t] == 2 and deg[sv] == 2 and deg[p1] == 2 and deg[v7] >= 3
-                and len({v7, p1, qv_, rv, t, sv}) == 6):
-            out.append((_site(quad1 + quad2), (dq,)))
+        for flip in (False, True):
+            d1, d2 = (dq, dq ^ 1) if flip else (dq ^ 1, dq)
+            quad1 = g.faces[g.face_of[d1]]
+            quad2 = g.faces[g.face_of[d2]]
+            i1, i2 = quad1.index(d1), quad2.index(d2)
+            t, sv = g.org[quad2[(i2 + 2) % 4]], g.org[quad2[(i2 + 3) % 4]]
+            v7, p1 = g.org[quad1[(i1 + 2) % 4]], g.org[quad1[(i1 + 3) % 4]]
+            if flip:
+                v7, p1 = p1, v7
+            if (deg[t] == 2 and deg[sv] == 2 and deg[p1] == 2
+                    and deg[v7] >= 3
+                    and len({v7, p1, qv_, rv, t, sv}) == 6):
+                out.append((_site(quad1 + quad2), (dq, flip)))
     return out
 
 
@@ -574,23 +591,20 @@ def apply_reduction(g: PlaneGraph, num: int, data: tuple) -> PlaneGraph:
         for dz in q1 + q2:
             removed_tokens.update((dz, dz ^ 1))
     elif num == 7:
-        (dq,) = data          # q -> r shared edge
-        quad2 = g.faces[g.face_of[dq]]       # (q,r,t,s)
-        quad1 = g.faces[g.face_of[dq ^ 1]]   # (r,q,v,p1)
-        i1 = quad1.index(dq ^ 1)
-        v7 = g.org[quad1[(i1 + 2) % 4]]
-        p1 = g.org[quad1[(i1 + 3) % 4]]
-        qv_ = g.org[dq]
-        rv = g.org[dq ^ 1]
-        i2 = quad2.index(dq)
-        t = g.org[quad2[(i2 + 2) % 4]]
-        sv = g.org[quad2[(i2 + 3) % 4]]
-        # quad1 walk = (r->q, q->v, v->p1, p1->r): v's darts are
-        # (v->p1) = quad1[i1+2] and (v->q) = reverse of (q->v)
-        n_p = quad1[(i1 + 2) % 4]
-        n_q = quad1[(i1 + 1) % 4] ^ 1
-        s.remove_tokens(v7, [n_p, n_q])
-        dead_vertices.extend((p1, rv, qv_, t, sv))
+        dq, flip = data       # q -> r shared edge, handedness
+        d1, d2 = (dq, dq ^ 1) if flip else (dq ^ 1, dq)
+        quad1 = g.faces[g.face_of[d1]]   # (r,q,v,p1), or (q,r,p1,v) if flip
+        quad2 = g.faces[g.face_of[d2]]   # (q,r,t,s), or (r,q,s,t) if flip
+        i1, i2 = quad1.index(d1), quad2.index(d2)
+        # v's darts: n_p = v -> p1 and n_q = v -> q
+        if flip:
+            n_p, n_q = quad1[(i1 + 2) % 4] ^ 1, quad1[(i1 + 3) % 4]
+        else:
+            n_p, n_q = quad1[(i1 + 2) % 4], quad1[(i1 + 1) % 4] ^ 1
+        s.remove_tokens(g.org[n_p], [n_p, n_q])
+        dead_vertices.extend((g.org[n_p ^ 1], g.org[dq], g.org[dq ^ 1],
+                              g.org[quad2[(i2 + 2) % 4]],
+                              g.org[quad2[(i2 + 3) % 4]]))
         for dz in quad1 + quad2:
             removed_tokens.update((dz, dz ^ 1))
     elif num == 8:

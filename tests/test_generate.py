@@ -7,7 +7,8 @@ from lspgen.extensions import REDUCTIONS, extension_sites, scan_reductions
 from lspgen.generate import (GenerationStats, GenerationTask, _site_keys,
                              base_c4, base_k2, canonical_parent, generate,
                              is_canonical_child)
-from lspgen.maps import build_from_rotations, canonical_code, canonical_data
+from lspgen.maps import (build_from_rotations, canonical_code, canonical_data,
+                         read_planar_code)
 from lspgen.predecorations import Predecoration, validate_predecoration
 
 DIGESTS = dict(
@@ -224,3 +225,38 @@ def test_visit_sequence_matches_digest():
 
     generate(GenerationTask(1, 14, 1), visitor=visit)
     assert h.hexdigest() == DIGESTS["visits_r14"]
+
+
+def _site_counts(g):
+    return {num: len(sites) for num, sites in all_reductions(g).items()}
+
+
+def test_reductions_are_mirror_equivariant():
+    # canonical codes count reflections as isomorphisms, so the canonical
+    # reduction must map to a reduction of the same number on the mirror
+    # image; reduction 7 once matched its strip in one handedness only
+    seen = []
+    generate(GenerationTask(1, 14, 1), visitor=seen.append)
+    strips = 0
+    for p in seen:
+        counts = _site_counts(p.g)
+        assert _site_counts(p.g.mirrored()) == counts
+        strips += counts.get(7, 0)
+    assert strips > 0
+
+
+def test_mirror_pair_at_rate_18_has_one_canonical_parent():
+    # this skeleton (rate bounds 18-28) was visited twice, once per mirror
+    # image, when its image showed reductions {8, 9, 10} and its mirror
+    # {7, 8, 9, 10}; saved with the outer face left of vertex 0's first dart
+    data = (Path(__file__).parent / "data" / "mirror_pair_r18.pc").read_bytes()
+    (g,) = read_planar_code(data)
+    p = Predecoration(g.with_outer(g.face_of[g.darts_at(0)[0]]))
+    q = Predecoration(p.g.mirrored())
+    assert (p.lo, p.hi) == (18, 28)
+    assert _site_counts(p.g) == _site_counts(q.g)
+    parent_p, num_p, key_p = canonical_parent(p)
+    parent_q, num_q, key_q = canonical_parent(q)
+    assert (num_p, key_p) == (num_q, key_q) and num_p == 7
+    assert canonical_code(parent_p.g, "full") \
+        == canonical_code(parent_q.g, "full")
