@@ -477,8 +477,7 @@ def _reduction10(g: PlaneGraph, deg: list[int]) -> list[Entry]:
     """Remove a quad edge whose far side is outer."""
     if g.n < 5:
         return []
-    return [((min(d, d ^ 1), max(d, d ^ 1)), (d,))
-            for q in _quad_faces(g) for d in q
+    return [(_site((d,)), (d,)) for q in _quad_faces(g) for d in q
             if g.face_of[d ^ 1] == g.outer]
 
 
