@@ -2,7 +2,7 @@
 operations on embedded graphs."""
 
 from .maps import (PlaneGraph, build_from_rotations, canonical_code,
-                   automorphism_orbits, read_planar_code, write_planar_code)
+                   read_planar_code, write_planar_code)
 from .chambers import apply_decoration
 from .decorations import (Decoration, connectivity_class, decoration_identity,
                           mirror, read_deco, swap02, type1_subgraph, validate,
@@ -15,7 +15,7 @@ from .pipeline import run_pipeline
 
 __all__ = [
     "PlaneGraph", "build_from_rotations", "canonical_code",
-    "automorphism_orbits", "read_planar_code", "write_planar_code",
+    "read_planar_code", "write_planar_code",
     "apply_decoration",
     "Decoration", "connectivity_class", "decoration_identity",
     "mirror", "read_deco", "swap02", "type1_subgraph", "validate",

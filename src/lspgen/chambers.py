@@ -5,7 +5,9 @@ subdivision, one per flag (dart, side): each has an original vertex
 (type 0), an edge midpoint (type 1) and a face center (type 2) as its
 corners.  Applying a decoration puts a copy of it into every chamber,
 mirrored in every other one, and identifies the copies along the sides
-that neighbouring chambers share (``_glue``).  The result is read off
+that neighbouring chambers share (``_glue``, in closed form: a pair of
+a chamber and a vertex on some sides is glued to the least chamber of
+its orbit under those sides' involutions).  The result is read off
 that gluing alone: its vertices are the glued type-0 classes, and each
 glued type-1 class joins the type-0 ends of its two type-2 edges into
 one edge (``_links``).  ``apply_decoration`` adds the rotations and
@@ -15,6 +17,7 @@ for the classifier.  Neither builds the decorated chamber system.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .maps import MapError, PlaneGraph
@@ -64,46 +67,60 @@ def _glue(g: PlaneGraph, d: Decoration
     on the decoration's outer walk, and the glued class of every
     (chamber, decoration vertex) pair, indexed ``chamber * d.g.n +
     vertex`` and named by its smallest pair.
+
+    The pair (ch, x) is glued across side k, to (``nbrs[ch][k]``, x),
+    exactly when x lies on side k.  So its class is named by the least
+    chamber of the orbit of ch under the involutions of the sides that
+    hold x: ch off the sides, the lesser of ch and its neighbour on one
+    side, the least chamber around a host vertex, edge midpoint or face
+    center at a corner.  The tables are kept per host and set of sides.
     """
+    nbrs, tables = _host(g)
+    n = d.g.n
+    cls = [0] * (len(nbrs) * n)
+    on = [set(path) for path in side_paths(d).values()]
+    for x in range(n):
+        ks = tuple(k for k in range(3) if x in on[k])
+        if ks not in tables:
+            tables[ks] = _least_in_orbit(nbrs, ks)
+        cls[x::n] = [ch * n + x for ch in tables[ks]]
+    # the outer walk is a cycle that the sides split at the corners, so
+    # each of its edges has both ends on exactly one side
+    walk, org = d.g.faces[d.g.outer], d.g.org
+    side_of_edge = {x >> 1: k for x in walk for k in range(3)
+                    if org[x] in on[k] and org[x ^ 1] in on[k]}
+    return nbrs, side_of_edge, cls
+
+
+@lru_cache(maxsize=2)
+def _host(g: PlaneGraph
+          ) -> tuple[list[tuple[int, int, int]], dict[tuple, list[int]]]:
+    """The neighbours of each chamber of g across sides 0, 1 and 2, and
+    its orbit tables as ``_glue`` fills them in.  The classifier glues
+    into one tetrahedron; a chain of applications returns to its host."""
     nbrs: list[tuple[int, int, int]] = []
     for dd in range(2 * g.ne):
         nbrs.append((2 * (dd ^ 1) + 1, 2 * g.nxt[dd] + 1, 2 * dd + 1))
         nbrs.append((2 * (dd ^ 1), 2 * g.prv[dd], 2 * dd))
-    sides = side_paths(d)
-    n = d.g.n
-    cls = list(range(len(nbrs) * n))
-
-    def find(x: int) -> int:
-        while cls[x] != x:
-            cls[x] = cls[cls[x]]
-            x = cls[x]
-        return x
-
-    for ch, row in enumerate(nbrs):
-        for k, other in enumerate(row):
-            if other > ch:
-                for x in sides[k]:
-                    a, b = find(ch * n + x), find(other * n + x)
-                    if a < b:
-                        cls[b] = a
-                    elif b < a:
-                        cls[a] = b
-    # every parent is smaller than its child, so one ascending pass
-    # points each pair at the smallest pair of its class
-    for x in range(len(cls)):
-        cls[x] = cls[cls[x]]
-    return nbrs, _side_edges(d, sides), cls
+    return nbrs, {}
 
 
-def _side_edges(d: Decoration, sides: dict[int, list[int]]
-                ) -> dict[int, int]:
-    """Decoration edge -> the side it lies on, for the edges of the outer
-    walk.  The outer walk is a cycle that the sides split at the corners,
-    so each of its edges has both ends on exactly one side."""
-    g = d.g
-    on = [set(sides[k]) for k in range(3)]
-    return {x >> 1: k for x in g.faces[g.outer] for k in range(3)
-            if g.org[x] in on[k] and g.org[x ^ 1] in on[k]}
+def _least_in_orbit(nbrs: list[tuple[int, int, int]], ks: tuple[int, ...]
+                    ) -> list[int]:
+    """Chamber -> the smallest chamber of its orbit under the involutions
+    ``ch -> nbrs[ch][k]`` for k in ks."""
+    least = [-1] * len(nbrs)
+    for ch in range(len(nbrs)):
+        if least[ch] < 0:
+            least[ch] = ch
+            stack = [ch]
+            while stack:
+                row = nbrs[stack.pop()]
+                for k in ks:
+                    if least[row[k]] < 0:
+                        least[row[k]] = ch
+                        stack.append(row[k])
+    return least
 
 
 def _links(g: PlaneGraph, d: Decoration):

@@ -48,6 +48,15 @@ regularly on the chambers, so any separating pair of the result is the
 image of one through a vertex of chamber 0.  Only those vertices (about
 4 of about 39 at rates up to 14) are removed when the scan looks for a
 separating pair.
+
+The 0 <-> 2 type flip ``decorations.swap02`` (the dual operation;
+Brinkmann, Goetschalckx & Schein, Proc. R. Soc. A 473 (2017) 20170267)
+keeps the class, and ``lspgen.complete`` classifies one decoration of
+each flipped pair.  The rules above read only the type-1 edges, the
+sides and whether v1 has type 1, which the flip keeps.  Applying
+``swap02(d)`` to the self-dual tetrahedron gives the dual of applying
+d, and duality keeps 2- and 3-connectedness of plane graphs.  Checked
+on all 3,160 decorations up to rate 14.
 """
 
 from __future__ import annotations
@@ -169,9 +178,5 @@ def tetrahedron_class(decoration) -> int:
     """The vertex connectivity, capped at 3, of the decoration applied to
     the tetrahedron."""
     adj, chamber0 = decorated_adjacency(_tetrahedron(), decoration)
-    # Each symmetry of the tetrahedron carries the decoration's copy in
-    # one chamber onto its copy in another, so it is an automorphism of
-    # the result, and some symmetry takes any chamber to chamber 0.  So
-    # every separating pair is the image of a pair through a vertex of
-    # chamber 0, and removing only those vertices is exact.
+    # removing only chamber 0's vertices is exact (module docstring)
     return min(3, vertex_connectivity_capped(adj, 3, chamber0))

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 # validate, decoration_identity: unused, kept for perfbench/spans.py
 from .decorations import (Decoration, connectivity_class, corner_pairs,
-                          decoration_identity, validate)
+                          decoration_identity, swap02, validate)
 from .maps import PlaneGraph, vertex_mapping
 from .predecorations import Predecoration, outer_vertex_occurrences
 from .surgery import Surgeon
@@ -252,19 +252,18 @@ class _Completer:
             # first host token of the last attachments (u -> new darts)
             outer_token = outer_candidates[-1]
         built, trans = s.freeze(outer_token)
-        vts = [tuple((self.col[v] ^ flip) * 2 if v < g.n else 1
-                     for v in range(built.n)) for flip in (False, True)]
-        # the 0 <-> 2 flip keeps the degrees and the type-1 vertices
-        pairs = corner_pairs(built, vts[0], v1_vertex)
-        for vt in vts:
-            et = tuple(3 - vt[a] - vt[b]
-                       for a, b in (built.edge_ends(e)
-                                    for e in range(built.ne)))
-            for v0, v2 in pairs:
-                d = Decoration(built, vt, et, (v0, v1_vertex, v2))
-                # every decoration has class >= 1: k=1 filters nothing
-                if self.k == 1 or connectivity_class(d) >= self.k:
-                    yield d
+        vt = tuple(self.col[v] * 2 if v < g.n else 1 for v in range(built.n))
+        et = tuple(3 - vt[a] - vt[b]
+                   for a, b in (built.edge_ends(e) for e in range(built.ne)))
+        firsts = [Decoration(built, vt, et, (v0, v1_vertex, v2))
+                  for v0, v2 in corner_pairs(built, vt, v1_vertex)]
+        if self.k > 1:
+            firsts = [d for d in firsts if connectivity_class(d) >= self.k]
+        yield from firsts
+        # The 0 <-> 2 flip keeps the degrees and the type-1 vertices, so
+        # the corner pairs; it is the dual operation, of the same class
+        # (see lspgen.classify), so one verdict serves both twins.
+        yield from map(swap02, firsts)
 
 
 def complete(p: Predecoration, k: int = 1, rmin: int = 1,

@@ -510,32 +510,6 @@ def vertex_mapping(g: PlaneGraph, perm: Sequence[int]) -> list[int]:
     return out
 
 
-def automorphism_orbits(g: PlaneGraph, mode: str = "full",
-                        vlab: Optional[Sequence[int]] = None,
-                        elab: Optional[Sequence[int]] = None,
-                        fixed: Optional[Iterable[int]] = None
-                        ) -> tuple[list[list[int]], int]:
-    """Orbits of the automorphism group on darts, plus the group order."""
-    perms = automorphisms(g, mode, vlab, elab, fixed)
-    parent = list(range(2 * g.ne))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in perms:
-        for d in range(2 * g.ne):
-            a, b = find(d), find(p[d])
-            if a != b:
-                parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for d in range(2 * g.ne):
-        groups.setdefault(find(d), []).append(d)
-    return list(groups.values()), len(perms)
-
-
 def random_relabeling(g: PlaneGraph, rng: random.Random) -> PlaneGraph:
     perm = list(range(g.n))
     rng.shuffle(perm)

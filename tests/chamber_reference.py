@@ -1,5 +1,7 @@
 """Independent references for the tests: chamber systems, the old route
-from a decoration to its result, and brute-force isomorphisms.
+from a decoration to its result (with the union-find gluing that
+``lspgen.chambers._glue`` replaced by orbit tables), brute-force
+isomorphisms, and the automorphism orbits of a map.
 
 ``lspgen.chambers.apply_decoration`` reads the result of an operation
 straight off the gluing of the chambers.  The reference here takes the
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from lspgen.maps import MapError, PlaneGraph
+from lspgen.maps import MapError, PlaneGraph, automorphisms
 
 
 class ChamberSystem:
@@ -458,3 +460,28 @@ def _try_map(a: PlaneGraph, b: PlaneGraph, d0: int, e0: int,
         # disconnected never happens (graphs are connected)
         return None
     return vmap
+
+
+def automorphism_orbits(g: PlaneGraph, mode: str = "full",
+                        fixed: Optional[list[int]] = None
+                        ) -> tuple[list[list[int]], int]:
+    """Orbits of the automorphism group (fixing the vertices in `fixed`)
+    on darts, plus the group order."""
+    perms = automorphisms(g, mode, fixed=fixed)
+    parent = list(range(2 * g.ne))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in perms:
+        for d in range(2 * g.ne):
+            a, b = find(d), find(p[d])
+            if a != b:
+                parent[a] = b
+    groups: dict[int, list[int]] = {}
+    for d in range(2 * g.ne):
+        groups.setdefault(find(d), []).append(d)
+    return list(groups.values()), len(perms)

@@ -11,14 +11,15 @@ from collections import Counter
 
 import pytest
 
+from chamber_reference import automorphism_orbits
 from lspgen.catalog import lookup, seed
 from lspgen.chambers import apply_decoration
 from lspgen.classify import connectivity_class_of
 from lspgen.complete import complete, is_chiral
 from lspgen.decorations import decoration_identity, type1_subgraph
 from lspgen.generate import GenerationTask, generate
-from lspgen.maps import (automorphism_orbits, build_from_rotations,
-                         canonical_code, vertex_connectivity_capped)
+from lspgen.maps import (build_from_rotations, canonical_code,
+                         vertex_connectivity_capped)
 from lspgen.oracle import bruteforce_decorations, decorations_brute
 from lspgen.predecorations import Predecoration
 
@@ -43,13 +44,15 @@ R_MAX = 14
 
 
 class _Run:
-    """One full pass: all decorations up to R_MAX with classifications."""
+    """One full pass: all decorations up to R_MAX with classifications.
+
+    ``codes`` maps the identity code of every decoration to its class."""
 
     def __init__(self, rmax):
         t0 = time.time()
         self.by_rate_k = {r: [0, 0, 0] for r in range(1, rmax + 1)}
         self.pre = {r: 0 for r in range(1, rmax + 1)}
-        self.codes = set()
+        self.codes = {}
         self.duplicates = 0
         self.sample = {r: [] for r in range(1, rmax + 1)}
 
@@ -67,7 +70,7 @@ class _Run:
                 code = decoration_identity(d)
                 if code in self.codes:
                     self.duplicates += 1
-                self.codes.add(code)
+                self.codes[code] = cls
                 if len(self.sample[r]) < 6:
                     self.sample[r].append(d)
 
@@ -102,26 +105,48 @@ def test_criterion1_runtime(full_run):
 
 
 def test_criterion1_matches_filtered_pipeline(full_run):
-    # the per-k tally equals a genuinely k-filtered run
+    # a k-filtered completion emits exactly the decorations of class >= k,
+    # each once; k=2 first filters something at rate 10
     for k in (2, 3):
-        counts = Counter()
-        generate(GenerationTask(1, 8, k),
+        codes = []
+        generate(GenerationTask(1, R_MAX, k),
                  visitor=lambda p: complete(
-                     p, k, 1, 8, lambda d: counts.update([d.rate()])))
-        for r in range(1, 9):
-            assert counts[r] == full_run.by_rate_k[r][k - 1]
+                     p, k, 1, R_MAX,
+                     lambda d: codes.append(decoration_identity(d))))
+        assert len(set(codes)) == len(codes), k
+        assert set(codes) == {c for c, cls in full_run.codes.items()
+                              if cls >= k}, k
 
 
-@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
-                    reason="set LSPGEN_STRETCH=1 for the rates 15-20 check")
-def test_criterion1_stretch():
-    t0 = time.time()
-    run = _Run(20)
-    for rate, expect in STRETCH_COUNTS.items():
-        got = tuple(run.by_rate_k[rate])
-        print(f"stretch: rate={rate}: {got} (expected {expect})")
-        assert got == expect
-    assert time.time() - t0 < 600
+stretch = pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                             reason="set LSPGEN_STRETCH=1 for rates 15-20")
+
+
+@pytest.fixture(scope="module")
+def stretch_run():
+    return _Run(20)
+
+
+@stretch
+@pytest.mark.parametrize("rate", sorted(STRETCH_COUNTS))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_criterion1_stretch_counts(stretch_run, rate, k):
+    got = stretch_run.by_rate_k[rate][k - 1]
+    expect = STRETCH_COUNTS[rate][k - 1]
+    print(f"stretch: rate={rate} k={k}: {got} (expected {expect}) "
+          f"{'PASS' if got == expect else 'FAIL'}")
+    assert got == expect
+
+
+@stretch
+def test_criterion1_stretch_runtime(stretch_run):
+    print(f"stretch runtime: {stretch_run.seconds:.1f}s (gate 600s)")
+    assert stretch_run.seconds < 600
+
+
+@stretch
+def test_criterion1_stretch_no_duplicates(stretch_run):
+    assert stretch_run.duplicates == 0
 
 
 # -- criterion 2: predecoration column ---------------------------------------

@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from chamber_reference import (barycentric_subdivision,
+from chamber_reference import _glue as union_find_glue
+from chamber_reference import (automorphism_orbits, barycentric_subdivision,
                                connectivity_of_chamber_system,
                                decorate_chambers, extract_original)
 from lspgen.catalog import OPERATION_NAMES, SEED_NAMES, lookup, seed
-from lspgen.chambers import apply_decoration
-from lspgen.maps import (MapError, PlaneGraph, automorphism_orbits,
-                         build_from_rotations, canonical_code,
-                         random_relabeling, vertex_connectivity_capped,
-                         write_planar_code)
+from lspgen.chambers import _glue, apply_decoration
+from lspgen.maps import (MapError, PlaneGraph, build_from_rotations,
+                         canonical_code, random_relabeling,
+                         vertex_connectivity_capped, write_planar_code)
 from lspgen.pipeline import run_pipeline
 
 # theta graph embedded on the torus: both rotations in the same order
@@ -179,3 +179,21 @@ def test_apply_matches_chamber_system_route(host, operations):
     for d in operations:
         assert _outcome(apply_decoration, host, d) \
             == _outcome(reference, host, d), d
+
+
+# -- the closed-form gluing against the union-find of the reference ---------
+
+
+def test_closed_form_gluing_equals_union_find():
+    """``_glue`` names each glued class by the least chamber of an orbit
+    table; the reference unites the pairs across every shared side."""
+    for name in OPERATION_NAMES:
+        for host in SEED_NAMES:
+            assert _glue(seed(host), lookup(name)) \
+                == union_find_glue(seed(host), lookup(name)), (name, host)
+    tetrahedron = seed("tetrahedron")
+    decorations = []
+    run_pipeline(1, 12, 1, on_decoration=decorations.append)
+    assert len(decorations) == 1078
+    for d in decorations:
+        assert _glue(tetrahedron, d) == union_find_glue(tetrahedron, d), d

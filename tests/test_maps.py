@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chamber_reference import isomorphisms_brute
+from chamber_reference import automorphism_orbits, isomorphisms_brute
 from lspgen import maps
 from lspgen.catalog import OPERATION_NAMES, lookup, seed
 from lspgen.chambers import apply_decoration
 from lspgen.complete import complete
 from lspgen.decorations import _corner_marks
 from lspgen.generate import GenerationTask, generate
-from lspgen.maps import (MapError, automorphism_orbits, automorphisms,
-                         automorphisms_flagged, build_from_rotations,
+from lspgen.maps import (MapError, automorphisms, automorphisms_flagged,
+                         build_from_rotations,
                          canonical_code, canonical_data, read_planar_code,
                          random_relabeling, to_rotations,
                          vertex_connectivity_capped, write_planar_code)
