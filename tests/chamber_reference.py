@@ -1,6 +1,6 @@
 """Independent references for the tests: chamber systems, the old route
-from a decoration to its result (with the union-find gluing that
-``lspgen.chambers._glue`` replaced by orbit tables), brute-force
+from a decoration to its result (its union-find gluing is compared with
+the orbit tables of ``lspgen.chambers._glue``), brute-force
 isomorphisms, and the automorphism orbits of a map.
 
 ``lspgen.chambers.apply_decoration`` reads the result of an operation
