@@ -26,36 +26,6 @@ if TYPE_CHECKING:
     from .decorations import Decoration
 
 
-def side_paths(d: Decoration) -> dict[int, list[int]]:
-    """Side k as the vertex path from corner min to corner max index.
-
-    Sides are read along the outer walk; side k joins the two corners
-    other than vk."""
-    g = d.g
-    walk = g.faces[g.outer]
-    verts = [g.org[x] for x in walk]
-    m = len(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    v0, v1, v2 = d.corners
-    sides: dict[int, list[int]] = {}
-    for k, (a, b) in ((0, (v1, v2)), (1, (v0, v2)), (2, (v0, v1))):
-        third = ({v0, v1, v2} - {a, b}).pop()
-        path = [a]
-        i = pos[a]
-        while verts[i] != b:
-            i = (i + 1) % m
-            path.append(verts[i])
-        if third in path[1:-1]:
-            path = [b]
-            i = pos[b]
-            while verts[i] != a:
-                i = (i + 1) % m
-                path.append(verts[i])
-            path.reverse()
-        sides[k] = path
-    return sides
-
-
 def _glue(g: PlaneGraph, d: Decoration
           ) -> tuple[list[tuple[int, int, int]], dict[int, int], list[int]]:
     """One copy of the decoration per chamber of g, glued along the sides
@@ -78,7 +48,7 @@ def _glue(g: PlaneGraph, d: Decoration
     nbrs, tables = _host(g)
     n = d.g.n
     cls = [0] * (len(nbrs) * n)
-    on = [set(path) for path in side_paths(d).values()]
+    on = d.sides
     for x in range(n):
         ks = tuple(k for k in range(3) if x in on[k])
         if ks not in tables:

@@ -1,42 +1,35 @@
 """Connectivity class of a decoration.
 
-The class of a decoration is meant to be the connectivity k in {1, 2, 3}
-of the operation it defines, read off the defining tiling: the
-decoration pasted into every chamber, mirrored across every side.  The
-type-1 subgraph of that tiling is the vertex-face incidence graph of the
-result, so a 2-cycle in it is a vertex met twice by one face (a cut
-vertex), and a 4-cycle with vertices of type 0 or 2 on both sides is a
-separating pair.
-
-Class 1 is decided on the decoration alone:
-
-* two type-1 edges with the same ends (a 2-cycle inside one chamber);
-* an internal type-1 edge with both ends on one side (with its mirror
-  image it is a 2-cycle across that side);
-* ``_corner_axis_branch``, a calibration against the published
-  2-connectivity column, not a consequence of the definition above.
-
-Two chambers of a plane host share two points only when they lie on
-either side of a common side, unless the host meets a vertex twice on
-one face or has a loop or a bridge.  So the first two rules are every
-2-cycle that an application to a 2-connected plane graph with at least
-three vertices can have.  The decorations that only the third rule puts
-in class 1 have neither, and their applications to such hosts (the
-Platonic solids and short cycles among them) have no cut vertex, so by
-the definition they would be class 2.  The published column counts them
-as 1-connected nonetheless; the paper's own statement of its
-2-connectivity test is not in this repository.  The calibration gives
-the published k=2 column up to rate 12 and too few class-1 decorations
-from rate 13 on.
-
-Otherwise the class is 3 unless some type-1 4-cycle of the tiling is
-nonempty.  A decoration whose type-1 subgraph has no internal edge and
-no 4-cycle cannot close one.  Every other decoration is pasted into the
-24 chambers of the tetrahedron and the vertex connectivity of the
-result, capped at 3, decides between 2 and 3: around each of its points
-the tetrahedron has the fewest chambers a polyhedron allows (six around
+The class of a decoration is the connectivity k in {1, 2, 3} of the
+operation it defines, read off the defining tiling: the decoration
+pasted into every chamber, mirrored across every side.  It is computed
+as the vertex connectivity, capped at 3, of the decoration applied to
+the tetrahedron (``tetrahedron_class``).  Around each of its points the
+tetrahedron has the fewest chambers a polyhedron allows (six around
 vertices and faces, four around edge midpoints), so a short cycle that
 winds around a point in some polyhedral application also appears on it.
+
+The type-1 subgraph of the tiling is the vertex-face incidence graph of
+the result.  A type-1 2-cycle is a vertex met twice by one face, a cut
+vertex; a type-1 4-cycle with vertices of type 0 or 2 on both sides is
+a separating pair.  A 2-cycle inside one chamber is a cut vertex of the
+application to the tetrahedron, and the paste finds it.  Two checks
+come before the paste:
+
+* an internal type-1 edge with both ends on one side: with its mirror
+  image it is a 2-cycle across that side.  Glued on the tetrahedron,
+  such an edge can close into a loop, which ``chambers._links``
+  rejects, so the paste cannot show it and the rule stays;
+* ``_corner_axis_branch``, a calibration against the published
+  2-connectivity column, not a consequence of the definition above.
+  The decorations that only it puts in class 1 have no type-1 2-cycle
+  in any application to a 2-connected plane graph with at least three
+  vertices (two chambers of such a host share two points only across a
+  common side), and their applications to the Platonic solids have no
+  cut vertex.  The published column counts them as 1-connected
+  nonetheless; the paper's own statement of its 2-connectivity test is
+  not in this repository.  The calibration gives the published k=2
+  column up to rate 12 and too few class-1 decorations from rate 13 on.
 
 Only the adjacency of the result is needed, and
 ``chambers.decorated_adjacency`` reads it off the gluing that
@@ -52,7 +45,7 @@ separating pair.
 The 0 <-> 2 type flip ``decorations.swap02`` (the dual operation;
 Brinkmann, Goetschalckx & Schein, Proc. R. Soc. A 473 (2017) 20170267)
 keeps the class, and ``lspgen.complete`` classifies one decoration of
-each flipped pair.  The rules above read only the type-1 edges, the
+each flipped pair.  The two checks read only the type-1 edges, the
 sides and whether v1 has type 1, which the flip keeps.  Applying
 ``swap02(d)`` to the self-dual tetrahedron gives the dual of applying
 d, and duality keeps 2- and 3-connectedness of plane graphs.  Checked
@@ -63,7 +56,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .chambers import decorated_adjacency, side_paths
+from .chambers import decorated_adjacency
 from .maps import PlaneGraph, build_from_rotations, vertex_connectivity_capped
 
 
@@ -73,49 +66,15 @@ def _tetrahedron() -> PlaneGraph:
         {1: [2, 3, 4], 2: [1, 4, 3], 3: [1, 2, 4], 4: [1, 3, 2]})
 
 
-def _has_parallel_type1(g: PlaneGraph, et) -> bool:
-    seen = set()
-    for e in range(g.ne):
-        if et[e] != 1:
-            continue
-        key = tuple(sorted(g.edge_ends(e)))
-        if key in seen:
-            return True
-        seen.add(key)
-    return False
-
-
-def _has_type1_4cycle(g: PlaneGraph, et) -> bool:
-    nbr: dict[int, set[int]] = {}
-    for e in range(g.ne):
-        if et[e] == 1:
-            u, w = g.edge_ends(e)
-            nbr.setdefault(u, set()).add(w)
-            nbr.setdefault(w, set()).add(u)
-    verts = sorted(nbr)
-    for i, u in enumerate(verts):
-        for w in verts[i + 1:]:
-            if len(nbr[u] & nbr[w]) >= 2:
-                return True
-    return False
-
-
 def _same_side_internal_edge(decoration) -> bool:
     """An internal type-1 edge along a single side: with its mirror image
     across that side it forms a type-1 2-cycle, a cut vertex of every
     application."""
     g, et = decoration.g, decoration.et
     outer_edges = {d >> 1 for d in g.faces[g.outer]}
-    internal = [e for e in range(g.ne)
-                if et[e] == 1 and e not in outer_edges]
-    if not internal:
-        return False
-    sides = [set(path) for path in side_paths(decoration).values()]
-    for e in internal:
-        u, w = g.edge_ends(e)
-        if any(u in s and w in s for s in sides):
-            return True
-    return False
+    return any(et[e] == 1 and e not in outer_edges
+               and any(set(g.edge_ends(e)) <= s for s in decoration.sides)
+               for e in range(g.ne))
 
 
 def _corner_axis_branch(decoration) -> bool:
@@ -159,18 +118,8 @@ def _corner_axis_branch(decoration) -> bool:
 
 def connectivity_class_of(decoration) -> int:
     """1, 2 or 3 for a (rooted) decoration."""
-    g, et = decoration.g, decoration.et
-    if _has_parallel_type1(g, et):
+    if _same_side_internal_edge(decoration) or _corner_axis_branch(decoration):
         return 1
-    if _same_side_internal_edge(decoration):
-        return 1
-    if _corner_axis_branch(decoration):
-        return 1
-    outer_edges = {d >> 1 for d in g.faces[g.outer]}
-    has_internal = any(et[e] == 1 and e not in outer_edges
-                       for e in range(g.ne))
-    if not has_internal and not _has_type1_4cycle(g, et):
-        return 3
     return tetrahedron_class(decoration)
 
 

@@ -178,10 +178,13 @@ class _Completer:
                    not used[(i + 1) % m] for i, t in enumerate(self.triples)]
         last = {v: i for i, t in enumerate(self.triples) if self.ok[i]
                 for v in t}
-        self.closing = [[v for v in self.occ if last.get(v, -1) == b - 1]
-                        for b in range(m + 2)]
-        self.open = [sum(self.closing[b + 1:], []) for b in range(m + 2)]
-        forced = self._demand(self.closing[0])
+        self.closing = closing = [[] for _ in range(m + 2)]
+        for v in self.occ:
+            closing[last.get(v, -1) + 1].append(v)
+        self.open = [[] for _ in range(m + 2)]
+        for b in range(m, -1, -1):
+            self.open[b] = closing[b + 1] + self.open[b + 1]
+        forced = self._demand(closing[0])
         if self.fewest <= self.most and forced <= 2:
             yield from self._extend(0, [], forced)
 

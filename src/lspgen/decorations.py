@@ -19,6 +19,7 @@ beyond the forced corners are counted (and classified) separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import classify
@@ -37,6 +38,26 @@ class Decoration:
 
     def rate(self) -> int:
         return len(self.g.faces) - 1
+
+    @cached_property
+    def sides(self) -> tuple[frozenset[int], ...]:
+        """The vertices of sides 0, 1 and 2: side k is the stretch of
+        the outer walk between the two corners other than vk.  Both the
+        classifier and the gluing read it, so it is computed once."""
+        g = self.g
+        verts = [g.org[x] for x in g.faces[g.outer]]
+        pos = {v: i for i, v in enumerate(verts)}
+
+        def arc(a: int, b: int) -> list[int]:
+            i, j = pos[a], pos[b]
+            return verts[i:j + 1] if i <= j else verts[i:] + verts[:j + 1]
+
+        v0, v1, v2 = self.corners
+        out = []
+        for vk, a, b in ((v0, v1, v2), (v1, v0, v2), (v2, v0, v1)):
+            path = arc(a, b)
+            out.append(frozenset(arc(b, a) if vk in path else path))
+        return tuple(out)
 
 
 def _noncorner_ok(g: PlaneGraph, vt, v: int, outer: bool) -> bool:

@@ -129,14 +129,13 @@ def canonical_parent(p: Predecoration
 
 
 def generate(task: GenerationTask,
-             visitor: Optional[Callable[[Predecoration], None]] = None,
-             prune_ext10: bool = True) -> GenerationStats:
+             visitor: Optional[Callable[[Predecoration], None]] = None
+             ) -> GenerationStats:
     """Visits every predecoration relevant to the task exactly once.
 
     The visitor sees each predecoration whose rate bounds overlap the
     window.  For k >= 2 extension 10 is refused on an outer face of size
-    4, and for k = 3 also on one of size 6 (set prune_ext10=False to
-    compare against post-hoc filtering).
+    4, and for k = 3 also on one of size 6.
     """
     stats = GenerationStats()
 
@@ -150,7 +149,7 @@ def generate(task: GenerationTask,
             if p.lo + step > task.rate_max:
                 stats.screened += 1
                 continue
-            if prune_ext10 and num == 10 and (len(walk), task.k) in (
+            if num == 10 and (len(walk), task.k) in (
                     (4, 2), (4, 3), (6, 3)):
                 continue
             result = apply_ext()

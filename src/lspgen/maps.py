@@ -462,27 +462,6 @@ def _dart_map(g: PlaneGraph, ref_seq: list[int],
     return tuple(gamma)
 
 
-def automorphisms(g: PlaneGraph, mode: str = "full",
-                  vlab: Optional[Sequence[int]] = None,
-                  elab: Optional[Sequence[int]] = None,
-                  fixed: Optional[Iterable[int]] = None
-                  ) -> list[tuple[int, ...]]:
-    """The automorphism group as dart permutations.
-
-    Respects labels and the outer face; ``fixed`` vertices must be mapped
-    to themselves.  The identity is always included.
-    """
-    # a map that equals its own mirror has each permutation in both
-    # orientations
-    perms = list(dict.fromkeys(
-        p for p, _ in automorphisms_flagged(g, mode, vlab, elab)))
-    if fixed is not None:
-        fix = list(fixed)
-        perms = [p for p in perms
-                 if all(g.org[p[g.darts_at(v)[0]]] == v for v in fix)]
-    return perms
-
-
 def automorphisms_flagged(g: PlaneGraph, mode: str = "full",
                           vlab: Optional[Sequence[int]] = None,
                           elab: Optional[Sequence[int]] = None

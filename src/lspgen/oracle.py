@@ -190,16 +190,12 @@ def decorations_brute(r: int) -> dict[tuple, Decoration]:
     return found
 
 
-def _brute_by_code(r: int, k: int) -> dict[tuple, Decoration]:
+def bruteforce_decorations(r: int, k: int = 1) -> dict[tuple, Decoration]:
+    """All decorations with rate r and class >= k, by identity code."""
     if not 1 <= r <= 8:
         raise ValueError("brute force supports rates 1..8")
     return {code: d for code, d in decorations_brute(r).items()
             if k == 1 or connectivity_class_of(d) >= k}
-
-
-def bruteforce_decorations(r: int, k: int = 1) -> set[tuple]:
-    """Identity codes of all decorations with rate r and class >= k."""
-    return set(_brute_by_code(r, k))
 
 
 def cross_check(r: int, k: int = 1) -> dict:
@@ -212,7 +208,7 @@ def cross_check(r: int, k: int = 1) -> dict:
                  lambda d: main.setdefault(decoration_identity(d), d))
 
     generate(GenerationTask(r, r, k), visitor=visit)
-    brute = _brute_by_code(r, k)
+    brute = bruteforce_decorations(r, k)
     return {
         "rate": r,
         "k": k,

@@ -1,7 +1,7 @@
 """Independent references for the tests: chamber systems, the old route
 from a decoration to its result (its union-find gluing is compared with
 the orbit tables of ``lspgen.chambers._glue``), brute-force
-isomorphisms, and the automorphism orbits of a map.
+isomorphisms, and the automorphism group of a map and its orbits.
 
 ``lspgen.chambers.apply_decoration`` reads the result of an operation
 straight off the gluing of the chambers.  The reference here takes the
@@ -15,9 +15,9 @@ checks except ``lspgen.maps``.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from lspgen.maps import MapError, PlaneGraph, automorphisms
+from lspgen.maps import MapError, PlaneGraph, automorphisms_flagged
 
 
 class ChamberSystem:
@@ -460,6 +460,27 @@ def _try_map(a: PlaneGraph, b: PlaneGraph, d0: int, e0: int,
         # disconnected never happens (graphs are connected)
         return None
     return vmap
+
+
+def automorphisms(g: PlaneGraph, mode: str = "full",
+                  vlab: Optional[Sequence[int]] = None,
+                  elab: Optional[Sequence[int]] = None,
+                  fixed: Optional[Iterable[int]] = None
+                  ) -> list[tuple[int, ...]]:
+    """The automorphism group as dart permutations.
+
+    Respects labels and the outer face; ``fixed`` vertices must be mapped
+    to themselves.  The identity is always included.
+    """
+    # a map that equals its own mirror has each permutation in both
+    # orientations
+    perms = list(dict.fromkeys(
+        p for p, _ in automorphisms_flagged(g, mode, vlab, elab)))
+    if fixed is not None:
+        fix = list(fixed)
+        perms = [p for p in perms
+                 if all(g.org[p[g.darts_at(v)[0]]] == v for v in fix)]
+    return perms
 
 
 def automorphism_orbits(g: PlaneGraph, mode: str = "full",

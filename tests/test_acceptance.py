@@ -5,9 +5,11 @@ for one pass/fail line per criterion.  Set LSPGEN_STRETCH=1 to include the
 rates 15-20 stretch check (several minutes).
 """
 
+import hashlib
 import os
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,17 @@ PREDECORATIONS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 2, 6: 4, 7: 2, 8: 8, 9: 7,
                   10: 19}
 
 R_MAX = 14
+
+DIGESTS = dict(
+    reversed(line.split())
+    for line in (Path(__file__).parent / "data" / "golden.sha256")
+    .read_text().splitlines())
+
+
+def _class_digest(run) -> str:
+    """sha256 of the sorted (identity code, class) items of a run."""
+    return hashlib.sha256(
+        repr(sorted(run.codes.items())).encode()).hexdigest()
 
 
 class _Run:
@@ -99,6 +112,12 @@ def test_criterion1_counts(full_run, rate, k):
     assert got == expect
 
 
+def test_criterion1_class_digest(full_run):
+    # every class verdict up to R_MAX, recorded before the classifier
+    # dropped the rules that the tetrahedron step decides anyway
+    assert _class_digest(full_run) == DIGESTS["classes_r14"]
+
+
 def test_criterion1_runtime(full_run):
     print(f"criterion 1 runtime: {full_run.seconds:.1f}s (target < 60s)")
     assert full_run.seconds < 600   # hard cap; the 60s figure is a target
@@ -136,6 +155,11 @@ def test_criterion1_stretch_counts(stretch_run, rate, k):
     print(f"stretch: rate={rate} k={k}: {got} (expected {expect}) "
           f"{'PASS' if got == expect else 'FAIL'}")
     assert got == expect
+
+
+@stretch
+def test_criterion1_stretch_class_digest(stretch_run):
+    assert _class_digest(stretch_run) == DIGESTS["classes_r20"]
 
 
 @stretch
@@ -213,7 +237,7 @@ def test_criterion3_oracle_equivalence(rate):
 
     generate(GenerationTask(rate, rate, 1), visitor=visit)
     for k in (1, 2, 3):
-        brute = bruteforce_decorations(rate, k)
+        brute = set(bruteforce_decorations(rate, k))
         assert main_codes[k] == brute, (
             f"rate {rate} k {k}: main {len(main_codes[k])} "
             f"vs brute {len(brute)}")
@@ -400,10 +424,10 @@ def test_criterion6_ext10_pruning_equivalence(k):
         generate(GenerationTask(rate, rate, k),
                  visitor=lambda p: complete(
                      p, k, rate, rate, lambda d: pruned.update([d.rate()])))
-        generate(GenerationTask(rate, rate, k),
+        # a k=1 task refuses no extension 10
+        generate(GenerationTask(rate, rate, 1),
                  visitor=lambda p: complete(
-                     p, k, rate, rate, lambda d: posthoc.update([d.rate()])),
-                 prune_ext10=False)
+                     p, k, rate, rate, lambda d: posthoc.update([d.rate()])))
         assert pruned == posthoc, (k, rate)
     print(f"criterion 6b: extension-10 pruning equals post-hoc filtering "
           f"for k={k} at rates 1-8 PASS")

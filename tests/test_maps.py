@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chamber_reference import automorphism_orbits, isomorphisms_brute
+from chamber_reference import (automorphism_orbits, automorphisms,
+                               isomorphisms_brute)
 from lspgen import maps
 from lspgen.catalog import OPERATION_NAMES, lookup, seed
 from lspgen.chambers import apply_decoration
 from lspgen.complete import complete
 from lspgen.decorations import _corner_marks
 from lspgen.generate import GenerationTask, generate
-from lspgen.maps import (MapError, automorphisms, automorphisms_flagged,
+from lspgen.maps import (MapError, automorphisms_flagged,
                          build_from_rotations,
                          canonical_code, canonical_data, read_planar_code,
                          random_relabeling, to_rotations,
