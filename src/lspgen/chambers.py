@@ -5,14 +5,14 @@ subdivision, one per flag (dart, side): each has an original vertex
 (type 0), an edge midpoint (type 1) and a face center (type 2) as its
 corners.  Applying a decoration puts a copy of it into every chamber,
 mirrored in every other one, and identifies the copies along the sides
-that neighbouring chambers share (``_glue``, in closed form: a pair of
-a chamber and a vertex on some sides is glued to the least chamber of
-its orbit under those sides' involutions).  The result is read off
-that gluing alone: its vertices are the glued type-0 classes, and each
-glued type-1 class joins the type-0 ends of its two type-2 edges into
-one edge (``_links``).  ``apply_decoration`` adds the rotations and
-builds the result; ``decorated_adjacency`` gives only its adjacency,
-for the classifier.  Neither builds the decorated chamber system.
+that neighbouring chambers share (``glued_orbits``, in closed form: a
+pair of a chamber and a vertex on some sides is glued to the least
+chamber of its orbit under those sides' involutions).  The result is
+read off that gluing alone: its vertices are the glued type-0 classes,
+and each glued type-1 class joins the type-0 ends of its two type-2
+edges into one edge (``_links``).  ``apply_decoration`` adds the
+rotations and builds the result without the decorated chamber system;
+the classifier reads the orbit tables of ``glued_orbits`` directly.
 """
 
 from __future__ import annotations
@@ -26,48 +26,53 @@ if TYPE_CHECKING:
     from .decorations import Decoration
 
 
-def _glue(g: PlaneGraph, d: Decoration
-          ) -> tuple[list[tuple[int, int, int]], dict[int, int], list[int]]:
-    """One copy of the decoration per chamber of g, glued along the sides
-    that neighbouring chambers share.
-
-    Chambers are flags (dart, sign), numbered ``2 * dart + sign``: sign 0
-    holds the decoration as is, sign 1 its mirror image.  Returns each
-    chamber's neighbours across sides 0, 1 and 2, the side of each edge
-    on the decoration's outer walk, and the glued class of every
-    (chamber, decoration vertex) pair, indexed ``chamber * d.g.n +
-    vertex`` and named by its smallest pair.
-
-    The pair (ch, x) is glued across side k, to (``nbrs[ch][k]``, x),
-    exactly when x lies on side k.  So its class is named by the least
-    chamber of the orbit of ch under the involutions of the sides that
-    hold x: ch off the sides, the lesser of ch and its neighbour on one
-    side, the least chamber around a host vertex, edge midpoint or face
-    center at a corner.  The tables are kept per host and set of sides.
-    """
+def glued_orbits(g: PlaneGraph, d: Decoration
+                 ) -> tuple[list[tuple[int, int, int]], dict[int, int],
+                            list[tuple[list[int], dict[int, list[int]]]]]:
+    """One copy of the decoration per chamber of g, glued along shared
+    sides.  Chambers are flags (dart, sign), numbered ``2 * dart + sign``;
+    sign 1 holds the mirror image.  The pair (ch, x) is glued across side
+    k, to (``nbrs[ch][k]``, x), exactly when x lies on side k, so its
+    class is named by the least chamber of the orbit of ch under the
+    involutions of the sides that hold x (``_least_in_orbit``, one table
+    per host and set of sides).  Returns each chamber's neighbours across
+    sides 0, 1 and 2, the side of each outer-walk edge (the one side that
+    holds both its ends), and each decoration vertex's orbit table."""
     nbrs, tables = _host(g)
-    n = d.g.n
-    cls = [0] * (len(nbrs) * n)
     on = d.sides
-    for x in range(n):
-        ks = tuple(k for k in range(3) if x in on[k])
+    sides_of: list[tuple[int, ...]] = [()] * d.g.n
+    for k in range(3):
+        for x in on[k]:
+            sides_of[x] += (k,)
+    orbits = []
+    for ks in sides_of:
         if ks not in tables:
             tables[ks] = _least_in_orbit(nbrs, ks)
-        cls[x::n] = [ch * n + x for ch in tables[ks]]
-    # the outer walk is a cycle that the sides split at the corners, so
-    # each of its edges has both ends on exactly one side
+        orbits.append(tables[ks])
     walk, org = d.g.faces[d.g.outer], d.g.org
     side_of_edge = {x >> 1: k for x in walk for k in range(3)
                     if org[x] in on[k] and org[x ^ 1] in on[k]}
+    return nbrs, side_of_edge, orbits
+
+
+def _glue(g: PlaneGraph, d: Decoration
+          ) -> tuple[list[tuple[int, int, int]], dict[int, int], list[int]]:
+    """``glued_orbits`` with the glued class of every (chamber,
+    decoration vertex) pair, indexed ``chamber * d.g.n + vertex`` and
+    named by its smallest pair, in place of the orbit tables."""
+    nbrs, side_of_edge, orbits = glued_orbits(g, d)
+    n = d.g.n
+    cls = [0] * (len(nbrs) * n)
+    for x, (least, _) in enumerate(orbits):
+        cls[x::n] = [ch * n + x for ch in least]
     return nbrs, side_of_edge, cls
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=2)   # the classifier's tetrahedron, a chain's host
 def _host(g: PlaneGraph
-          ) -> tuple[list[tuple[int, int, int]], dict[tuple, list[int]]]:
+          ) -> tuple[list[tuple[int, int, int]], dict[tuple, tuple]]:
     """The neighbours of each chamber of g across sides 0, 1 and 2, and
-    its orbit tables as ``_glue`` fills them in.  The classifier glues
-    into one tetrahedron; a chain of applications returns to its host."""
+    its orbit tables per set of sides (filled in by ``glued_orbits``)."""
     nbrs: list[tuple[int, int, int]] = []
     for dd in range(2 * g.ne):
         nbrs.append((2 * (dd ^ 1) + 1, 2 * g.nxt[dd] + 1, 2 * dd + 1))
@@ -76,31 +81,32 @@ def _host(g: PlaneGraph
 
 
 def _least_in_orbit(nbrs: list[tuple[int, int, int]], ks: tuple[int, ...]
-                    ) -> list[int]:
+                    ) -> tuple[list[int], dict[int, list[int]]]:
     """Chamber -> the smallest chamber of its orbit under the involutions
-    ``ch -> nbrs[ch][k]`` for k in ks."""
+    ``ch -> nbrs[ch][k]`` for k in ks, and that smallest chamber -> the
+    orbit's chambers."""
     least = [-1] * len(nbrs)
+    members: dict[int, list[int]] = {}
     for ch in range(len(nbrs)):
         if least[ch] < 0:
             least[ch] = ch
-            stack = [ch]
-            while stack:
-                row = nbrs[stack.pop()]
+            orbit = members[ch] = [ch]
+            for c in orbit:
+                row = nbrs[c]
                 for k in ks:
                     if least[row[k]] < 0:
                         least[row[k]] = ch
-                        stack.append(row[k])
-    return least
+                        orbit.append(row[k])
+    return least, members
 
 
 def _links(g: PlaneGraph, d: Decoration):
     """The gluing of ``_glue`` and the edges of the result read off it.
 
     Each edge of the result is a glued type-1 class, which joins the
-    type-0 ends of its two type-2 edges.  Returns the gluing, the glued
-    type-0 classes numbered chamber by chamber, and the two type-0 ends
-    of every type-1 class; raises ``MapError`` when the result would not
-    be a loop-free graph.
+    type-0 ends of its two type-2 edges.  Returns the gluing and the two
+    type-0 ends of every type-1 class; raises ``MapError`` when the
+    result would not be a loop-free graph.
     """
     nbrs, side_of_edge, cls = _glue(g, d)
     dg, vt, et = d.g, d.vt, d.et
@@ -121,12 +127,9 @@ def _links(g: PlaneGraph, d: Decoration):
             if k is None or ch < row[k]:
                 ends.setdefault(cls[base + m], []).append(cls[base + a])
 
-    t0 = [v for v in range(n) if vt[v] == 0]
-    index: dict[int, int] = {}
-    for base in range(0, len(cls), n):
-        for v in t0:
-            index.setdefault(cls[base + v], len(index))
-    if len({a for far in ends.values() for a in far}) != len(index):
+    t0 = {cls[base + v] for base in range(0, len(cls), n)
+          for v in range(n) if vt[v] == 0}
+    if len({a for far in ends.values() for a in far}) != len(t0):
         raise MapError("type-0 vertex without type-2 edges")
     t1 = [v for v in range(n) if vt[v] == 1]
     if (len({cls[base + m] for base in range(0, len(cls), n) for m in t1})
@@ -134,7 +137,7 @@ def _links(g: PlaneGraph, d: Decoration):
         raise MapError("type-1 vertex without exactly two type-2 edges")
     if any(a == b for a, b in ends.values()):
         raise MapError("extraction would create a loop")
-    return (nbrs, side_of_edge, cls), index, ends
+    return (nbrs, side_of_edge, cls), ends
 
 
 def apply_decoration(g: PlaneGraph, d: Decoration) -> PlaneGraph:
@@ -151,7 +154,7 @@ def apply_decoration(g: PlaneGraph, d: Decoration) -> PlaneGraph:
     a side into the neighbouring chamber on the same dart, and keeps the
     type-2 darts, each standing for the edge of its type-1 end's class.
     """
-    (nbrs, side_of_edge, cls), _, ends = _links(g, d)
+    (nbrs, side_of_edge, cls), ends = _links(g, d)
     dg, vt, et = d.g, d.vt, d.et
     n, org, outer, face_of = dg.n, dg.org, dg.outer, dg.face_of
 
@@ -198,20 +201,3 @@ def apply_decoration(g: PlaneGraph, d: Decoration) -> PlaneGraph:
             out_org[dart] = v
             out_nxt[dart] = row[i + 1 - len(row)]
     return PlaneGraph(out_org, out_nxt)
-
-
-def decorated_adjacency(g: PlaneGraph, d: Decoration
-                        ) -> tuple[list[list[int]], list[int]]:
-    """The simple vertex adjacency of ``apply_decoration(g, d)`` and the
-    vertices that lie in chamber 0, read off ``_links`` without building
-    rotations.  Vertices are numbered chamber by chamber, chamber 0's
-    first."""
-    (_, _, cls), index, ends = _links(g, d)
-    adj: list[list[int]] = [[] for _ in index]
-    for far in ends.values():
-        a, b = index[far[0]], index[far[1]]
-        if b not in adj[a]:
-            adj[a].append(b)
-            adj[b].append(a)
-    t0 = [v for v in range(d.g.n) if d.vt[v] == 0]
-    return adj, sorted({index[cls[v]] for v in t0})

@@ -18,8 +18,9 @@ come before the paste:
 
 * an internal type-1 edge with both ends on one side: with its mirror
   image it is a 2-cycle across that side.  Glued on the tetrahedron,
-  such an edge can close into a loop, which ``chambers._links``
-  rejects, so the paste cannot show it and the rule stays;
+  such an edge can close into a loop, which the tetrahedron step
+  rejects with ``MapError``, so the paste cannot show it and the rule
+  stays;
 * ``_corner_axis_branch``, a calibration against the published
   2-connectivity column, not a consequence of the definition above.
   The decorations that only it puts in class 1 have no type-1 2-cycle
@@ -31,16 +32,24 @@ come before the paste:
   not in this repository.  The calibration gives the published k=2
   column up to rate 12 and too few class-1 decorations from rate 13 on.
 
-Only the adjacency of the result is needed, and
-``chambers.decorated_adjacency`` reads it off the gluing that
-``apply_decoration`` also starts from (the glued type-0 classes, each
-glued type-1 class joining the ends of its two type-2 edges), without
-the rotations that ``apply_decoration`` adds.  The operation keeps
-every symmetry of the tetrahedron, and that group of order 24 acts
-regularly on the chambers, so any separating pair of the result is the
-image of one through a vertex of chamber 0.  Only those vertices (about
-4 of about 39 at rates up to 14) are removed when the scan looks for a
-separating pair.
+The paste is read off the orbit tables of ``chambers.glued_orbits``:
+the faces of the result are the glued type-2 classes, a glued type-1
+edge is one occurrence of a vertex on a face walk, and a glued type-1
+class joins the ends of its two type-2 edges.  Two facts about plane
+graphs (Mohar & Thomassen, *Graphs on Surfaces*, 2001, ch. 2) decide
+the class in the star of a type-0 vertex a:
+
+* in a connected plane graph, a vertex is a cut vertex exactly when it
+  occurs twice on some face walk: class 1 if a has two type-1 edges to
+  one face;
+* in a 2-connected plane graph G, b is a cut vertex of G - a exactly
+  when it occurs twice on the walk of the face that merges the faces
+  around a: class 2 if (faces around a through b) - (edges a-b) >= 2.
+
+Otherwise the class is 3.  The operation keeps every symmetry of the
+tetrahedron, whose group of order 24 acts regularly on the chambers,
+so every cut vertex, separating pair or loop of the result is the
+image of one at a vertex of chamber 0, and only those are tried.
 
 The 0 <-> 2 type flip ``decorations.swap02`` (the dual operation;
 Brinkmann, Goetschalckx & Schein, Proc. R. Soc. A 473 (2017) 20170267)
@@ -54,10 +63,13 @@ on all 3,160 decorations up to rate 14.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
-from .chambers import decorated_adjacency
-from .maps import PlaneGraph, build_from_rotations, vertex_connectivity_capped
+from .chambers import glued_orbits
+# vertex_connectivity_capped is unused here; perfbench/spans.py traces it
+from .maps import (MapError, PlaneGraph, build_from_rotations,
+                   vertex_connectivity_capped)
 
 
 @lru_cache(maxsize=1)
@@ -125,7 +137,60 @@ def connectivity_class_of(decoration) -> int:
 
 def tetrahedron_class(decoration) -> int:
     """The vertex connectivity, capped at 3, of the decoration applied to
-    the tetrahedron."""
-    adj, chamber0 = decorated_adjacency(_tetrahedron(), decoration)
-    # removing only chamber 0's vertices is exact (module docstring)
-    return min(3, vertex_connectivity_capped(adj, 3, chamber0))
+    the tetrahedron: connected, with at least four vertices (a type-0
+    vertex of the decoration glues into four classes or more), so the
+    small cases of ``maps.vertex_connectivity_capped`` never arise."""
+    return _tetrahedron_witness(decoration)[0]
+
+
+def _tetrahedron_witness(d) -> tuple[int, tuple[int, ...]]:
+    """The class and its witness, in glued classes ``chamber * n +
+    vertex`` (chamber 0's vertex x is class x): a vertex and a face it
+    occurs twice on (class 1); a separating pair a, b and two faces
+    through both, not joined across a-b edges (class 2); () (class 3)."""
+    nbrs, side_of_edge, orbits = glued_orbits(_tetrahedron(), d)
+    g, n = d.g, d.g.n
+    # per vertex and edge type: (far end, its least-chamber table, side)
+    arms: list[tuple[list, ...]] = [([], [], []) for _ in range(n)]
+    for x in range(2 * g.ne):
+        y = g.org[x ^ 1]
+        arms[g.org[x]][d.et[x >> 1]].append(
+            (y, orbits[y][0], side_of_edge.get(x >> 1)))
+    stars: dict[tuple[int, int], list[int]] = {}
+
+    def star(v: int, t: int) -> list[int]:
+        """The far end of each glued type-t edge at the glued class v; a
+        side edge counts in the lower of its two chambers, both in v's."""
+        if (v, t) not in stars:
+            ch, x = divmod(v, n)
+            stars[v, t] = [least[c] * n + y for c in orbits[x][1][ch]
+                           for y, least, k in arms[x][t]
+                           if k is None or c < nbrs[c][k]]
+        return stars[v, t]
+
+    # result edges at each chamber-0 vertex, by far end
+    t0 = [x for x in range(n) if d.vt[x] == 0]
+    edges: dict[int, dict[int, list[int]]] = {a: {} for a in t0}
+    for a in t0:
+        for m in set(star(a, 2)):
+            p, q = star(m, 2)
+            if p == q:
+                raise MapError("extraction would create a loop")
+            edges[a].setdefault(q if p == a else p, []).append(m)
+    for a in t0:
+        faces = star(a, 1)
+        if len(set(faces)) < len(faces):
+            return 1, (a, next(f for f in faces if faces.count(f) > 1))
+    for a in t0:
+        on_faces = Counter(b for f in star(a, 1) for b in star(f, 1))
+        for b, times in on_faces.items():
+            ab = edges[a].get(b, [])
+            if b != a and times - len(ab) >= 2:
+                faces = [f for f in star(a, 1) if b in star(f, 1)]
+                run = {faces[0]}    # grows by one a-b edge per round
+                for _ in ab:
+                    run.update(*(star(m, 0) for m in ab
+                                 if run.intersection(star(m, 0))))
+                return 2, (a, b, faces[0],
+                           next(f for f in faces if f not in run))
+    return 3, ()

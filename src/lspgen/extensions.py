@@ -49,13 +49,13 @@ the walk (a vertex stays outer after a closure iff occ >= 2):
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .maps import PlaneGraph
 from .surgery import Surgeon
 
 ExtResult = tuple[PlaneGraph, tuple[int, ...]]
-Applier = Callable[[], Optional[ExtResult]]
+Applier = Callable[..., Optional[ExtResult]]
 
 
 def _arc_after(rot: list[int], start: int, stop: int) -> list[int]:
@@ -281,34 +281,33 @@ def ext10_close3(g: PlaneGraph, walk: tuple[int, ...], i: int
 
 
 def extension_sites(g: PlaneGraph, walk: tuple[int, ...]
-                    ) -> list[tuple[int, int, Applier]]:
-    """All (extension number, step in the lower rate bound, applier)
-    triples for one predecoration; the steps are the module's table."""
+                    ) -> Iterator[tuple[int, int, Applier, tuple]]:
+    """All (extension number, step in the lower rate bound, applier,
+    arguments) sites of one predecoration, in a fixed order; a site is
+    built by ``applier(g, walk, *arguments)``, so a screened one costs
+    nothing.  The steps are the module's table."""
     m = len(walk)
     by_vertex: dict[int, list[int]] = {}
     for i, d in enumerate(walk):
         by_vertex.setdefault(g.org[d], []).append(i)
     cut = [2 * (len(by_vertex[g.org[d]]) >= 2) for d in walk]  # 2[occ>=2]
-    out: list[tuple[int, int, Applier]] = []
     for positions in by_vertex.values():
-        for ii in range(len(positions)):
-            for jj in range(ii + 1, len(positions)):
-                i, j = positions[ii], positions[jj]
-                out.append((1, 2, lambda i=i, j=j: ext1_split(g, walk, i, j)))
-                out.append((3, 6, lambda i=i, j=j: ext3_split_quad(g, walk, i, j)))
-                out.append((4, 6, lambda i=i, j=j: ext4_split_edge_quad(g, walk, i, j)))
-                out.append((4, 6, lambda i=i, j=j: ext4_split_edge_quad(g, walk, j, i)))
+        for ii, i in enumerate(positions):
+            for j in positions[ii + 1:]:
+                yield 1, 2, ext1_split, (i, j)
+                yield 3, 6, ext3_split_quad, (i, j)
+                yield 4, 6, ext4_split_edge_quad, (i, j)
+                yield 4, 6, ext4_split_edge_quad, (j, i)
     for i in range(m):
         b, c = cut[(i + 1) % m], cut[(i + 2) % m]
-        out.append((2, 2, lambda i=i: ext2_pendant(g, walk, i)))
-        out.append((5, 6, lambda i=i: ext5_attach_quad(g, walk, i)))
-        out.append((6, 10, lambda i=i: ext6_attach_double(g, walk, i)))
-        out.append((7, 10, lambda i=i: ext7_attach_strip(g, walk, i, False)))
-        out.append((7, 10, lambda i=i: ext7_attach_strip(g, walk, i, True)))
-        out.append((8, 4, lambda i=i: ext8_glue(g, walk, i)))
-        out.append((9, 4 - b, lambda i=i: ext9_close2(g, walk, i)))
-        out.append((10, 4 - b - c, lambda i=i: ext10_close3(g, walk, i)))
-    return out
+        yield 2, 2, ext2_pendant, (i,)
+        yield 5, 6, ext5_attach_quad, (i,)
+        yield 6, 10, ext6_attach_double, (i,)
+        yield 7, 10, ext7_attach_strip, (i, False)
+        yield 7, 10, ext7_attach_strip, (i, True)
+        yield 8, 4, ext8_glue, (i,)
+        yield 9, 4 - b, ext9_close2, (i,)
+        yield 10, 4 - b - c, ext10_close3, (i,)
 
 
 # -- reductions -------------------------------------------------------------

@@ -145,14 +145,14 @@ def generate(task: GenerationTask,
             visitor(p)
         walk = p.walk
         batches: dict[int, set] = {}
-        for num, step, apply_ext in extension_sites(p.g, walk):
+        for num, step, apply_ext, args in extension_sites(p.g, walk):
             if p.lo + step > task.rate_max:
                 stats.screened += 1
                 continue
             if num == 10 and (len(walk), task.k) in (
                     (4, 2), (4, 3), (6, 3)):
                 continue
-            result = apply_ext()
+            result = apply_ext(p.g, walk, *args)
             if result is None:
                 continue
             stats.built += 1

@@ -548,16 +548,13 @@ def _connected(adj: list[list[int]]) -> bool:
 
 
 def vertex_connectivity_capped(g: PlaneGraph | list[list[int]],
-                               cap: int = 3,
-                               removable: Optional[Iterable[int]] = None
-                               ) -> int:
+                               cap: int = 3) -> int:
     """Vertex connectivity, capped (a graph is k-connected when it has
     more than k vertices and no separating set of fewer than k).
 
     ``g`` is a PlaneGraph or simple adjacency lists.  A separating pair
-    is looked for by removing each vertex of ``removable`` (default:
-    every vertex) and scanning the rest for a cut vertex; a caller that
-    knows a group of automorphisms may pass one vertex per orbit.
+    is looked for by removing each vertex and scanning the rest for a
+    cut vertex.
     """
     if isinstance(g, PlaneGraph):
         adj = [list(dict.fromkeys(g.neighbors(v))) for v in range(g.n)]
@@ -574,7 +571,7 @@ def vertex_connectivity_capped(g: PlaneGraph | list[list[int]],
         return min(cap, 1)
     if n == 3 or cap == 2:
         return 2
-    for v in range(n) if removable is None else removable:
+    for v in range(n):
         if _articulation_or_disconnected(adj, skip=v):
             return 2
     return 3

@@ -23,12 +23,15 @@ from lspgen.maps import MapError, PlaneGraph, automorphisms_flagged
 class ChamberSystem:
     """A typed barycentric-subdivision-like triangulated map."""
 
-    __slots__ = ("g", "vertex_type", "edge_type")
+    __slots__ = ("g", "vertex_type", "edge_type", "classes")
 
-    def __init__(self, g: PlaneGraph, vertex_type, edge_type):
+    def __init__(self, g: PlaneGraph, vertex_type, edge_type, classes=None):
         self.g = g
         self.vertex_type = tuple(vertex_type)
         self.edge_type = tuple(edge_type)
+        # decorate_chambers: the glued class (chamber * n + vertex, the
+        # least pair) that each vertex stands for
+        self.classes = classes
 
     def check(self) -> None:
         g = self.g
@@ -331,7 +334,7 @@ def decorate_chambers(g: PlaneGraph, d) -> ChamberSystem:
     for x in range(nd):
         ch, dd = walk_flat[x]
         edge_type[new_id[x] >> 1] = d.et[dd >> 1]
-    cs = ChamberSystem(cg, vertex_type, edge_type)
+    cs = ChamberSystem(cg, vertex_type, edge_type, list(cls_id))
     cs.check()
     return cs
 

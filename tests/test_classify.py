@@ -1,69 +1,99 @@
 """The classifier's tetrahedron step against the route it replaced.
 
-The step reads the decorated tetrahedron's graph off the gluing of the
-chambers and tries one vertex per symmetry orbit when it looks for a
-separating pair.  The reference builds the whole chamber system with
-apply_decoration and tries every vertex.
+The step decides the class from the faces and edges around each type-0
+vertex of chamber 0, read off the orbit tables of the gluing.  The
+reference builds the whole chamber system, extracts the decorated
+tetrahedron and computes its vertex connectivity; the step's witness
+(a cut vertex, or a separating pair) must separate that graph.
 """
 
-import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from chamber_reference import apply_decoration
-from lspgen.catalog import OPERATION_NAMES, SEED_NAMES, lookup, seed
-from lspgen.chambers import decorated_adjacency
-from lspgen.classify import _tetrahedron, tetrahedron_class
-from lspgen.maps import MapError, PlaneGraph, vertex_connectivity_capped
+from chamber_reference import decorate_chambers, extract_original
+from lspgen.classify import (_corner_axis_branch, _same_side_internal_edge,
+                             _tetrahedron, _tetrahedron_witness,
+                             tetrahedron_class)
+from lspgen.decorations import read_deco
+from lspgen.maps import PlaneGraph, vertex_connectivity_capped
 from lspgen.pipeline import run_pipeline
 
+CLASS_BOUNDARY = Path(__file__).parent / "data" / "class_boundary.deco"
 
-def simple_degrees(g: PlaneGraph) -> list[int]:
-    return sorted(len(set(g.neighbors(v))) for v in range(g.n))
+
+def _reference(d):
+    """The reference application of d to the tetrahedron, the result
+    vertex of each glued type-0 class, and the number of type-1 edges
+    (vertex-face incidences) between each pair of glued classes."""
+    cs = decorate_chambers(_tetrahedron(), d)
+    g, classes = cs.g, cs.classes
+    # extract_original numbers the type-0 vertices in order
+    t0 = [v for v in range(g.n) if cs.vertex_type[v] == 0]
+    incidences = Counter(frozenset(classes[v] for v in g.edge_ends(e))
+                         for e in range(g.ne) if cs.edge_type[e] == 1)
+    return (extract_original(cs), {classes[v]: i for i, v in enumerate(t0)},
+            incidences)
 
 
 @pytest.fixture(scope="module")
-def decorations_to_rate_10():
+def applied_to_rate_12():
     out = []
-    run_pipeline(1, 10, 1, on_decoration=out.append)
-    assert len(out) == 378
+    run_pipeline(1, 12, 1, on_decoration=lambda d: out.append(
+        (d, *_reference(d))))
+    assert len(out) == 1078
     return out
 
 
-def test_tetrahedron_step_matches_apply_decoration(decorations_to_rate_10):
-    tetra = _tetrahedron()
+def test_tetrahedron_step_matches_apply_decoration(applied_to_rate_12):
     verdicts = Counter()
-    for d in decorations_to_rate_10:
-        applied = apply_decoration(tetra, d)
+    for d, applied, _, _ in applied_to_rate_12:
         reference = min(3, vertex_connectivity_capped(applied, 3))
         verdict = tetrahedron_class(d)
         assert verdict == reference, d
         verdicts[verdict] += 1
-        adj, _ = decorated_adjacency(tetra, d)
-        assert sorted(map(len, adj)) == simple_degrees(applied), d
     assert verdicts[2] and verdicts[3]
 
 
-def test_orbit_scan_equals_full_scan(decorations_to_rate_10):
-    tetra = _tetrahedron()
-    for d in decorations_to_rate_10:
-        adj, chamber0 = decorated_adjacency(tetra, d)
-        assert 0 < len(chamber0) < len(adj)
-        assert (vertex_connectivity_capped(adj, 3, chamber0)
-                == vertex_connectivity_capped(adj, 3)), d
+def _separates(g: PlaneGraph, removed: set[int]) -> bool:
+    """Whether g minus the removed vertices is disconnected."""
+    rest = [v for v in range(g.n) if v not in removed]
+    seen, stack = {rest[0]}, [rest[0]]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen and w not in removed:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) < len(rest)
 
 
-@pytest.mark.parametrize("host", SEED_NAMES)
-def test_gluing_adjacency_agrees_with_extraction(host):
-    g = seed(host)
-    for name in OPERATION_NAMES:
-        d = lookup(name)
-        try:
-            applied = apply_decoration(g, d)
-        except MapError as exc:
-            with pytest.raises(MapError, match=re.escape(str(exc))):
-                decorated_adjacency(g, d)
-            continue
-        adj, _ = decorated_adjacency(g, d)
-        assert sorted(map(len, adj)) == simple_degrees(applied), name
+def _check_witness(d, applied, vertex, incidences):
+    verdict, witness = _tetrahedron_witness(d)
+    if verdict == 1:
+        a, f = witness
+        assert incidences[frozenset((a, f))] >= 2, d
+        assert _separates(applied, {vertex[a]}), d
+    elif verdict == 2:
+        a, b, f1, f2 = witness
+        assert a != b and f1 != f2, d
+        assert all(incidences[frozenset((v, f))]
+                   for v in (a, b) for f in (f1, f2)), d
+        assert _separates(applied, {vertex[a], vertex[b]}), d
+    else:
+        assert witness == (), d
+    return verdict
+
+
+def test_tetrahedron_witness_separates(applied_to_rate_12):
+    # every decoration up to rate 12 that reaches the step, and the
+    # class-boundary records, whose class-1 cases come from rate 13 on
+    verdicts = Counter()
+    for d, *reference in applied_to_rate_12:
+        if not (_same_side_internal_edge(d) or _corner_axis_branch(d)):
+            verdicts[_check_witness(d, *reference)] += 1
+    assert verdicts[2] and verdicts[3]
+    for block in CLASS_BOUNDARY.read_text().split("\n## ")[1:]:
+        d = read_deco(block.partition("\n")[2])
+        verdicts[_check_witness(d, *_reference(d))] += 1
+    assert verdicts[1]

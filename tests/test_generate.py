@@ -129,8 +129,8 @@ def test_lower_bound_monotone_under_extensions():
     seen = []
     generate(GenerationTask(1, 8, 1), visitor=seen.append)
     for p in seen[:8]:
-        for _, _, apply_ext in extension_sites(p.g, p.walk):
-            result = apply_ext()
+        for _, _, apply_ext, args in extension_sites(p.g, p.walk):
+            result = apply_ext(p.g, p.walk, *args)
             if result is None:
                 continue
             child, _ = result
@@ -147,8 +147,8 @@ def test_extension_steps_are_exact():
     generate(GenerationTask(1, 14, 1), visitor=seen.append)
     checked = set()
     for p in seen:
-        for num, step, apply_ext in extension_sites(p.g, p.walk):
-            result = apply_ext()
+        for num, step, apply_ext, args in extension_sites(p.g, p.walk):
+            result = apply_ext(p.g, p.walk, *args)
             if result is None or validate_predecoration(result[0]):
                 continue
             assert rate_bounds_of(result[0])[0] == p.lo + step, num
@@ -188,8 +188,9 @@ def test_staged_canonical_child_test_equals_full_reference():
     generate(GenerationTask(1, 14, 1), visitor=seen.append)
     children = accepted = 0
     for p in seen:
-        for num, step, apply_ext in extension_sites(p.g, p.walk):
-            result = apply_ext() if p.lo + step <= 14 else None
+        for num, step, apply_ext, args in extension_sites(p.g, p.walk):
+            result = (apply_ext(p.g, p.walk, *args) if p.lo + step <= 14
+                      else None)
             if result is None:
                 continue
             child, inv_site = result

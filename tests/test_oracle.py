@@ -48,8 +48,7 @@ def without_extension_2(monkeypatch):
     original = extensions.extension_sites
 
     def crippled(g, walk):
-        return [(num, step, fn) for num, step, fn in original(g, walk)
-                if num != 2]
+        return [site for site in original(g, walk) if site[0] != 2]
 
     monkeypatch.setattr(genmod, "extension_sites", crippled)
 
