@@ -8,7 +8,7 @@ from .decorations import (Decoration, connectivity_class, decoration_identity,
                           mirror, read_deco, swap02, type1_subgraph, validate,
                           write_deco)
 from .predecorations import Predecoration, counters, validate_predecoration
-from .generate import GenerationTask, canonical_parent
+from .generate import GenerationTask
 from .catalog import lookup, seed
 from .oracle import bruteforce_decorations, cross_check
 from .pipeline import run_pipeline
@@ -21,7 +21,7 @@ __all__ = [
     "mirror", "read_deco", "swap02", "type1_subgraph", "validate",
     "write_deco",
     "Predecoration", "counters", "validate_predecoration",
-    "GenerationTask", "canonical_parent",
+    "GenerationTask",
     "lookup", "seed", "bruteforce_decorations", "cross_check",
     "run_pipeline",
 ]

@@ -12,25 +12,28 @@ winds around a point in some polyhedral application also appears on it.
 The type-1 subgraph of the tiling is the vertex-face incidence graph of
 the result.  A type-1 2-cycle is a vertex met twice by one face, a cut
 vertex; a type-1 4-cycle with vertices of type 0 or 2 on both sides is
-a separating pair.  A 2-cycle inside one chamber is a cut vertex of the
-application to the tetrahedron, and the paste finds it.  Two checks
-come before the paste:
+a separating pair.  One derived test decides class 1, the face-twice
+test of the paste below.  It finds the 2-cycles inside one chamber, and
+two cases that reach across chambers as well:
 
-* an internal type-1 edge with both ends on one side: with its mirror
-  image it is a 2-cycle across that side.  Glued on the tetrahedron,
-  such an edge can close into a loop, which the tetrahedron step
-  rejects with ``MapError``, so the paste cannot show it and the rule
-  stays;
-* ``_corner_axis_branch``, a calibration against the published
-  2-connectivity column, not a consequence of the definition above.
-  The decorations that only it puts in class 1 have no type-1 2-cycle
-  in any application to a 2-connected plane graph with at least three
-  vertices (two chambers of such a host share two points only across a
-  common side), and their applications to the Platonic solids have no
-  cut vertex.  The published column counts them as 1-connected
-  nonetheless; the paper's own statement of its 2-connectivity test is
-  not in this repository.  The calibration gives the published k=2
-  column up to rate 12 and too few class-1 decorations from rate 13 on.
+* an internal type-1 edge with both ends on side k, with its mirror
+  image across k: two type-1 edges between the same glued vertex a and
+  face f, so a occurs twice on f;
+* a result edge that glues into a loop at a: when a has other edges, a
+  occurs twice on the walk of the face beside the loop.  No application
+  exists then (``chambers.apply_decoration`` raises ``MapError``), but
+  the test reads only the gluing and gives class 1 all the same.
+
+One calibration comes first, ``_corner_axis_branch``, fitted to the
+published 2-connectivity column, not a consequence of the definition
+above.  The decorations that only it puts in class 1 have no type-1
+2-cycle in any application to a 2-connected plane graph with at least
+three vertices (two chambers of such a host share two points only
+across a common side), and their applications to the Platonic solids
+have no cut vertex.  The published column counts them as 1-connected
+nonetheless; the paper's own statement of its 2-connectivity test is
+not in this repository.  The calibration gives the published k=2
+column up to rate 12 and too few class-1 decorations from rate 13 on.
 
 The paste is read off the orbit tables of ``chambers.glued_orbits``:
 the faces of the result are the glued type-2 classes, a glued type-1
@@ -54,7 +57,7 @@ image of one at a vertex of chamber 0, and only those are tried.
 The 0 <-> 2 type flip ``decorations.swap02`` (the dual operation;
 Brinkmann, Goetschalckx & Schein, Proc. R. Soc. A 473 (2017) 20170267)
 keeps the class, and ``lspgen.complete`` classifies one decoration of
-each flipped pair.  The two checks read only the type-1 edges, the
+each flipped pair.  The calibration reads only the type-1 edges, the
 sides and whether v1 has type 1, which the flip keeps.  Applying
 ``swap02(d)`` to the self-dual tetrahedron gives the dual of applying
 d, and duality keeps 2- and 3-connectedness of plane graphs.  Checked
@@ -68,25 +71,13 @@ from functools import lru_cache
 
 from .chambers import glued_orbits
 # vertex_connectivity_capped is unused here; perfbench/spans.py traces it
-from .maps import (MapError, PlaneGraph, build_from_rotations,
-                   vertex_connectivity_capped)
+from .maps import PlaneGraph, build_from_rotations, vertex_connectivity_capped
 
 
 @lru_cache(maxsize=1)
 def _tetrahedron() -> PlaneGraph:
     return build_from_rotations(
         {1: [2, 3, 4], 2: [1, 4, 3], 3: [1, 2, 4], 4: [1, 3, 2]})
-
-
-def _same_side_internal_edge(decoration) -> bool:
-    """An internal type-1 edge along a single side: with its mirror image
-    across that side it forms a type-1 2-cycle, a cut vertex of every
-    application."""
-    g, et = decoration.g, decoration.et
-    outer_edges = {d >> 1 for d in g.faces[g.outer]}
-    return any(et[e] == 1 and e not in outer_edges
-               and any(set(g.edge_ends(e)) <= s for s in decoration.sides)
-               for e in range(g.ne))
 
 
 def _corner_axis_branch(decoration) -> bool:
@@ -130,7 +121,7 @@ def _corner_axis_branch(decoration) -> bool:
 
 def connectivity_class_of(decoration) -> int:
     """1, 2 or 3 for a (rooted) decoration."""
-    if _same_side_internal_edge(decoration) or _corner_axis_branch(decoration):
+    if _corner_axis_branch(decoration):
         return 1
     return tetrahedron_class(decoration)
 
@@ -139,7 +130,10 @@ def tetrahedron_class(decoration) -> int:
     """The vertex connectivity, capped at 3, of the decoration applied to
     the tetrahedron: connected, with at least four vertices (a type-0
     vertex of the decoration glues into four classes or more), so the
-    small cases of ``maps.vertex_connectivity_capped`` never arise."""
+    small cases of ``maps.vertex_connectivity_capped`` never arise.
+    When a result edge would glue into a loop, no application exists;
+    the step still returns 1, since the loop's vertex occurs twice on
+    the walk of the face beside it."""
     return _tetrahedron_witness(decoration)[0]
 
 
@@ -168,19 +162,17 @@ def _tetrahedron_witness(d) -> tuple[int, tuple[int, ...]]:
                            if k is None or c < nbrs[c][k]]
         return stars[v, t]
 
-    # result edges at each chamber-0 vertex, by far end
     t0 = [x for x in range(n) if d.vt[x] == 0]
-    edges: dict[int, dict[int, list[int]]] = {a: {} for a in t0}
-    for a in t0:
-        for m in set(star(a, 2)):
-            p, q = star(m, 2)
-            if p == q:
-                raise MapError("extraction would create a loop")
-            edges[a].setdefault(q if p == a else p, []).append(m)
     for a in t0:
         faces = star(a, 1)
         if len(set(faces)) < len(faces):
             return 1, (a, next(f for f in faces if faces.count(f) > 1))
+    # result edges at each chamber-0 vertex, by far end
+    edges: dict[int, dict[int, list[int]]] = {a: {} for a in t0}
+    for a in t0:
+        for m in set(star(a, 2)):
+            p, q = star(m, 2)
+            edges[a].setdefault(q if p == a else p, []).append(m)
     for a in t0:
         on_faces = Counter(b for f in star(a, 1) for b in star(f, 1))
         for b, times in on_faces.items():

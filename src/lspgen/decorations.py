@@ -42,8 +42,8 @@ class Decoration:
     @cached_property
     def sides(self) -> tuple[frozenset[int], ...]:
         """The vertices of sides 0, 1 and 2: side k is the stretch of
-        the outer walk between the two corners other than vk.  Both the
-        classifier and the gluing read it, so it is computed once."""
+        the outer walk between the two corners other than vk.  The
+        gluing reads it, and the classifier through the gluing."""
         g = self.g
         verts = [g.org[x] for x in g.faces[g.outer]]
         pos = {v: i for i, v in enumerate(verts)}

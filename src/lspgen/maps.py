@@ -536,38 +536,19 @@ def _articulation_or_disconnected(adj: list[list[int]],
     return count != left or root_children >= 2
 
 
-def _connected(adj: list[list[int]]) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(adj)
-
-
-def vertex_connectivity_capped(g: PlaneGraph | list[list[int]],
-                               cap: int = 3) -> int:
+def vertex_connectivity_capped(g: PlaneGraph, cap: int = 3) -> int:
     """Vertex connectivity, capped (a graph is k-connected when it has
     more than k vertices and no separating set of fewer than k).
 
-    ``g`` is a PlaneGraph or simple adjacency lists.  A separating pair
-    is looked for by removing each vertex and scanning the rest for a
-    cut vertex.
+    A separating pair is looked for by removing each vertex and scanning
+    the rest for a cut vertex.
     """
-    if isinstance(g, PlaneGraph):
-        adj = [list(dict.fromkeys(g.neighbors(v))) for v in range(g.n)]
-    else:
-        adj = g
-    n = len(adj)
+    n = g.n
     if n < 2:
         return 0
-    if _articulation_or_disconnected(adj):
-        # a PlaneGraph is connected by construction
-        connected = isinstance(g, PlaneGraph) or _connected(adj)
-        return min(cap, 1 if connected else 0)
-    if n == 2 or cap == 1:
+    adj = [list(dict.fromkeys(g.neighbors(v))) for v in range(n)]
+    # a PlaneGraph is connected by construction
+    if n == 2 or cap == 1 or _articulation_or_disconnected(adj):
         return min(cap, 1)
     if n == 3 or cap == 2:
         return 2

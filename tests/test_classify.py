@@ -13,28 +13,38 @@ from pathlib import Path
 import pytest
 
 from chamber_reference import decorate_chambers, extract_original
-from lspgen.classify import (_corner_axis_branch, _same_side_internal_edge,
-                             _tetrahedron, _tetrahedron_witness,
-                             tetrahedron_class)
-from lspgen.decorations import read_deco
-from lspgen.maps import PlaneGraph, vertex_connectivity_capped
+from lspgen.chambers import apply_decoration
+from lspgen.classify import _tetrahedron, _tetrahedron_witness, tetrahedron_class
+from lspgen.decorations import connectivity_class, mirror, read_deco, swap02
+from lspgen.maps import MapError, PlaneGraph, vertex_connectivity_capped
 from lspgen.pipeline import run_pipeline
 
-CLASS_BOUNDARY = Path(__file__).parent / "data" / "class_boundary.deco"
+DATA = Path(__file__).parent / "data"
+
+
+def _records(name):
+    """The decorations of a file of records that each start at a "## id:
+    description" line."""
+    return [read_deco(block.partition("\n")[2])
+            for block in (DATA / name).read_text().split("\n## ")[1:]]
+
+
+def _incidences(cs):
+    """The number of type-1 edges (vertex-face incidences) between each
+    pair of glued classes of the chamber system cs."""
+    g, classes = cs.g, cs.classes
+    return Counter(frozenset(classes[v] for v in g.edge_ends(e))
+                   for e in range(g.ne) if cs.edge_type[e] == 1)
 
 
 def _reference(d):
     """The reference application of d to the tetrahedron, the result
-    vertex of each glued type-0 class, and the number of type-1 edges
-    (vertex-face incidences) between each pair of glued classes."""
+    vertex of each glued type-0 class, and the type-1 incidences."""
     cs = decorate_chambers(_tetrahedron(), d)
-    g, classes = cs.g, cs.classes
     # extract_original numbers the type-0 vertices in order
-    t0 = [v for v in range(g.n) if cs.vertex_type[v] == 0]
-    incidences = Counter(frozenset(classes[v] for v in g.edge_ends(e))
-                         for e in range(g.ne) if cs.edge_type[e] == 1)
-    return (extract_original(cs), {classes[v]: i for i, v in enumerate(t0)},
-            incidences)
+    t0 = [v for v in range(cs.g.n) if cs.vertex_type[v] == 0]
+    return (extract_original(cs), {cs.classes[v]: i for i, v in enumerate(t0)},
+            _incidences(cs))
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +96,27 @@ def _check_witness(d, applied, vertex, incidences):
 
 
 def test_tetrahedron_witness_separates(applied_to_rate_12):
-    # every decoration up to rate 12 that reaches the step, and the
-    # class-boundary records, whose class-1 cases come from rate 13 on
+    # every decoration up to rate 12, and the class-boundary records,
+    # whose class-1 cases come from rate 13 on
     verdicts = Counter()
     for d, *reference in applied_to_rate_12:
-        if not (_same_side_internal_edge(d) or _corner_axis_branch(d)):
-            verdicts[_check_witness(d, *reference)] += 1
+        verdicts[_check_witness(d, *reference)] += 1
     assert verdicts[2] and verdicts[3]
-    for block in CLASS_BOUNDARY.read_text().split("\n## ")[1:]:
-        d = read_deco(block.partition("\n")[2])
+    for d in _records("class_boundary.deco"):
         verdicts[_check_witness(d, *_reference(d))] += 1
     assert verdicts[1]
+
+
+def test_loop_is_class_1():
+    # no application to the tetrahedron exists, but the loop's vertex
+    # occurs twice on the face beside the loop
+    [d] = _records("loop_r15.deco")
+    for t in (d, mirror(d)):
+        with pytest.raises(MapError):
+            apply_decoration(_tetrahedron(), t)
+        assert connectivity_class(t) == 1
+        verdict, (a, f) = _tetrahedron_witness(t)
+        cs = decorate_chambers(_tetrahedron(), t)
+        assert verdict == 1 and _incidences(cs)[frozenset((a, f))] >= 2
+        # the dual operation applies, to a graph with a bridge
+        assert _check_witness(swap02(t), *_reference(swap02(t))) == 1

@@ -5,8 +5,11 @@ as edges too, so a cycle cannot hide behind a lazy import."""
 import ast
 import importlib
 import importlib.util
+import re
 from collections import Counter
 from pathlib import Path
+
+import lspgen
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lspgen"
 MODULES = {p.stem: p for p in PACKAGE.glob("*.py")}
@@ -137,3 +140,9 @@ def test_traced_sites_resolve():
                if not callable(getattr(importlib.import_module(
                    f"lspgen.{mod}"), attr, None))]
     assert spans.SITES and not missing
+
+
+def test_readme_lists_the_public_api():
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("The public API is `lspgen.__all__`:")[1]
+    assert re.findall(r"`(\w+)`", listed.split("\n\n")[0]) == lspgen.__all__

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chamber_reference import (automorphism_orbits, automorphisms,
                                isomorphisms_brute)
 from lspgen import maps
-from lspgen.catalog import OPERATION_NAMES, lookup, seed
+from lspgen.catalog import OPERATION_NAMES, SEED_NAMES, lookup, seed
 from lspgen.chambers import apply_decoration
 from lspgen.complete import complete
 from lspgen.decorations import _corner_marks
@@ -193,20 +193,29 @@ def _brute_connectivity(adj, cap):
     return cap
 
 
-def test_connectivity_of_adjacency_lists_matches_brute_force():
-    rng = random.Random(11)
-    for _ in range(400):
-        n = rng.randint(1, 8)
-        tree = rng.random() < 0.75  # else the graph may be disconnected
-        adj = [[] for _ in range(n)]
-        for w in range(1, n):       # a random spanning tree, then more
-            parent = rng.randrange(w)
-            for u in range(w):
-                if (tree and u == parent) or rng.random() < 0.4:
-                    adj[u].append(w)
-                    adj[w].append(u)
-        assert vertex_connectivity_capped(adj, 3) == \
-            _brute_connectivity(adj, 3), adj
+def test_connectivity_matches_brute_force():
+    # every skeleton generated up to rate 10, and the catalog
+    # operation x seed results of at most 40 vertices
+    graphs = []
+    generate(GenerationTask(1, 10, 1), lambda p: graphs.append(p.g))
+    failed = 0
+    for op in OPERATION_NAMES:
+        for name in SEED_NAMES:
+            try:
+                res = apply_decoration(seed(name), lookup(op))
+            except MapError:    # five operations glue k2 into a loop
+                failed += 1
+                continue
+            if res.n <= 40:
+                graphs.append(res)
+    assert failed == 5
+    found = set()
+    for g in graphs:
+        adj = [list(g.neighbors(v)) for v in range(g.n)]
+        k = vertex_connectivity_capped(g, 3)
+        assert k == _brute_connectivity(adj, 3), to_rotations(g)
+        found.add(k)
+    assert found == {1, 2, 3}
 
 
 def test_to_rotations_round_trip():
