@@ -4,19 +4,24 @@ A completion fills every inner quadrangle with a degree-4 type-1 vertex,
 optionally adds one degree-2 type-1 vertex in the outer face (which must
 be v1), and covers outer-walk slots with degree-3 type-1 vertices, each
 attached to three consecutive boundary vertices.  The choice of v1 is
-enumerated up to the symmetry of the predecoration.  For each choice a
-depth-first search adds degree-3 vertices in slot order.  It screens a
-boundary vertex once no later slot can touch it (`_corner_demand`), cuts
-a branch at the first vertex that fails or the third forced corner, and
-enters no branch that cannot reach the rate window.  The screen decides
-validity alone: the disk is triangulated by construction, and it is
-2-connected when no vertex is left twice on the outer walk.  The first
-cover set of each orbit under the v1 choice's stabilizer is built, with
-both bipartition type assignments and every placement of v0 and v2.
+enumerated up to the symmetry of the predecoration.  One depth-first
+search per embedding serves every choice: it adds degree-3 vertices in
+slot order, and at most once puts a new v1 on the outer edge of a slot.
+It screens a boundary vertex once no later slot can touch it
+(`_corner_demand`, counted as for a vertex other than v1) and files each
+cover under every choice it fits.  Being v1 saves a vertex at most one
+corner, so a branch is cut at the fourth forced corner, or the third
+once a new v1 is placed; it enters no branch that cannot reach the rate
+window.  The screen decides validity alone: the disk is triangulated by
+construction, and it is 2-connected when no vertex is left twice on the
+outer walk.  The first cover set of each orbit under the v1 choice's
+stabilizer is built, with both bipartition type assignments and every
+placement of v0 and v2.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 # validate, decoration_identity: unused, kept for perfbench/spans.py
@@ -45,6 +50,17 @@ def bipartition(g: PlaneGraph) -> list[int]:
     return col
 
 
+@dataclass
+class CompletionStats:
+    """The completion funnel: cover searches (one per embedding), covers
+    filed (summed over the v1 choices), covers built (after the
+    stabilizer dedup) and decorations emitted."""
+    searches: int = 0
+    covers: int = 0
+    built: int = 0
+    emitted: int = 0
+
+
 def _corner_demand(deg: int, left: int, is_v1: bool) -> int:
     """The corners besides v1 that a screened boundary vertex of degree
     `deg`, with `left` outer-walk occurrences not cut off, must be: one
@@ -61,12 +77,12 @@ def _corner_demand(deg: int, left: int, is_v1: bool) -> int:
 
 
 class _Completer:
-    """Completes one skeleton.  Search state for a v1 choice: ``deg[v]``,
-    the degree of v so far; ``left[v]``, its outer-walk occurrences not
-    cut off by a degree-3 vertex; ``used``, the slots taken;
-    ``closing[b]`` and ``open[b]``, the boundary vertices whose last slot
-    is b - 1 and b or later; ``fewest`` and ``most``, the numbers of
-    degree-3 vertices the rate window allows."""
+    """Completes one skeleton.  Search state: ``deg[v]``, the degree of v
+    so far, fills included; ``left[v]``, its outer-walk occurrences not
+    cut off by a degree-3 vertex; ``closing[b]`` and ``open[b]``, the
+    boundary vertices whose last slot (for a degree-3 vertex, or for v1
+    at a "g" choice) is b - 1 and b or later; ``filed``, the covers found
+    for each v1 choice."""
 
     def __init__(self, p: Predecoration, k: int, rmin: int, rmax: int):
         self.g = g = p.g
@@ -114,7 +130,8 @@ class _Completer:
 
     # -- enumeration ---------------------------------------------------------
 
-    def run(self, visitor: Callable[[Decoration], None]) -> int:
+    def run(self, visitor: Callable[[Decoration], None],
+            stats: CompletionStats) -> int:
         """Visits each decoration of this embedding once; returns how many.
 
         An orientation-preserving symmetry fixing an outer dart is the
@@ -122,95 +139,98 @@ class _Completer:
         "v" choice moves every walk occurrence of v1, and a valid cover
         keeps one, so only the identity fixes the cover.  Hence no two
         type flips or corner pairs of one build coincide."""
-        visited = 0
-        for choice in self.v1_choices():
+        before = stats.emitted
+        choices = self.v1_choices()
+        covers = self._covers(choices)
+        stats.searches += 1
+        for choice in choices:
             stab = self._stabilizer(choice)
             covers_seen = set()
-            for cover in self._cover_sets(choice):
+            stats.covers += len(covers[choice])
+            for cover in covers[choice]:
                 if len(stab) > 1:
                     key = min(tuple(sorted(self.smaps[ai][i] for i in cover))
                               for ai in stab)
                     if key in covers_seen:
                         continue
                     covers_seen.add(key)
+                stats.built += 1
                 for d in self._build(choice, cover):
                     visitor(d)
-                    visited += 1
-        return visited
-
-    def _start(self, choice: Choice) -> None:
-        """Search state for a v1 choice with no degree-3 vertex placed."""
-        g = self.g
-        self.v1 = choice[1] if choice[0] == "v" else None
-        self.deg = [2 * g.degree(v) - self.occ.get(v, 0)
-                    for v in range(g.n)]          # skeleton plus fills
-        self.left = [self.occ.get(v, 0) for v in range(g.n)]
-        self.used = [False] * self.m
-        if choice[0] == "g":
-            d = self.walk[choice[1]]
-            self.deg[g.org[d]] += 1
-            self.deg[g.org[d ^ 1]] += 1
-            self.used[choice[1]] = True
-
-    def _place(self, i: int, step: int) -> None:
-        """Adds (step 1) or removes (step -1) the degree-3 vertex at i."""
-        u, v, w = self.triples[i]
-        self.deg[u] += step
-        self.deg[v] += step
-        self.deg[w] += step
-        self.left[v] -= step
-        self.used[i] = self.used[(i + 1) % self.m] = step > 0
+                    stats.emitted += 1
+        return stats.emitted - before
 
     def _demand(self, vertices: Iterable[int]) -> int:
-        deg, left, v1 = self.deg, self.left, self.v1
-        return sum(_corner_demand(deg[v], left[v], v == v1)
-                   for v in vertices)
+        deg, left = self.deg, self.left
+        return sum(_corner_demand(deg[v], left[v], False) for v in vertices)
 
-    def _cover_sets(self, choice: Choice) -> Iterator[tuple[int, ...]]:
+    def _covers(self, choices: list[Choice]
+                ) -> dict[Choice, list[tuple[int, ...]]]:
         """The slot sets of degree-3 vertices that pass the degree screen
-        and give a rate in [rmin, rmax], in depth-first order."""
-        self._start(choice)
-        m, used = self.m, self.used
-        extra = 4 * len(self.quads) + (choice[0] == "g")
-        self.fewest = max(0, -((extra - self.rmin) // 2))
-        self.most = (self.rmax - extra) // 2
-        self.ok = [len(set(t)) == 3 and not used[i] and
-                   not used[(i + 1) % m] for i, t in enumerate(self.triples)]
-        last = {v: i for i, t in enumerate(self.triples) if self.ok[i]
-                for v in t}
-        self.closing = closing = [[] for _ in range(m + 2)]
-        for v in self.occ:
-            closing[last.get(v, -1) + 1].append(v)
-        self.open = [[] for _ in range(m + 2)]
-        for b in range(m, -1, -1):
-            self.open[b] = closing[b + 1] + self.open[b + 1]
-        forced = self._demand(closing[0])
-        if self.fewest <= self.most and forced <= 2:
-            yield from self._extend(0, [], forced)
+        with each of the choices as v1 and give a rate in [rmin, rmax], in
+        depth-first order (the order of the sorted tuples)."""
+        g, m, occ, triples = self.g, self.m, self.occ, self.triples
+        self.deg = [2 * g.degree(v) - occ.get(v, 0) for v in range(g.n)]
+        self.left = [occ.get(v, 0) for v in range(g.n)]
+        self.vs = [x for kind, x in choices if kind == "v"]
+        self.gslot = [("g", i) in choices for i in range(m)]
+        self.ok = [len(set(t)) == 3 for t in triples]
+        # the last slot that touches v, by a degree-3 vertex or by v1
+        last = {v: i for i, t in enumerate(triples)
+                for v in t[:3 if self.ok[i] else 2 * self.gslot[i]]}
+        self.closing = closing = [[v for v in occ if last.get(v, -1) + 1 == b]
+                                  for b in range(m + 2)]
+        self.open = [sum(closing[b + 1:], []) for b in range(m + 2)]
+        self.filed = {c: [] for c in choices}
+        self._grow(0, (), self._demand(closing[0]), None)
+        return {c: sorted(found) for c, found in self.filed.items()}
 
-    def _extend(self, i: int, chosen: list[int], forced: int
-                ) -> Iterator[tuple[int, ...]]:
-        # the vertices closed before slot i force `forced` corners
-        m, n, used, closing = self.m, len(chosen), self.used, self.closing
-        if n + (m - i + 1) // 2 < self.fewest:
+    def _grow(self, i: int, chosen: tuple[int, ...], forced: int,
+              gs: Optional[int]) -> None:
+        # the vertices closed before slot i force `forced` corners; gs is
+        # the slot of the degree-2 vertex v1, if placed
+        m, closing, deg, left = self.m, self.closing, self.deg, self.left
+        rate = 4 * len(self.quads) + 2 * len(chosen) + (gs is not None)
+        if rate + (m - i + 1) // 2 * 2 + 1 < self.rmin:
             return
-        if n >= self.fewest and forced + self._demand(self.open[i]) <= 2:
-            yield tuple(chosen)
-        if n >= self.most:
+        if self.rmin <= rate <= self.rmax:
+            total = forced + self._demand(self.open[i])
+            if gs is not None and total <= 2:
+                self.filed[("g", gs)].append(chosen)
+            elif gs is None and total <= 3:
+                for x in self.vs:
+                    if (total + _corner_demand(deg[x], left[x], True)
+                            - _corner_demand(deg[x], left[x], False) <= 2):
+                        self.filed[("v", x)].append(chosen)
+        if rate + 1 + (gs is not None) > self.rmax:
             return
+        cover, cut = rate + 2 <= self.rmax, 3 if gs is None else 2
+        ok, gslot = self.ok, self.gslot
         for j in range(i, m):
             if j > i and closing[j]:
                 forced += self._demand(closing[j])
-                if forced > 2:
+                if forced > cut:
                     return
-            if self.ok[j] and not used[j] and not used[(j + 1) % m]:
-                self._place(j, 1)
-                chosen.append(j)
+            # slot j is free; either placement there adds an edge at u and v
+            u, v, w = self.triples[j]
+            deg[u] += 1
+            deg[v] += 1
+            # a degree-3 vertex at the last slot also takes slot 0
+            if cover and ok[j] and (j + 1 < m or 0 not in chosen[:1]
+                                    and gs != 0):
+                deg[w] += 1
+                left[v] -= 1
                 f = forced + self._demand(closing[j + 1] + closing[j + 2])
+                if f <= cut:
+                    self._grow(j + 2, chosen + (j,), f, gs)
+                left[v] += 1
+                deg[w] -= 1
+            if gs is None and gslot[j] and forced <= 2:
+                f = forced + self._demand(closing[j + 1])
                 if f <= 2:
-                    yield from self._extend(j + 2, chosen, f)
-                chosen.pop()
-                self._place(j, -1)
+                    self._grow(j + 1, chosen, f, j)
+            deg[u] -= 1
+            deg[v] -= 1
 
     # -- construction --------------------------------------------------------
 
@@ -271,9 +291,11 @@ class _Completer:
 
 def complete(p: Predecoration, k: int = 1, rmin: int = 1,
              rmax: Optional[int] = None,
-             visitor: Optional[Callable[[Decoration], None]] = None) -> int:
+             visitor: Optional[Callable[[Decoration], None]] = None,
+             stats: Optional[CompletionStats] = None) -> int:
     """Visits every decoration with this type-1 skeleton exactly once
-    (connectivity class >= k, rate within [rmin, rmax]); returns the count.
+    (connectivity class >= k, rate within [rmin, rmax]); returns the count
+    and adds the funnel to `stats`.
 
     A chiral skeleton hosts two disjoint mirror families of decorations;
     both its embeddings are completed.
@@ -281,11 +303,12 @@ def complete(p: Predecoration, k: int = 1, rmin: int = 1,
     if rmax is None:
         rmax = p.hi
     sink = visitor if visitor is not None else (lambda d: None)
+    stats = stats if stats is not None else CompletionStats()
     comp = _Completer(p, k, rmin, rmax)
-    count = comp.run(sink)
+    count = comp.run(sink, stats)
     if comp.chiral:
         count += _Completer(Predecoration(p.g.mirrored()),
-                            k, rmin, rmax).run(sink)
+                            k, rmin, rmax).run(sink, stats)
     return count
 
 

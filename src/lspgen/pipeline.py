@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .complete import complete, is_chiral
+from .complete import CompletionStats, complete, is_chiral
 from .decorations import Decoration
 from .generate import GenerationStats, GenerationTask, generate
 from .predecorations import Predecoration
@@ -22,6 +22,7 @@ class PipelineResult:
     decorations: dict[int, int] = field(default_factory=dict)
     predecorations: dict[int, int] = field(default_factory=dict)
     stats: GenerationStats = field(default_factory=GenerationStats)
+    completion: CompletionStats = field(default_factory=CompletionStats)
 
 
 def run_pipeline(rate_min: int, rate_max: int, k: int = 1,
@@ -48,7 +49,7 @@ def run_pipeline(rate_min: int, rate_max: int, k: int = 1,
             if on_decoration:
                 on_decoration(d)
 
-        complete(p, k, rate_min, rate_max, emit)
+        complete(p, k, rate_min, rate_max, emit, result.completion)
         weight = 2 if is_chiral(p) else 1
         for r in rates:
             result.predecorations[r] += weight

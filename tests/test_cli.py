@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from lspgen.cli import main
+from lspgen.complete import is_chiral
 from lspgen.generate import GenerationTask, generate
 from lspgen.maps import canonical_code, read_planar_code
 
@@ -167,8 +168,17 @@ def test_unsorted_records_are_written_as_they_arrive(tmp_path, monkeypatch):
         assert len(sizes) == 14 and sizes == sorted(set(sizes))
 
 
+def _embeddings(rmax):
+    """Skeletons up to rmax, a chiral one counted with its mirror image."""
+    found = []
+    generate(GenerationTask(1, rmax, 1),
+             visitor=lambda p: found.append(1 + is_chiral(p)))
+    return sum(found)
+
+
 def test_stats_line_on_stderr_leaves_stdout_alone(capsys):
     funnel = vars(generate(GenerationTask(1, 8, 1)))
+    embeddings = {8: _embeddings(8), 6: _embeddings(6)}
     for argv in (["generate", "--rate", "1-8", "--count"],
                  ["generate", "--rate", "1-8", "--predecorations",
                   "--count"],
@@ -194,3 +204,7 @@ def test_stats_line_on_stderr_leaves_stdout_alone(capsys):
             assert sum(result["decorations"].values()) == records > 0
         if rmax == 8:
             assert result["stats"] == funnel
+        completion = result["completion"]
+        assert completion["searches"] == embeddings[rmax]
+        assert completion["emitted"] == sum(result["decorations"].values())
+        assert completion["built"] <= completion["covers"]

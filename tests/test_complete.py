@@ -140,10 +140,7 @@ def decorations_from_state(p: Predecoration, v1_choice,
     yields the empty list.
     """
     comp = _Completer(p, 1, 1, p.hi)
-    comp._start(v1_choice)
-    for i in cover:
-        comp._place(i, 1)
-    feasible = comp._demand(comp.occ) <= 2
+    feasible = _reference_screen(comp, v1_choice, cover)
     return list(comp._build(v1_choice, cover)) if feasible else []
 
 
@@ -225,30 +222,33 @@ def test_cover_search_equals_screened_reference():
         probe = _Completer(p, 1, 1, p.hi)
         choices = [("v", v) for v in sorted(probe.occ)]
         choices += [("g", i) for i in range(probe.m)]
+        refs = {}
         for choice in choices:
             base = 4 * len(probe.quads) + (choice[0] == "g")
-            ref = [c for c in _reference_covers(probe, choice,
-                                                (p.hi - base) // 2)
-                   if _reference_screen(probe, choice, c)]
-            for rmin, rmax in windows:
-                comp = _Completer(p, 1, rmin, rmax)
+            refs[choice] = base, [
+                c for c in _reference_covers(probe, choice,
+                                             (p.hi - base) // 2)
+                if _reference_screen(probe, choice, c)]
+        for rmin, rmax in windows:
+            got = _Completer(p, 1, rmin, rmax)._covers(choices)
+            for choice, (base, ref) in refs.items():
                 want = [c for c in ref
                         if rmin <= base + 2 * len(c) <= rmax]
-                assert list(comp._cover_sets(choice)) == want
+                assert got[choice] == want
                 checked += len(want)
     assert checked > 1000
 
 
 def test_cover_funnel_below_five_per_decoration(monkeypatch):
     enumerated = [0]
-    search = _Completer._cover_sets
+    search = _Completer._covers
 
-    def counted(self, choice):
-        for cover in search(self, choice):
-            enumerated[0] += 1
-            yield cover
+    def counted(self, choices):
+        filed = search(self, choices)
+        enumerated[0] += sum(map(len, filed.values()))
+        return filed
 
-    monkeypatch.setattr(_Completer, "_cover_sets", counted)
+    monkeypatch.setattr(_Completer, "_covers", counted)
     total = sum(run_pipeline(1, 12, 2).decorations.values())
     assert total == sum(K2_PINS)
     assert enumerated[0] < 5 * total
@@ -265,6 +265,7 @@ def test_cover_search_equals_full_validator():
         comp = _Completer(p, 1, 1, p.hi)
         choices = [("v", v) for v in sorted(comp.occ)]
         choices += [("g", i) for i in range(comp.m)]
+        got = comp._covers(choices)
         for choice in choices:
             base = 4 * len(comp.quads) + (choice[0] == "g")
             want = []
@@ -277,7 +278,7 @@ def test_cover_search_equals_full_validator():
                 assert len(valid) <= 1
                 if valid == {True}:
                     want.append(cover)
-            assert list(comp._cover_sets(choice)) == want
+            assert got[choice] == want
             checked += len(want)
     assert checked > 400
 

@@ -156,6 +156,15 @@ def test_deco_round_trip():
         assert decoration_identity(back) == decoration_identity(d)
 
 
+def test_deco_round_trip_of_generated_decorations():
+    generated = _collect(1, 10)
+    assert len(generated) == 378
+    for d in generated:
+        back = read_deco(write_deco(d))
+        assert decoration_identity(back) == decoration_identity(d)
+        assert connectivity_class(back) == connectivity_class(d)
+
+
 def test_deco_rejects_garbage():
     with pytest.raises(DecoFormatError):
         read_deco("nonsense\n")
