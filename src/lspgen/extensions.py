@@ -30,9 +30,19 @@ canonical reduction must not depend on the handedness.
 
 `scan_reductions` tries the numbers in increasing order and stops at the
 first that has a site, since only the smallest number takes part in the
-canonical-child test.  Numbers 1 and 2 need one pass over the edges and
-end most scans; the quadrangle patterns 3-10 are searched only when no
-smaller number applies.
+canonical-child test: numbers 1 and 2 need one pass over the edges, the
+quadrangle patterns 3-10 are searched only when no smaller one applies.
+
+A child that would keep a parent's outer bridge (reduction 1) or pendant
+edge (2) is never built.  An extension at walk position i, its first
+argument, adds new vertices and rewires only the old ones at positions
+i ... i + span - 1 (a split at (i, j) edits only org[walk[i]]):
+  extension  1-7  8  9  10      (`SPAN`)
+  span       1    2  3  4
+8-10 also turn the walk darts between those positions into quadrangle
+sides.  A parent edge with no rewired end keeps its darts, its ends'
+degrees and the outer face on both sides, so the child keeps that site,
+and `generate` rejects it for every extension number above the site's.
 
 Each extension moves the lower rate bound lo = 4*quads + 2*(len(walk) -
 #outer vertices) of `rate_bounds_of` by a step read off the parent's
@@ -56,6 +66,7 @@ from .surgery import Surgeon
 
 ExtResult = tuple[PlaneGraph, tuple[int, ...]]
 Applier = Callable[..., Optional[ExtResult]]
+SPAN = (1, 1, 1, 1, 1, 1, 1, 2, 3, 4)   # SPAN[num - 1], see the docstring
 
 
 def _arc_after(rot: list[int], start: int, stop: int) -> list[int]:
@@ -310,6 +321,22 @@ def extension_sites(g: PlaneGraph, walk: tuple[int, ...]
         yield 10, 4 - b - c, ext10_close3, (i,)
 
 
+def kept_reduction(g: PlaneGraph, walk: tuple[int, ...]
+                   ) -> Callable[[int, int], bool]:
+    """``kept(num, i)``: whether every child of extension num at walk
+    position i keeps a parent's site of a smaller reduction, 1 or 2."""
+    deg = [g.degree(v) for v in range(g.n)]
+    ends = [[(g.org[d], g.org[d ^ 1]) for _, (d,) in find(g, deg)]
+            for find in (_reduction1, _reduction2)]
+
+    def kept(num: int, i: int) -> bool:
+        rewired = {g.org[walk[(i + t) % len(walk)]]
+                   for t in range(SPAN[num - 1])}
+        return any(u not in rewired and v not in rewired
+                   for edges in ends[:num - 1] for u, v in edges)
+    return kept
+
+
 # -- reductions -------------------------------------------------------------
 # One finder per reduction number.  A finder takes g and its vertex
 # degrees and returns every site of its number, in edge or face order,
@@ -488,12 +515,8 @@ REDUCTIONS = (_reduction1, _reduction2, _reduction3, _reduction4,
 
 def scan_reductions(g: PlaneGraph) -> Optional[tuple[int, list[Entry]]]:
     """The smallest applicable reduction number and all its sites, or
-    None when g has no reduction (the two bases).
-
-    The numbers are tried in increasing order, and the scan stops at the
-    first that has a site.  Numbers 1 and 2 take one pass over the
-    edges, and they end most scans of rejected children.
-    """
+    None when g has no reduction (the two bases); the numbers are tried
+    in increasing order, and the scan stops at the first with a site."""
     deg = [g.degree(v) for v in range(g.n)]
     for num, find in enumerate(REDUCTIONS, 1):
         sites = find(g, deg)

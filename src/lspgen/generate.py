@@ -12,13 +12,14 @@ that fails ends its way:
   1. screened: the child's lower rate bound would exceed the target
      (each extension moves the bound by an exact step, see `extensions`),
      so the child is never built;
-  2. rejected: the child's smallest reduction number is not the applied
-     extension (`scan_reductions` stops at that number, mostly after one
-     pass over the edges);
-  3. invalid: the child is not a predecoration (`validate_predecoration`);
-  4. rejected: the applied site is not the canonical one among the sites
+  2. pruned: the child would keep an outer bridge or pendant edge of the
+     parent, a reduction below the applied extension (see `extensions`);
+  3. rejected: the child's smallest reduction number is not the applied
+     extension (`scan_reductions` stops at that number);
+  4. invalid: the child is not a predecoration (`validate_predecoration`);
+  5. rejected: the applied site is not the canonical one among the sites
      of that number (the only check that takes a canonical code);
-  5. duplicate: an isomorphic child came from the same extension of the
+  6. duplicate: an isomorphic child came from the same extension of the
      same parent.
 Completion is skipped (but extension continues) while the upper bound is
 below the target.
@@ -31,7 +32,8 @@ from typing import Callable, Optional
 
 from .maps import PlaneGraph, build_from_rotations, canonical_data, dart_sequence
 from .predecorations import Predecoration, validate_predecoration
-from .extensions import apply_reduction, extension_sites, scan_reductions
+from .extensions import (apply_reduction, extension_sites, kept_reduction,
+                         scan_reductions)
 
 
 def base_k2() -> Predecoration:
@@ -59,12 +61,13 @@ class GenerationTask:
 
 @dataclass
 class GenerationStats:
-    """The funnel of the module docstring, in its order: screened sites
-    are never built, and each built child ends in exactly one of the
-    later stages or is visited, so
+    """The funnel of the module docstring, in its order: screened and
+    pruned sites are never built, and each built child ends in exactly
+    one of the later stages or is visited, so
     built = rejected + invalid + duplicates + visited - 2 (the bases)."""
     visited: int = 0
     screened: int = 0
+    pruned: int = 0
     built: int = 0
     invalid: int = 0
     rejected: int = 0
@@ -93,7 +96,7 @@ def is_canonical_child(child: PlaneGraph, ext_num: int,
     Returns the child's canonical code when the child is a predecoration
     and the applied extension ext_num, at inv_site, inverts the child's
     canonical reduction; else None, counting the check that failed in
-    stats.rejected or stats.invalid (stages 2-4 of the module docstring).
+    stats.rejected or stats.invalid (stages 3-5 of the module docstring).
     """
     # Extensions add only quadrangles to a predecoration, so every inner
     # face of a built child is a quadrangle: the reduction scan is safe
@@ -144,6 +147,7 @@ def generate(task: GenerationTask,
         if p.hi >= task.rate_min and p.lo <= task.rate_max and visitor:
             visitor(p)
         walk = p.walk
+        kept = kept_reduction(p.g, walk)
         batches: dict[int, set] = {}
         for num, step, apply_ext, args in extension_sites(p.g, walk):
             if p.lo + step > task.rate_max:
@@ -151,6 +155,9 @@ def generate(task: GenerationTask,
                 continue
             if num == 10 and (len(walk), task.k) in (
                     (4, 2), (4, 3), (6, 3)):
+                continue
+            if kept(num, args[0]):
+                stats.pruned += 1
                 continue
             result = apply_ext(p.g, walk, *args)
             if result is None:

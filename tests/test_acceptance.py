@@ -18,7 +18,8 @@ from lspgen.catalog import lookup, seed
 from lspgen.chambers import apply_decoration
 from lspgen.classify import connectivity_class_of
 from lspgen.complete import complete, is_chiral
-from lspgen.decorations import decoration_identity, type1_subgraph
+from lspgen.decorations import (decoration_identity, mirror, swap02,
+                                type1_subgraph)
 from lspgen.generate import GenerationTask, generate
 from lspgen.maps import (build_from_rotations, canonical_code,
                          vertex_connectivity_capped)
@@ -59,13 +60,17 @@ def _class_digest(run) -> str:
 class _Run:
     """One full pass: all decorations up to R_MAX with classifications.
 
-    ``codes`` maps the identity code of every decoration to its class."""
+    ``codes`` maps the identity code of every decoration to its class;
+    ``images[r]`` maps that of every decoration of each rate r in
+    image_rates to the identity codes of its mirror and swap02 images."""
 
-    def __init__(self, rmax):
+    def __init__(self, rmax, image_rates=()):
         t0 = time.time()
         self.by_rate_k = {r: [0, 0, 0] for r in range(1, rmax + 1)}
         self.pre = {r: 0 for r in range(1, rmax + 1)}
         self.codes = {}
+        self.images = {r: {} for r in image_rates}
+        same = {}
         self.duplicates = 0
         self.sample = {r: [] for r in range(1, rmax + 1)}
 
@@ -81,6 +86,14 @@ class _Run:
                         self.by_rate_k[r][k - 1] += 1
                 rates.add(r)
                 code = decoration_identity(d)
+                if r in self.images:
+                    # one tuple per code: the images are decorations of
+                    # the run too, and a code takes about 2 KB at rate 19
+                    code = same.setdefault(code, code)
+                    self.images[r][code] = tuple(
+                        same.setdefault(c, c) for c in (
+                            decoration_identity(mirror(d)),
+                            decoration_identity(swap02(d))))
                 if code in self.codes:
                     self.duplicates += 1
                 self.codes[code] = cls
@@ -143,7 +156,7 @@ stretch = pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
 
 @pytest.fixture(scope="module")
 def stretch_run():
-    return _Run(20)
+    return _Run(20, image_rates=(15, 17, 19))
 
 
 @stretch
@@ -171,6 +184,38 @@ def test_criterion1_stretch_runtime(stretch_run):
 @stretch
 def test_criterion1_stretch_no_duplicates(stretch_run):
     assert stretch_run.duplicates == 0
+
+
+def _orbit_sizes(images, maps):
+    """Counter of orbit sizes of the group generated by the chosen maps
+    (0 mirror, 1 swap02) on the identity codes of one rate."""
+    sizes, done = Counter(), set()
+    for code in images:
+        if code in done:
+            continue
+        orbit, todo = {code}, [code]
+        while todo:
+            for image in (images[todo.pop()][i] for i in maps):
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        done |= orbit
+        sizes[len(orbit)] += 1
+    return sizes
+
+
+@stretch
+def test_criterion1_stretch_unreachable_cells(stretch_run):
+    # mirror and swap02 keep the class, so every class rule counts whole
+    # orbits: with four members each, the k=2 count at rates 15 and 19 is
+    # divisible by 4 (published 1786 and 14058 are not), and with two
+    # members each, the k=3 count at rate 17 is even (published 2769)
+    images = stretch_run.images
+    assert STRETCH_COUNTS[15][1] % 4 == STRETCH_COUNTS[19][1] % 4 == 2
+    assert STRETCH_COUNTS[17][2] % 2 == 1
+    assert _orbit_sizes(images[15], (0, 1)) == {4: 456}
+    assert _orbit_sizes(images[19], (0, 1)) == {4: 3702}
+    assert _orbit_sizes(images[17], (0,)) == {2: 2539}
 
 
 # -- criterion 2: predecoration column ---------------------------------------

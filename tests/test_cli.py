@@ -178,6 +178,7 @@ def _embeddings(rmax):
 
 def test_stats_line_on_stderr_leaves_stdout_alone(capsys):
     funnel = vars(generate(GenerationTask(1, 8, 1)))
+    assert funnel["pruned"] > 0
     embeddings = {8: _embeddings(8), 6: _embeddings(6)}
     for argv in (["generate", "--rate", "1-8", "--count"],
                  ["generate", "--rate", "1-8", "--predecorations",

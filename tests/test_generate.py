@@ -1,9 +1,12 @@
 import hashlib
+import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from lspgen.extensions import REDUCTIONS, extension_sites, scan_reductions
+from lspgen.extensions import (REDUCTIONS, extension_sites, kept_reduction,
+                               scan_reductions)
 from lspgen.generate import (GenerationStats, GenerationTask, _site_keys,
                              base_c4, base_k2, canonical_parent, generate,
                              is_canonical_child)
@@ -160,11 +163,46 @@ def test_funnel_counters():
     stats = generate(GenerationTask(1, 14, 1))
     assert stats.visited == 165
     assert stats.built <= 3000       # 16,598 before the rate screen
+    assert stats.built == 1059       # 2,498 before the parent-side prune
     assert stats.screened > 0
+    assert stats.pruned > 0
     # every built child ends in exactly one funnel stage; the two bases
     # are visited without being built
     assert stats.built == (stats.invalid + stats.rejected
                            + stats.duplicates + stats.visited - 2)
+
+
+def _pruned_sites(rmax):
+    """Builds every extension site that generate prunes up to rmax and
+    checks that the child has a reduction number smaller than the
+    extension's, so the canonical-child test would reject it; returns the
+    pruned sites per extension number."""
+    seen = []
+    stats = generate(GenerationTask(1, rmax, 1), visitor=seen.append)
+    pruned = Counter()
+    for p in seen:
+        kept = kept_reduction(p.g, p.walk)
+        for num, step, apply_ext, args in extension_sites(p.g, p.walk):
+            if p.lo + step > rmax or not kept(num, args[0]):
+                continue
+            pruned[num] += 1
+            result = apply_ext(p.g, p.walk, *args)
+            if result is not None:
+                assert scan_reductions(result[0])[0] < num, (num, args)
+    assert sum(pruned.values()) == stats.pruned
+    return dict(pruned)
+
+
+def test_parent_side_prune_is_sound():
+    assert _pruned_sites(14) == {2: 341, 3: 28, 4: 56, 5: 87, 6: 11, 7: 22,
+                                 8: 184, 9: 343, 10: 604}
+
+
+@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                    reason="set LSPGEN_STRETCH=1 for the rate-18 check")
+def test_parent_side_prune_is_sound_to_rate_18():
+    assert _pruned_sites(18) == {2: 3294, 3: 196, 4: 392, 5: 598, 6: 87,
+                                 7: 174, 8: 1621, 9: 3190, 10: 6097}
 
 
 def _reference_decision(child, ext_num, inv_site):
