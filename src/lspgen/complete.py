@@ -5,7 +5,7 @@ optionally adds one degree-2 type-1 vertex in the outer face (which must
 be v1), and covers outer-walk slots with degree-3 type-1 vertices, each
 attached to three consecutive boundary vertices.  The choice of v1 is
 enumerated up to the symmetry of the predecoration.  One depth-first
-search per embedding serves every choice: it adds degree-3 vertices in
+search per skeleton serves every choice: it adds degree-3 vertices in
 slot order, and at most once puts a new v1 on the outer edge of a slot.
 It screens a boundary vertex once no later slot can touch it
 (`_corner_demand`, counted as for a vertex other than v1) and files each
@@ -17,6 +17,15 @@ construction, and it is 2-connected when no vertex is left twice on the
 outer walk.  The first cover set of each orbit under the v1 choice's
 stabilizer is built, with both bipartition type assignments and every
 placement of v0 and v2.
+
+A chiral skeleton's mirror embedding is completed from the same search,
+with the same automorphisms (mirroring keeps dart ids, and the skeleton
+has only orientation-preserving ones).  Skeleton slot i (darts walk[i],
+walk[i + 1]) is its slot at dart walk[i + 1] ^ 1, ("g", i) its "g"
+choice at walk[i] ^ 1, and ("v", x) stays.  The search also files covers
+under the preimages of its v1 choices, which it sorts in its own
+coordinates; it reads each class off the skeleton's build of the
+preimage, and classifies only on a miss.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .predecorations import Predecoration, outer_vertex_occurrences
 from .surgery import Surgeon
 
 Choice = tuple[str, int]                       # ("v", vertex) or ("g", slot)
+Covers = dict[Choice, list[tuple[int, ...]]]   # slot sets by v1 choice
 
 
 def bipartition(g: PlaneGraph) -> list[int]:
@@ -52,16 +62,18 @@ def bipartition(g: PlaneGraph) -> list[int]:
 
 @dataclass
 class CompletionStats:
-    """The completion funnel: cover searches (one per embedding), covers
-    filed (summed over the v1 choices), covers built (after the
-    stabilizer dedup) and decorations emitted."""
+    """The completion funnel: cover searches (one per skeleton), mirrors
+    completed from one, covers filed (over the v1 choices) and built
+    (after the stabilizer dedup), decorations emitted, classifier calls."""
     searches: int = 0
+    mirrored: int = 0
     covers: int = 0
     built: int = 0
     emitted: int = 0
+    classified: int = 0
 
 
-def _corner_demand(deg: int, left: int, is_v1: bool) -> int:
+def _corner_demand(deg: int, left: int, is_v1: bool = False) -> int:
     """The corners besides v1 that a screened boundary vertex of degree
     `deg`, with `left` outer-walk occurrences not cut off, must be: one
     if its degree is <= 3; 3 (more than there are) if it is left twice
@@ -79,22 +91,22 @@ def _corner_demand(deg: int, left: int, is_v1: bool) -> int:
 class _Completer:
     """Completes one skeleton.  Search state: ``deg[v]``, the degree of v
     so far, fills included; ``left[v]``, its outer-walk occurrences not
-    cut off by a degree-3 vertex; ``closing[b]`` and ``open[b]``, the
-    boundary vertices whose last slot (for a degree-3 vertex, or for v1
-    at a "g" choice) is b - 1 and b or later; ``filed``, the covers found
-    for each v1 choice."""
+    cut off by a degree-3 vertex; ``closing[b]``, the boundary vertices
+    whose last slot (for a degree-3 vertex, or for v1 at a "g" choice) is
+    b - 1; ``filed``, the covers found for each v1 choice."""
 
-    def __init__(self, p: Predecoration, k: int, rmin: int, rmax: int):
+    def __init__(self, p: Predecoration, k: int, rmin: int, rmax: int,
+                 auts: Optional[list[tuple[int, ...]]] = None):
         self.g = g = p.g
         self.k, self.rmin, self.rmax = k, rmin, rmax
         self.walk = walk = p.walk
         self.m = m = len(walk)
         # orientation-reversing symmetries must not be quotiented out:
         # they relate mirror completions, which are distinct decorations
-        self.chiral = is_chiral(p)
-        auts = [perm for perm, rev in p.automorphisms() if not rev]
+        self.auts = auts = auts if auts is not None else [
+            perm for perm, rev in p.automorphisms() if not rev]
         self.vmaps = [vertex_mapping(g, perm) for perm in auts]
-        pos = {d: i for i, d in enumerate(walk)}
+        self.pos = pos = {d: i for i, d in enumerate(walk)}
         self.smaps = [[pos[perm[d]] for d in walk] for perm in auts]
         self.col = bipartition(g)
         self.occ = outer_vertex_occurrences(g)
@@ -103,6 +115,8 @@ class _Completer:
         # the middle one is cut off from the outer face
         self.triples = [(g.org[walk[i]], g.org[walk[(i + 1) % m]],
                          g.org[walk[(i + 1) % m] ^ 1]) for i in range(m)]
+        self.verdicts: dict[tuple, int] = {}   # see `_class`
+        self.pre: Optional[dict[Choice, Choice]] = None   # see `mirrored`
 
     # -- symmetry ----------------------------------------------------------
 
@@ -124,13 +138,23 @@ class _Completer:
                 reps.append(c)
         return reps
 
-    def _stabilizer(self, choice: Choice) -> list[int]:
-        return [ai for ai in range(len(self.smaps))
-                if self._choice_image(choice, ai) == choice]
+    def mirrored(self) -> _Completer:
+        """The mirror embedding's completer, with the automorphisms and
+        verdicts here.  Its `pre` and `back` map its v1 choices and slots
+        to those here; `slot` is the inverse of `back`."""
+        mirror = _Completer(Predecoration(self.g.mirrored()), self.k,
+                            self.rmin, self.rmax, self.auts)
+        mirror.verdicts, m, q = self.verdicts, self.m, mirror.walk
+        mirror.back = [self.pos[q[(j + 1) % m] ^ 1] for j in range(m)]
+        mirror.slot = sorted(range(m), key=mirror.back.__getitem__)
+        mirror.pre = {c: c if c[0] == "v" else ("g", self.pos[q[c[1]] ^ 1])
+                      for c in mirror.v1_choices()}
+        return mirror
 
     # -- enumeration ---------------------------------------------------------
 
-    def run(self, visitor: Callable[[Decoration], None],
+    def run(self, choices: list[Choice], covers: Covers,
+            visitor: Callable[[Decoration], None],
             stats: CompletionStats) -> int:
         """Visits each decoration of this embedding once; returns how many.
 
@@ -140,11 +164,9 @@ class _Completer:
         keeps one, so only the identity fixes the cover.  Hence no two
         type flips or corner pairs of one build coincide."""
         before = stats.emitted
-        choices = self.v1_choices()
-        covers = self._covers(choices)
-        stats.searches += 1
         for choice in choices:
-            stab = self._stabilizer(choice)
+            stab = [ai for ai in range(len(self.smaps))
+                    if self._choice_image(choice, ai) == choice]
             covers_seen = set()
             stats.covers += len(covers[choice])
             for cover in covers[choice]:
@@ -162,10 +184,9 @@ class _Completer:
 
     def _demand(self, vertices: Iterable[int]) -> int:
         deg, left = self.deg, self.left
-        return sum(_corner_demand(deg[v], left[v], False) for v in vertices)
+        return sum(_corner_demand(deg[v], left[v]) for v in vertices)
 
-    def _covers(self, choices: list[Choice]
-                ) -> dict[Choice, list[tuple[int, ...]]]:
+    def _covers(self, choices: list[Choice]) -> Covers:
         """The slot sets of degree-3 vertices that pass the degree screen
         with each of the choices as v1 and give a rate in [rmin, rmax], in
         depth-first order (the order of the sorted tuples)."""
@@ -180,32 +201,30 @@ class _Completer:
                 for v in t[:3 if self.ok[i] else 2 * self.gslot[i]]}
         self.closing = closing = [[v for v in occ if last.get(v, -1) + 1 == b]
                                   for b in range(m + 2)]
-        self.open = [sum(closing[b + 1:], []) for b in range(m + 2)]
         self.filed = {c: [] for c in choices}
-        self._grow(0, (), self._demand(closing[0]), None)
+        self._grow(0, (), self._demand(closing[0]), self._demand(occ), None)
         return {c: sorted(found) for c, found in self.filed.items()}
 
     def _grow(self, i: int, chosen: tuple[int, ...], forced: int,
-              gs: Optional[int]) -> None:
-        # the vertices closed before slot i force `forced` corners; gs is
-        # the slot of the degree-2 vertex v1, if placed
+              total: int, gs: Optional[int]) -> None:
+        # the vertices closed before slot i force `forced` corners, all
+        # boundary vertices `total`; gs is the slot of a new v1, if placed
         m, closing, deg, left = self.m, self.closing, self.deg, self.left
         rate = 4 * len(self.quads) + 2 * len(chosen) + (gs is not None)
         if rate + (m - i + 1) // 2 * 2 + 1 < self.rmin:
             return
         if self.rmin <= rate <= self.rmax:
-            total = forced + self._demand(self.open[i])
             if gs is not None and total <= 2:
                 self.filed[("g", gs)].append(chosen)
             elif gs is None and total <= 3:
                 for x in self.vs:
                     if (total + _corner_demand(deg[x], left[x], True)
-                            - _corner_demand(deg[x], left[x], False) <= 2):
+                            - _corner_demand(deg[x], left[x]) <= 2):
                         self.filed[("v", x)].append(chosen)
         if rate + 1 + (gs is not None) > self.rmax:
             return
         cover, cut = rate + 2 <= self.rmax, 3 if gs is None else 2
-        ok, gslot = self.ok, self.gslot
+        ok, gslot, cd = self.ok, self.gslot, _corner_demand
         for j in range(i, m):
             if j > i and closing[j]:
                 forced += self._demand(closing[j])
@@ -213,22 +232,26 @@ class _Completer:
                     return
             # slot j is free; either placement there adds an edge at u and v
             u, v, w = self.triples[j]
+            t = total - cd(deg[u], left[u]) - cd(deg[v], left[v])
             deg[u] += 1
             deg[v] += 1
+            t += cd(deg[u], left[u]) + cd(deg[v], left[v])
+            if gs is None and gslot[j] and forced <= 2:
+                f = forced + self._demand(closing[j + 1])
+                if f <= 2:
+                    self._grow(j + 1, chosen, f, t, j)
             # a degree-3 vertex at the last slot also takes slot 0
             if cover and ok[j] and (j + 1 < m or 0 not in chosen[:1]
                                     and gs != 0):
+                t -= cd(deg[v], left[v]) + cd(deg[w], left[w])
                 deg[w] += 1
                 left[v] -= 1
                 f = forced + self._demand(closing[j + 1] + closing[j + 2])
                 if f <= cut:
-                    self._grow(j + 2, chosen + (j,), f, gs)
+                    t += cd(deg[v], left[v]) + cd(deg[w], left[w])
+                    self._grow(j + 2, chosen + (j,), f, t, gs)
                 left[v] += 1
                 deg[w] -= 1
-            if gs is None and gslot[j] and forced <= 2:
-                f = forced + self._demand(closing[j + 1])
-                if f <= 2:
-                    self._grow(j + 1, chosen, f, j)
             deg[u] -= 1
             deg[v] -= 1
 
@@ -259,16 +282,14 @@ class _Completer:
             d1, d2 = walk[i], walk[(i + 1) % m]
             u, v, w = g.org[d1], g.org[d2], g.org[d2 ^ 1]
             attach([(u, d1, True), (v, d2, True), (w, d2 ^ 1, False)])
-        if choice[0] == "g":
-            d = walk[choice[1]]
-            u, v = g.org[d], g.org[d ^ 1]
-            v1_vertex = attach([(u, d, True), (v, d ^ 1, False)])
-        else:
-            v1_vertex = choice[1]
-
         covered = {walk[j % m] for i in cover for j in (i, i + 1)}
         if choice[0] == "g":
-            covered.add(walk[choice[1]])
+            d = walk[choice[1]]
+            covered.add(d)
+            v1_vertex = attach([(g.org[d], d, True),
+                                (g.org[d ^ 1], d ^ 1, False)])
+        else:
+            v1_vertex = choice[1]
         outer_token = next((d for d in walk if d not in covered), None)
         if outer_token is None:
             # fully covered boundary: the outer walk runs through the
@@ -281,12 +302,21 @@ class _Completer:
         firsts = [Decoration(built, vt, et, (v0, v1_vertex, v2))
                   for v0, v2 in corner_pairs(built, vt, v1_vertex)]
         if self.k > 1:
-            firsts = [d for d in firsts if connectivity_class(d) >= self.k]
+            key = (choice, cover) if self.pre is None else (
+                self.pre[choice], tuple(sorted(self.back[i] for i in cover)))
+            firsts = [d for d in firsts if self._class(d, key) >= self.k]
         yield from firsts
         # The 0 <-> 2 flip keeps the degrees and the type-1 vertices, so
         # the corner pairs; it is the dual operation, of the same class
         # (see lspgen.classify), so one verdict serves both twins.
         yield from map(swap02, firsts)
+
+    def _class(self, d: Decoration, key: tuple) -> int:
+        lo, hi = sorted(d.corners[::2])     # a mirror image swaps v0, v2
+        key += (lo, hi, d.vt[lo])
+        if key not in self.verdicts:
+            self.verdicts[key] = connectivity_class(d)
+        return self.verdicts[key]
 
 
 def complete(p: Predecoration, k: int = 1, rmin: int = 1,
@@ -298,17 +328,27 @@ def complete(p: Predecoration, k: int = 1, rmin: int = 1,
     and adds the funnel to `stats`.
 
     A chiral skeleton hosts two disjoint mirror families of decorations;
-    both its embeddings are completed.
+    both its embeddings are completed, from one cover search and, since
+    a mirror image keeps the class, one verdict per mirror pair.
     """
     if rmax is None:
         rmax = p.hi
     sink = visitor if visitor is not None else (lambda d: None)
     stats = stats if stats is not None else CompletionStats()
     comp = _Completer(p, k, rmin, rmax)
-    count = comp.run(sink, stats)
-    if comp.chiral:
-        count += _Completer(Predecoration(p.g.mirrored()),
-                            k, rmin, rmax).run(sink, stats)
+    choices = comp.v1_choices()
+    mirror = comp.mirrored() if is_chiral(p) else None
+    pre = mirror.pre.values() if mirror else ()
+    covers = comp._covers(choices + [c for c in pre if c not in choices])
+    stats.searches += 1
+    count = comp.run(choices, covers, sink, stats)
+    if mirror is not None:
+        stats.mirrored += 1
+        reflected = {c: sorted(tuple(sorted(mirror.slot[i] for i in cover))
+                               for cover in covers[pc])
+                     for c, pc in mirror.pre.items()}
+        count += mirror.run(list(mirror.pre), reflected, sink, stats)
+    stats.classified += len(comp.verdicts)
     return count
 
 

@@ -60,7 +60,8 @@ def _class_digest(run) -> str:
 class _Run:
     """One full pass: all decorations up to R_MAX with classifications.
 
-    ``codes`` maps the identity code of every decoration to its class;
+    ``codes`` maps the identity code of every decoration to its class,
+    ``rates`` to its rate;
     ``images[r]`` maps that of every decoration of each rate r in
     image_rates to the identity codes of its mirror and swap02 images."""
 
@@ -69,6 +70,7 @@ class _Run:
         self.by_rate_k = {r: [0, 0, 0] for r in range(1, rmax + 1)}
         self.pre = {r: 0 for r in range(1, rmax + 1)}
         self.codes = {}
+        self.rates = {}
         self.images = {r: {} for r in image_rates}
         same = {}
         self.duplicates = 0
@@ -97,6 +99,7 @@ class _Run:
                 if code in self.codes:
                     self.duplicates += 1
                 self.codes[code] = cls
+                self.rates[code] = r
                 if len(self.sample[r]) < 6:
                     self.sample[r].append(d)
 
@@ -136,18 +139,22 @@ def test_criterion1_runtime(full_run):
     assert full_run.seconds < 600   # hard cap; the 60s figure is a target
 
 
-def test_criterion1_matches_filtered_pipeline(full_run):
+def _check_filtered_pipeline(run, rmax):
     # a k-filtered completion emits exactly the decorations of class >= k,
     # each once; k=2 first filters something at rate 10
     for k in (2, 3):
         codes = []
-        generate(GenerationTask(1, R_MAX, k),
+        generate(GenerationTask(1, rmax, k),
                  visitor=lambda p: complete(
-                     p, k, 1, R_MAX,
+                     p, k, 1, rmax,
                      lambda d: codes.append(decoration_identity(d))))
         assert len(set(codes)) == len(codes), k
-        assert set(codes) == {c for c, cls in full_run.codes.items()
-                              if cls >= k}, k
+        assert set(codes) == {c for c, cls in run.codes.items()
+                              if cls >= k and run.rates[c] <= rmax}, k
+
+
+def test_criterion1_matches_filtered_pipeline(full_run):
+    _check_filtered_pipeline(full_run, R_MAX)
 
 
 stretch = pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
@@ -179,6 +186,11 @@ def test_criterion1_stretch_class_digest(stretch_run):
 def test_criterion1_stretch_runtime(stretch_run):
     print(f"stretch runtime: {stretch_run.seconds:.1f}s (gate 600s)")
     assert stretch_run.seconds < 600
+
+
+@stretch
+def test_criterion1_stretch_matches_filtered_pipeline(stretch_run):
+    _check_filtered_pipeline(stretch_run, 17)
 
 
 @stretch

@@ -206,6 +206,19 @@ def test_stats_line_on_stderr_leaves_stdout_alone(capsys):
         if rmax == 8:
             assert result["stats"] == funnel
         completion = result["completion"]
-        assert completion["searches"] == embeddings[rmax]
+        assert (completion["searches"] + completion["mirrored"]
+                == embeddings[rmax])
         assert completion["emitted"] == sum(result["decorations"].values())
         assert completion["built"] <= completion["covers"]
+
+
+def test_stats_funnel_of_the_k2_count(capsys):
+    # one cover search per skeleton, the mirror embedding of each of the
+    # 84 chiral ones completed from it; 400 of the mirrors' 404 verdicts
+    # come from the skeleton side
+    assert main(["generate", "--rate", "1-14", "-k", "2", "--count",
+                 "--stats"]) == 0
+    result = json.loads(capsys.readouterr().err)
+    assert result["completion"] == {
+        "searches": 165, "mirrored": 84, "covers": 1214, "built": 1209,
+        "emitted": 3130, "classified": 1180}

@@ -1,8 +1,12 @@
 import gc
+import os
 import types
+
+import pytest
 
 from lspgen import complete as complete_module
 from lspgen import predecorations
+from lspgen.classify import connectivity_class_of
 from lspgen.complete import _Completer, complete, is_chiral
 from lspgen.decorations import decoration_identity, type1_subgraph, validate
 from lspgen.generate import GenerationTask, base_c4, base_k2, generate
@@ -319,5 +323,49 @@ def test_chirality_is_computed_once_per_skeleton(monkeypatch):
               5: [1], 6: [2], 7: [1, 4, 2]})
     assert isinstance(complete(p, 1, 10, 10), int)
     assert is_chiral(p)
-    # one for the skeleton, one for its mirror image
-    assert len(calls) == 2
+    # the mirror completer takes the skeleton's automorphisms
+    assert len(calls) == 1
+
+
+# -- the mirror embedding, completed from the skeleton's search ---------------
+
+def _check_mirror_sharing(monkeypatch, rmax):
+    """Completes every skeleton up to rmax at k=2.  Each mirror's v1
+    choices and reflected covers must be what its own automorphisms and
+    search give, and each class read from the verdicts (the skeleton's,
+    in a mirror) what the classifier gives the decoration; returns the
+    numbers of mirrors and shared verdicts."""
+    counts = {"mirrors": 0, "shared": 0}
+    run, classed = _Completer.run, _Completer._class
+
+    def run_checked(self, choices, covers, visitor, stats):
+        if self.pre is not None:
+            own = _Completer(Predecoration(self.g), self.k, self.rmin,
+                             self.rmax)
+            assert choices == own.v1_choices()
+            assert covers == own._covers(choices)
+            counts["mirrors"] += 1
+        return run(self, choices, covers, visitor, stats)
+
+    def class_checked(self, d, key):
+        known = len(self.verdicts)
+        cls = classed(self, d, key)
+        if len(self.verdicts) == known:
+            assert cls == connectivity_class_of(d)
+            counts["shared"] += self.pre is not None
+        return cls
+
+    monkeypatch.setattr(_Completer, "run", run_checked)
+    monkeypatch.setattr(_Completer, "_class", class_checked)
+    run_pipeline(1, rmax, 2)
+    return counts["mirrors"], counts["shared"]
+
+
+def test_mirror_takes_reflected_covers_and_verdicts(monkeypatch):
+    assert _check_mirror_sharing(monkeypatch, 14) == (84, 400)
+
+
+@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                    reason="set LSPGEN_STRETCH=1 for rates 15-17")
+def test_mirror_takes_reflected_covers_and_verdicts_stretch(monkeypatch):
+    assert _check_mirror_sharing(monkeypatch, 17) == (284, 2181)

@@ -1,8 +1,11 @@
+import functools
 import os
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lspgen.catalog import lookup
 from lspgen.complete import complete
@@ -163,6 +166,24 @@ def test_deco_round_trip_of_generated_decorations():
         back = read_deco(write_deco(d))
         assert decoration_identity(back) == decoration_identity(d)
         assert connectivity_class(back) == connectivity_class(d)
+
+
+@functools.cache
+def _by_rate_r12():
+    by_rate = {}
+    for d in _collect(1, 12):
+        by_rate.setdefault(d.rate(), []).append(d)
+    return by_rate
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.integers(1, 12), st.randoms(use_true_random=False))
+def test_deco_round_trip_keeps_identity_and_class(rate, rng):
+    # a rate first, so the few decorations of the low rates are drawn too
+    d = rng.choice(_by_rate_r12()[rate])
+    back = read_deco(write_deco(d))
+    assert decoration_identity(back) == decoration_identity(d)
+    assert connectivity_class(back) == connectivity_class(d)
 
 
 def test_deco_rejects_garbage():
