@@ -104,9 +104,9 @@ def _links(g: PlaneGraph, d: Decoration):
     """The gluing of ``_glue`` and the edges of the result read off it.
 
     Each edge of the result is a glued type-1 class, which joins the
-    type-0 ends of its two type-2 edges.  Returns the gluing and the two
-    type-0 ends of every type-1 class; raises ``MapError`` when the
-    result would not be a loop-free graph.
+    type-0 ends of its two type-2 edges.  Returns the gluing once those
+    ends are checked; raises ``MapError`` when the result would not be a
+    loop-free graph.
     """
     nbrs, side_of_edge, cls = _glue(g, d)
     dg, vt, et = d.g, d.vt, d.et
@@ -137,7 +137,7 @@ def _links(g: PlaneGraph, d: Decoration):
         raise MapError("type-1 vertex without exactly two type-2 edges")
     if any(a == b for a, b in ends.values()):
         raise MapError("extraction would create a loop")
-    return (nbrs, side_of_edge, cls), ends
+    return nbrs, side_of_edge, cls
 
 
 def apply_decoration(g: PlaneGraph, d: Decoration) -> PlaneGraph:
@@ -154,7 +154,7 @@ def apply_decoration(g: PlaneGraph, d: Decoration) -> PlaneGraph:
     a side into the neighbouring chamber on the same dart, and keeps the
     type-2 darts, each standing for the edge of its type-1 end's class.
     """
-    (nbrs, side_of_edge, cls), ends = _links(g, d)
+    nbrs, side_of_edge, cls = _links(g, d)
     dg, vt, et = d.g, d.vt, d.et
     n, org, outer, face_of = dg.n, dg.org, dg.outer, dg.face_of
 
@@ -180,9 +180,8 @@ def apply_decoration(g: PlaneGraph, d: Decoration) -> PlaneGraph:
 
     # the dart of an edge at the end where the edge is met first is even
     first_dart: dict[int, int] = {}
-    out_org = [0] * (2 * len(ends))
-    out_nxt = [0] * (2 * len(ends))
-    for v, first in enumerate(start.values()):
+    rows = []
+    for first in start.values():
         row = []
         ch, x = first
         while True:
@@ -197,7 +196,5 @@ def apply_decoration(g: PlaneGraph, d: Decoration) -> PlaneGraph:
             ch = home(ch, x)
             if (ch, x) == first:
                 break
-        for i, dart in enumerate(row):
-            out_org[dart] = v
-            out_nxt[dart] = row[i + 1 - len(row)]
-    return PlaneGraph(out_org, out_nxt)
+        rows.append(row)
+    return PlaneGraph(rows)

@@ -192,7 +192,6 @@ def type1_subgraph(d: Decoration) -> tuple[Predecoration, dict[int, int]]:
     """The predecoration of type-1 edges, plus old->new vertex mapping."""
     g, et = d.g, d.et
     keep_darts = [dd for dd in range(2 * g.ne) if et[dd >> 1] == 1]
-    keep_set = set(keep_darts)
     verts = sorted({g.org[dd] for dd in keep_darts})
     vmap = {v: i for i, v in enumerate(verts)}
     # merge faces across removed edges to find the new outer face
@@ -211,25 +210,12 @@ def type1_subgraph(d: Decoration) -> tuple[Predecoration, dict[int, int]]:
                 parent[a] = b
     outer_class = find(g.outer)
 
-    dart_id = {dd: i for i, dd in enumerate(sorted(
-        keep_darts, key=lambda dd: (dd >> 1, dd & 1)))}
-    nd = len(keep_darts)
-    org = [0] * nd
-    nxt = [0] * nd
-    for dd in keep_darts:
-        org[dart_id[dd]] = vmap[g.org[dd]]
-        e = g.nxt[dd]
-        while e not in keep_set:
-            e = g.nxt[e]
-        nxt[dart_id[dd]] = dart_id[e]
-    outer_dart = None
-    for dd in keep_darts:
-        if find(g.face_of[dd]) == outer_class:
-            outer_dart = dart_id[dd]
-            break
-    assert outer_dart is not None
-    sub = PlaneGraph(org, nxt, outer_dart)
-    return Predecoration(sub), vmap
+    dart_id = {dd: i for i, dd in enumerate(keep_darts)}
+    rows = [[dart_id[dd] for dd in g.darts_at(v) if et[dd >> 1] == 1]
+            for v in verts]
+    outer_dart = next(dart_id[dd] for dd in keep_darts
+                      if find(g.face_of[dd]) == outer_class)
+    return Predecoration(PlaneGraph(rows, outer_dart)), vmap
 
 
 def canonicalized(d: Decoration) -> Decoration:
@@ -241,16 +227,8 @@ def canonicalized(d: Decoration) -> Decoration:
     vt2 = [0] * d.g.n
     for v in range(d.g.n):
         vt2[order[v]] = d.vt[v]
-    # edge ids after relabeling: recompute by endpoints and position
-    et2 = [0] * d.g.ne
-    old_edges = {}
-    for e in range(d.g.ne):
-        old_edges.setdefault(
-            tuple(sorted((order[d.g.org[2 * e]], order[d.g.org[2 * e + 1]]))),
-            []).append(d.et[e])
-    for e in range(g2.ne):
-        key = tuple(sorted(g2.edge_ends(e)))
-        et2[e] = old_edges[key].pop(0)
+    # an edge's type is the one its two ends leave (see ``validate``)
+    et2 = [3 - vt2[a] - vt2[b] for a, b in map(g2.edge_ends, range(g2.ne))]
     corners = tuple(order[c] for c in d.corners)
     return Decoration(g2, tuple(vt2), tuple(et2), corners)  # type: ignore
 
@@ -348,7 +326,7 @@ def read_deco(text: str) -> Decoration:
     v0 = corners[0]
     first_nbr = rot[v0 + 1][0] - 1
     d0 = next(dd for dd in g0.darts_at(v0) if g0.org[dd ^ 1] == first_nbr)
-    g = PlaneGraph(g0.org, g0.nxt, d0)
+    g = g0.with_outer(g0.face_of[d0])
     # edge types: multi-edges are listed in rotation order
     pools: dict[tuple[int, int], list[int]] = {}
     for u, w, t in etypes:

@@ -1,12 +1,14 @@
 """Combinatorial maps for embedded graphs.
 
 A plane (or higher-genus) embedded graph is stored as a rotation system on
-darts (half-edges).  Darts are the integers ``0 .. 2E-1``; the two darts of
-edge ``e`` are ``2e`` and ``2e+1``, so the edge involution is ``d ^ 1``.
-``nxt[d]`` is the next dart counterclockwise around the origin vertex of
-``d``.  Faces are the orbits of ``d -> prv[d ^ 1]``; with counterclockwise
-rotations this traverses every face with the face on the *left* of each
-dart.  An optional distinguished face is marked as the outer face.
+darts (half-edges), built from its rows: ``rows[v]`` lists the darts at
+vertex ``v`` in counterclockwise order.  Darts are the integers
+``0 .. 2E-1``; the two darts of edge ``e`` are ``2e`` and ``2e+1``, so the
+edge involution is ``d ^ 1``.  ``nxt[d]`` is the next dart
+counterclockwise around the origin vertex of ``d``.  Faces are the orbits
+of ``d -> prv[d ^ 1]``; with counterclockwise rotations this traverses
+every face with the face on the *left* of each dart.  An optional
+distinguished face is marked as the outer face.
 
 The module also provides plantri-style breadth-first canonical codes (with
 optional vertex/edge label channels and an optional outer-face restriction),
@@ -31,6 +33,13 @@ class MapError(ValueError):
 class PlaneGraph:
     """Immutable embedded multigraph given by a rotation system.
 
+    ``PlaneGraph(rows, outer_dart)`` takes the darts at each vertex in
+    counterclockwise order and stores each row starting at its least
+    dart.  The rows must partition the darts ``0 .. 2E-1`` with no empty
+    row; a loop, a disconnected graph or an impossible Euler
+    characteristic is rejected too (``MapError``).  ``outer_dart`` marks
+    the face on its left as the outer face.
+
     Attributes:
         n: number of vertices (ids ``0 .. n-1``).
         ne: number of edges; there are ``2 * ne`` darts.
@@ -46,44 +55,44 @@ class PlaneGraph:
     __slots__ = ("n", "ne", "org", "nxt", "prv", "faces", "face_of",
                  "outer", "genus", "_vdarts")
 
-    def __init__(self, org: Sequence[int], nxt: Sequence[int],
+    def __init__(self, rows: Sequence[Sequence[int]],
                  outer_dart: Optional[int] = None):
-        nd = len(org)
+        nd = sum(map(len, rows))
         if nd == 0 or nd % 2:
             raise MapError("dart count must be positive and even")
-        if len(nxt) != nd:
-            raise MapError("org and nxt must have equal length")
+        self.ne = nd // 2
+        self.n = len(rows)
+        org = [-1] * nd
+        nxt = [0] * nd
+        prv = [0] * nd
+        vdarts = []
+        try:
+            for v, row in enumerate(rows):
+                if not row:
+                    raise MapError(f"vertex {v} has no darts")
+                least = min(row)
+                if least < 0:
+                    raise MapError(f"negative dart {least}")
+                i = row.index(least)
+                row = tuple(row[i:] + row[:i])
+                vdarts.append(row)
+                e = least
+                for d in reversed(row):
+                    org[d] = v
+                    nxt[d] = e
+                    prv[e] = d
+                    e = d
+        except IndexError:
+            raise MapError(f"dart out of range 0..{nd - 1}") from None
+        if -1 in org:
+            raise MapError("rows do not partition the darts")
+        for d in range(0, nd, 2):
+            if org[d] == org[d + 1]:
+                raise MapError(f"loop at vertex {org[d]}")
         self.org = tuple(org)
         self.nxt = tuple(nxt)
-        self.ne = nd // 2
-        self.n = max(org) + 1
-        prv = [0] * nd
-        seen = [False] * nd
-        for d in range(nd):
-            e = self.nxt[d]
-            if not 0 <= e < nd or self.org[e] != self.org[d]:
-                raise MapError("nxt must permute the darts of each vertex")
-            prv[e] = d
         self.prv = tuple(prv)
-        for d in range(nd):
-            if self.org[d] == self.org[d ^ 1]:
-                raise MapError(f"loop at vertex {self.org[d]}")
-        # Each nxt-cycle must be a single vertex and cover all its darts.
-        vdarts: list[list[int]] = [[] for _ in range(self.n)]
-        for d in range(nd):
-            if seen[d]:
-                continue
-            v = self.org[d]
-            e = d
-            while not seen[e]:
-                seen[e] = True
-                vdarts[v].append(e)
-                e = self.nxt[e]
-        if any(not ds for ds in vdarts):
-            raise MapError("isolated vertex (vertex ids must be dense)")
-        if sum(len(ds) for ds in vdarts) != nd:
-            raise MapError("rotation cycles do not partition the darts")
-        self._vdarts = tuple(tuple(ds) for ds in vdarts)
+        self._vdarts = tuple(vdarts)
 
         face_of = [-1] * nd
         faces: list[tuple[int, ...]] = []
@@ -95,7 +104,7 @@ class PlaneGraph:
             while face_of[e] < 0:
                 face_of[e] = len(faces)
                 orbit.append(e)
-                e = self.prv[e ^ 1]
+                e = prv[e ^ 1]
             faces.append(tuple(orbit))
         self.faces = tuple(faces)
         self.face_of = tuple(face_of)
@@ -145,16 +154,16 @@ class PlaneGraph:
         return any(self.org[d ^ 1] == v for d in self._vdarts[u])
 
     def with_outer(self, face: Optional[int]) -> "PlaneGraph":
-        g = PlaneGraph(self.org, self.nxt,
-                       None if face is None else self.faces[face][0])
-        return g
+        return PlaneGraph(self._vdarts,
+                          None if face is None else self.faces[face][0])
 
     def mirrored(self) -> "PlaneGraph":
         """The mirror image: all rotations reversed, same dart ids."""
         outer_dart = None
         if self.outer is not None:
             outer_dart = self.faces[self.outer][0] ^ 1
-        return PlaneGraph(self.org, self.prv, outer_dart)
+        return PlaneGraph([r[:1] + r[:0:-1] for r in self._vdarts],
+                          outer_dart)
 
     def relabeled(self, new_of_old: Sequence[int]) -> "PlaneGraph":
         """Renames vertices; dart ids are renumbered by new vertex order."""
@@ -168,15 +177,13 @@ class PlaneGraph:
                 new_id[d] = 2 * k
                 new_id[d ^ 1] = 2 * k + 1
                 k += 1
-        org = [0] * (2 * self.ne)
-        nxt = [0] * (2 * self.ne)
-        for d in range(2 * self.ne):
-            org[new_id[d]] = new_of_old[self.org[d]]
-            nxt[new_id[d]] = new_id[self.nxt[d]]
+        rows: list[list[int]] = [[]] * self.n
+        for v, row in enumerate(self._vdarts):
+            rows[new_of_old[v]] = [new_id[d] for d in row]
         outer_dart = None
         if self.outer is not None:
             outer_dart = new_id[self.faces[self.outer][0]]
-        return PlaneGraph(org, nxt, outer_dart)
+        return PlaneGraph(rows, outer_dart)
 
     def __repr__(self) -> str:
         return (f"PlaneGraph(n={self.n}, ne={self.ne}, "
@@ -205,30 +212,19 @@ def build_from_rotations(rotations: dict[int, Sequence[int]]) -> PlaneGraph:
             rots.append([index[w] for w in rotations[u]])
         except KeyError as exc:
             raise MapError(f"neighbor {exc.args[0]} of {u} is not a vertex")
-    n = len(ids)
-    for u, row in enumerate(rots):
-        if not row:
-            raise MapError("isolated vertex")
-        if any(w == u for w in row):
-            raise MapError("loop present")
+    if any(u in row for u, row in enumerate(rots)):
+        raise MapError("loop present")
 
-    # dart ids: consecutive per vertex in rotation order
-    starts = [0] * n
+    # dart ids: consecutive per vertex in rotation order; the darts from
+    # u to w are paired with those from w to u
+    starts = []
     total = 0
-    for u in range(n):
-        starts[u] = total
-        total += len(rots[u])
-    org = [0] * total
-    pos_nbr = [0] * total
-    for u in range(n):
-        for i, w in enumerate(rots[u]):
-            org[starts[u] + i] = u
-            pos_nbr[starts[u] + i] = w
-
-    # pair darts: for each unordered pair, collect occurrence positions
     occ: dict[tuple[int, int], list[int]] = {}
-    for d in range(total):
-        occ.setdefault((org[d], pos_nbr[d]), []).append(d)
+    for u, row in enumerate(rots):
+        starts.append(total)
+        for w in row:
+            occ.setdefault((u, w), []).append(total)
+            total += 1
     rev = [-1] * total
     for (u, w), ds in sorted(occ.items()):
         back = occ.get((w, u))
@@ -259,15 +255,8 @@ def build_from_rotations(rotations: dict[int, Sequence[int]]) -> PlaneGraph:
             new_id[d] = 2 * k
             new_id[rev[d]] = 2 * k + 1
             k += 1
-    org2 = [0] * total
-    nxt2 = [0] * total
-    for u in range(n):
-        deg = len(rots[u])
-        for i in range(deg):
-            d = starts[u] + i
-            org2[new_id[d]] = u
-            nxt2[new_id[d]] = new_id[starts[u] + (i + 1) % deg]
-    return PlaneGraph(org2, nxt2)
+    return PlaneGraph([new_id[s:s + len(row)]
+                       for s, row in zip(starts, rots)])
 
 
 def _consecutive_run(ds: list[int], start: int, deg: int) -> Optional[list[int]]:

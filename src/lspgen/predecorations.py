@@ -20,15 +20,11 @@ class Predecoration:
     before it is built into one of these).
     """
 
-    __slots__ = ("g", "nA", "nB", "nC", "quad_count", "lo", "hi", "walk",
-                 "_automorphisms")
+    __slots__ = ("g", "lo", "hi", "walk", "_automorphisms")
 
     def __init__(self, g: PlaneGraph):
         self.g = g
         self.walk = outer_walk(g)
-        self.nA, self.nB, self.nC = counters(g)
-        self.quad_count = sum(1 for f in range(len(g.faces))
-                              if f != g.outer)
         self.lo, self.hi = rate_bounds_of(g)
         self._automorphisms = None
 
@@ -40,7 +36,7 @@ class Predecoration:
 
     def __repr__(self) -> str:
         return (f"Predecoration(n={self.g.n}, ne={self.g.ne}, "
-                f"quads={self.quad_count}, lo={self.lo}, hi={self.hi})")
+                f"lo={self.lo}, hi={self.hi})")
 
 
 def outer_walk(g: PlaneGraph) -> tuple[int, ...]:

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .maps import MapError, PlaneGraph
+from .maps import PlaneGraph
 
 
 class Surgeon:
-    def __init__(self, g: Optional[PlaneGraph] = None):
-        if g is None:
-            self.rot: list[list[int]] = []
-            self._fresh = 0
-        else:
-            self.rot = [list(g.darts_at(v)) for v in range(g.n)]
-            self._fresh = 2 * g.ne
+    def __init__(self, g: PlaneGraph):
+        self.rot = [list(g.darts_at(v)) for v in range(g.n)]
+        self._fresh = 2 * g.ne
 
     def fresh_pair(self) -> tuple[int, int]:
         t = self._fresh
@@ -61,20 +57,6 @@ class Surgeon:
                     trans[t] = 2 * k
                     trans[t ^ 1] = 2 * k + 1
                     k += 1
-        nd = 2 * k
-        org = [0] * nd
-        nxt = [0] * nd
-        used = 0
-        for v, row in enumerate(self.rot):
-            if not row:
-                raise MapError("empty rotation after surgery")
-            used += len(row)
-            for i, t in enumerate(row):
-                d = trans[t]
-                org[d] = v
-                nxt[d] = trans[row[(i + 1) % len(row)]]
-        if used != nd:
-            raise MapError("unpaired dart token after surgery")
-        g = PlaneGraph(org, nxt,
+        g = PlaneGraph([[trans[t] for t in row] for row in self.rot],
                        None if outer_token is None else trans[outer_token])
         return g, trans

@@ -88,15 +88,9 @@ def barycentric_subdivision(g: PlaneGraph) -> ChamberSystem:
                 trans[t] = 2 * k
                 trans[pair[t]] = 2 * k + 1
                 k += 1
-    org = [0] * (2 * k)
-    nxt = [0] * (2 * k)
-    for v, row in enumerate(rot):
-        for i, t in enumerate(row):
-            org[trans[t]] = v
-            nxt[trans[t]] = trans[row[(i + 1) % len(row)]]
     # the outer face of a subdivision is not well defined, so chamber
     # systems carry no marked outer face
-    cg = PlaneGraph(org, nxt)
+    cg = PlaneGraph([[trans[t] for t in row] for row in rot])
 
     vertex_type = [0] * nv + [1] * ne + [2] * nf
     edge_type = [0] * cg.ne
@@ -117,7 +111,6 @@ def extract_original(c: ChamberSystem) -> PlaneGraph:
     g = c.g
     vt, et = c.vertex_type, c.edge_type
     verts = [v for v in range(g.n) if vt[v] == 0]
-    vmap = {v: i for i, v in enumerate(verts)}
 
     # per type-0 vertex: its type-2 darts in rotation order
     half: dict[int, list[int]] = {}
@@ -147,14 +140,7 @@ def extract_original(c: ChamberSystem) -> PlaneGraph:
                 dart_id[d] = 2 * k
                 dart_id[mate[d]] = 2 * k + 1
                 k += 1
-    org = [0] * (2 * k)
-    nxt = [0] * (2 * k)
-    for v in verts:
-        row = half[v]
-        for i, d in enumerate(row):
-            org[dart_id[d]] = vmap[v]
-            nxt[dart_id[d]] = dart_id[row[(i + 1) % len(row)]]
-    return PlaneGraph(org, nxt)
+    return PlaneGraph([[dart_id[d] for d in half[v]] for v in verts])
 
 
 # -- filling the chambers of a host ------------------------------------------
@@ -318,18 +304,29 @@ def decorate_chambers(g: PlaneGraph, d) -> ChamberSystem:
             cls_id[root] = len(cls_id)
         return cls_id[root]
 
-    org = [0] * nd
-    nxt = [0] * nd
+    # one row per sigma cycle, all of whose darts lie in one glued class
+    rows: dict[int, list[int]] = {}
+    seen = [False] * nd
     for x in range(nd):
-        ch, dd = walk_flat[x]
-        org[new_id[x]] = vclass(ch, dd)
-        nxt[new_id[x]] = new_id[sigma[x]]
-    cg = PlaneGraph(org, nxt)
+        if seen[x]:
+            continue
+        v = vclass(*walk_flat[x])
+        if v in rows:
+            raise MapError("glued vertex with two rotation cycles")
+        row = rows[v] = []
+        y = x
+        while not seen[y]:
+            if vclass(*walk_flat[y]) != v:
+                raise MapError("rotation cycle through two glued vertices")
+            seen[y] = True
+            row.append(new_id[y])
+            y = sigma[y]
+    cg = PlaneGraph(list(rows.values()))
 
     vertex_type = [0] * cg.n
     for x in range(nd):
         ch, dd = walk_flat[x]
-        vertex_type[org[new_id[x]]] = d.vt[dg.org[dd]]
+        vertex_type[cg.org[new_id[x]]] = d.vt[dg.org[dd]]
     edge_type = [0] * cg.ne
     for x in range(nd):
         ch, dd = walk_flat[x]

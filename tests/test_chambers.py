@@ -14,7 +14,7 @@ from lspgen.maps import (MapError, PlaneGraph, build_from_rotations,
 from lspgen.pipeline import run_pipeline
 
 # theta graph embedded on the torus: both rotations in the same order
-THETA = PlaneGraph([0, 1, 0, 1, 0, 1], [2, 3, 4, 5, 0, 1])
+THETA = PlaneGraph([[0, 2, 4], [1, 3, 5]])
 
 
 def test_barycentric_cube():

@@ -146,3 +146,16 @@ def test_readme_lists_the_public_api():
     readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
     listed = readme.split("The public API is `lspgen.__all__`:")[1]
     assert re.findall(r"`(\w+)`", listed.split("\n\n")[0]) == lspgen.__all__
+
+
+SRC_LINE_BUDGET = 3489
+
+
+def test_src_line_budget():
+    # lines in src/lspgen should go down over the round, not up
+    lines = sum(p.read_text(encoding="utf-8").count("\n")
+                for p in MODULES.values())
+    assert lines <= SRC_LINE_BUDGET, (
+        f"src/lspgen has {lines} lines, over its budget of "
+        f"{SRC_LINE_BUDGET}: a change that needs more lines must raise "
+        "SRC_LINE_BUDGET and explain why in CHANGES.md")

@@ -13,7 +13,7 @@ from lspgen.chambers import apply_decoration
 from lspgen.complete import complete
 from lspgen.decorations import _corner_marks
 from lspgen.generate import GenerationTask, generate
-from lspgen.maps import (MapError, automorphisms_flagged,
+from lspgen.maps import (MapError, PlaneGraph, automorphisms_flagged,
                          build_from_rotations,
                          canonical_code, canonical_data, read_planar_code,
                          random_relabeling, to_rotations,
@@ -51,6 +51,26 @@ def test_inconsistent_rotations_rejected():
 def test_loop_rejected():
     with pytest.raises(MapError):
         build_from_rotations({1: [1, 2], 2: [1]})
+
+
+@pytest.mark.parametrize("rows", [     # each spoils [[0, 2, 4], [1, 3, 5]]
+    [[0, 2, 4], [], [1, 3, 5]],         # an empty row
+    [[0, 2, 4], [1, 3, 3]],             # a dart listed twice
+    [[0, 2, 4], [1, 3, 7]],             # a missing dart (5), 7 in its place
+    [[0, -2, 4], [1, 3, 5]],            # a negative dart
+    [[0, 2, 4], [1, 3, 5, 6, 9]],       # a dart >= 2E
+    [[0, 2, 4], [1, 3]],                # an odd dart count
+], ids=["empty", "twice", "missing", "negative", "too-large", "odd"])
+def test_malformed_rows_rejected(rows):
+    with pytest.raises(MapError):
+        PlaneGraph(rows)
+
+
+def test_two_vertices_never_merge_into_one():
+    # renaming cube vertices 6 and 7 to 0 and 1 would give vertices 0
+    # and 1 two rotation cycles each
+    with pytest.raises(MapError):
+        cube().relabeled([0, 1, 2, 3, 4, 5, 0, 1])
 
 
 def test_face_size_sum_is_dart_count():
@@ -404,3 +424,13 @@ def test_automorphism_count_matches_reference(g, mode):
     # orientation, and each permutation then occurs with both flags
     if g.nxt != g.prv:
         assert len(automorphisms(g, mode)) == len(hits)
+
+
+@PROPERTIES
+@given(plane_maps, st.randoms(use_true_random=False))
+def test_rows_give_the_same_map_from_any_start(g, rng):
+    rows = [g.darts_at(v) for v in range(g.n)]
+    turned = [r[i:] + r[:i] for r in rows for i in [rng.randrange(len(r))]]
+    h = PlaneGraph(turned, None if g.outer is None else g.faces[g.outer][0])
+    assert (h.org, h.nxt, h.faces, h.outer) == (g.org, g.nxt, g.faces, g.outer)
+    assert [h.darts_at(v) for v in range(h.n)] == rows
