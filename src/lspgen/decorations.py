@@ -219,7 +219,10 @@ def type1_subgraph(d: Decoration) -> tuple[Predecoration, dict[int, int]]:
 
 
 def canonicalized(d: Decoration) -> Decoration:
-    """Relabels vertices into canonical-code order."""
+    """Relabels vertices into canonical-code order.  Only the vertex
+    order is canonical: each row keeps the cyclic dart order it was built
+    with, starting at its least dart, so two isomorphic decorations built
+    differently may still differ in where their rows start."""
     marks = _corner_marks(d)
     vlab = tuple(3 * t + m for t, m in zip(d.vt, marks))
     order = canonical_order(d.g, "oriented", vlab=vlab, elab=d.et)

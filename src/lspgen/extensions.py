@@ -33,6 +33,13 @@ first that has a site, since only the smallest number takes part in the
 canonical-child test: numbers 1 and 2 need one pass over the edges, the
 quadrangle patterns 3-10 are searched only when no smaller one applies.
 
+One rule undoes all ten extensions (`apply_reduction`): delete the site's
+edges from every rotation, each touched row resuming just after its
+removed darts; delete every vertex left with no darts; for a split (1, 3,
+4), join the two touched vertices that remain into one, so that each row
+fills the gap the other's removed darts left.  The outer face is that of
+the first outer dart outside the site.
+
 A child that would keep a parent's outer bridge (reduction 1) or pendant
 edge (2) is never built.  An extension at walk position i, its first
 argument, adds new vertices and rewires only the old ones at positions
@@ -326,7 +333,7 @@ def kept_reduction(g: PlaneGraph, walk: tuple[int, ...]
     """``kept(num, i)``: whether every child of extension num at walk
     position i keeps a parent's site of a smaller reduction, 1 or 2."""
     deg = [g.degree(v) for v in range(g.n)]
-    ends = [[(g.org[d], g.org[d ^ 1]) for _, (d,) in find(g, deg)]
+    ends = [[(g.org[a], g.org[b]) for a, b in find(g, deg)]
             for find in (_reduction1, _reduction2)]
 
     def kept(num: int, i: int) -> bool:
@@ -339,12 +346,10 @@ def kept_reduction(g: PlaneGraph, walk: tuple[int, ...]
 
 # -- reductions -------------------------------------------------------------
 # One finder per reduction number.  A finder takes g and its vertex
-# degrees and returns every site of its number, in edge or face order,
-# as (site darts, application data); the data is what apply_reduction
-# needs to rebuild the parent.
+# degrees and returns every site of its number, in edge or face order;
+# apply_reduction rebuilds the parent from a site alone.
 
 Site = tuple[int, ...]
-Entry = tuple[Site, tuple]
 
 
 def _quad_faces(g: PlaneGraph) -> list[tuple[int, ...]]:
@@ -356,27 +361,27 @@ def _site(darts) -> Site:
     return tuple(sorted({t for d in darts for t in (d, d ^ 1)}))
 
 
-def _reduction1(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+def _reduction1(g: PlaneGraph, deg: list[int]) -> list[Site]:
     """Contract an outer bridge with both endpoints of degree >= 2."""
     out = []
     for d in range(0, 2 * g.ne, 2):
         if (g.face_of[d] == g.outer and g.face_of[d ^ 1] == g.outer
                 and deg[g.org[d]] >= 2 and deg[g.org[d ^ 1]] >= 2):
-            out.append(((d, d ^ 1), (d,)))
+            out.append((d, d ^ 1))
     return out
 
 
-def _reduction2(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+def _reduction2(g: PlaneGraph, deg: list[int]) -> list[Site]:
     """Delete a pendant vertex whose neighbor keeps a neighbor."""
     out = []
     for d in range(0, 2 * g.ne, 2):
         for x in (d, d ^ 1):
             if deg[g.org[x ^ 1]] == 1 and deg[g.org[x]] >= 2:
-                out.append(((d, d ^ 1), (x,)))
+                out.append((d, d ^ 1))
     return out
 
 
-def _reduction3(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+def _reduction3(g: PlaneGraph, deg: list[int]) -> list[Site]:
     """Quad with a degree-2 diagonal, other diagonal >= 3 and
     non-adjacent."""
     out = []
@@ -386,11 +391,11 @@ def _reduction3(g: PlaneGraph, deg: list[int]) -> list[Entry]:
             v1, v2 = g.org[q[k + 1]], g.org[q[(k + 3) % 4]]
             if (deg[x] == 2 and deg[y] == 2 and deg[v1] >= 3 and deg[v2] >= 3
                     and not g.has_edge(v1, v2)):
-                out.append((_site(q), (q, k)))
+                out.append(_site(q))
     return out
 
 
-def _reduction4(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+def _reduction4(g: PlaneGraph, deg: list[int]) -> list[Site]:
     """Quad over a direct edge whose far side is outer."""
     out = []
     for q in _quad_faces(g):
@@ -399,11 +404,11 @@ def _reduction4(g: PlaneGraph, deg: list[int]) -> list[Entry]:
             x, y = g.org[q[(k + 2) % 4]], g.org[q[(k + 3) % 4]]
             if (g.face_of[q[k] ^ 1] == g.outer and deg[x] == 2 and deg[y] == 2
                     and deg[v1] >= 3 and deg[v2] >= 3):
-                out.append((_site(q), (q, k)))
+                out.append(_site(q))
     return out
 
 
-def _reduction5(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+def _reduction5(g: PlaneGraph, deg: list[int]) -> list[Site]:
     """Quad with three degree-2 corners hanging at one vertex."""
     out = []
     for q in _quad_faces(g):
@@ -411,7 +416,7 @@ def _reduction5(g: PlaneGraph, deg: list[int]) -> list[Entry]:
             v = g.org[q[k]]
             others = [g.org[q[(k + j) % 4]] for j in (1, 2, 3)]
             if deg[v] >= 3 and all(deg[o] == 2 for o in others):
-                out.append((_site(q), (q, k)))
+                out.append(_site(q))
     return out
 
 
@@ -426,7 +431,7 @@ def _inner_darts(g: PlaneGraph) -> list[int]:
     return out
 
 
-def _reduction6(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+def _reduction6(g: PlaneGraph, deg: list[int]) -> list[Site]:
     """Double-quad bundle: dq = v -> w with w of degree 3 shared by both
     quads."""
     out = []
@@ -442,11 +447,11 @@ def _reduction6(g: PlaneGraph, deg: list[int]) -> list[Entry]:
         d2, c2 = g.org[q2[(i2 + 2) % 4]], g.org[q2[(i2 + 3) % 4]]
         if (all(deg[z] == 2 for z in (a, b, c2, d2))
                 and len({v, w, a, b, c2, d2}) == 6):
-            out.append((_site(q1 + q2), (dq,)))
+            out.append(_site(q1 + q2))
     return out
 
 
-def _reduction7(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+def _reduction7(g: PlaneGraph, deg: list[int]) -> list[Site]:
     """Quad strip: quad1 = (r,q,v,p1) hangs at v, and quad2 = (q,r,t,s)
     shares the edge dq = q -> r of two degree-3 vertices.  Extension 7
     builds the strip in both handednesses, so both are matched: quad1
@@ -468,11 +473,11 @@ def _reduction7(g: PlaneGraph, deg: list[int]) -> list[Entry]:
             if (deg[t] == 2 and deg[sv] == 2 and deg[p1] == 2
                     and deg[v7] >= 3
                     and len({v7, p1, qv_, rv, t, sv}) == 6):
-                out.append((_site(quad1 + quad2), (dq, flip)))
+                out.append(_site(quad1 + quad2))
     return out
 
 
-def _reduction8(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+def _reduction8(g: PlaneGraph, deg: list[int]) -> list[Site]:
     """Remove an adjacent degree-2 pair from a quad."""
     if g.n < 5:
         return []
@@ -481,12 +486,11 @@ def _reduction8(g: PlaneGraph, deg: list[int]) -> list[Entry]:
         for k in range(4):
             a, b = g.org[q[(k + 1) % 4]], g.org[q[(k + 2) % 4]]
             if deg[a] == 2 and deg[b] == 2:
-                site = _site((q[k], q[(k + 1) % 4], q[(k + 2) % 4]))
-                out.append((site, (q, k)))
+                out.append(_site((q[k], q[(k + 1) % 4], q[(k + 2) % 4])))
     return out
 
 
-def _reduction9(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+def _reduction9(g: PlaneGraph, deg: list[int]) -> list[Site]:
     """Remove a degree-2 corner of a quad."""
     if g.n < 5:
         return []
@@ -495,15 +499,15 @@ def _reduction9(g: PlaneGraph, deg: list[int]) -> list[Entry]:
         for k in range(4):
             x = g.org[q[k]]
             if deg[x] == 2:
-                out.append((_site(g.darts_at(x)), (q, k)))
+                out.append(_site(g.darts_at(x)))
     return out
 
 
-def _reduction10(g: PlaneGraph, deg: list[int]) -> list[Entry]:
+def _reduction10(g: PlaneGraph, deg: list[int]) -> list[Site]:
     """Remove a quad edge whose far side is outer."""
     if g.n < 5:
         return []
-    return [(_site((d,)), (d,)) for q in _quad_faces(g) for d in q
+    return [_site((d,)) for q in _quad_faces(g) for d in q
             if g.face_of[d ^ 1] == g.outer]
 
 
@@ -513,7 +517,7 @@ REDUCTIONS = (_reduction1, _reduction2, _reduction3, _reduction4,
               _reduction9, _reduction10)
 
 
-def scan_reductions(g: PlaneGraph) -> Optional[tuple[int, list[Entry]]]:
+def scan_reductions(g: PlaneGraph) -> Optional[tuple[int, list[Site]]]:
     """The smallest applicable reduction number and all its sites, or
     None when g has no reduction (the two bases); the numbers are tried
     in increasing order, and the scan stops at the first with a site."""
@@ -525,142 +529,23 @@ def scan_reductions(g: PlaneGraph) -> Optional[tuple[int, list[Entry]]]:
     return None
 
 
-def apply_reduction(g: PlaneGraph, num: int, data: tuple) -> PlaneGraph:
-    """Applies one reduction; returns the (smaller) parent predecoration."""
+def apply_reduction(g: PlaneGraph, num: int, site: Site) -> PlaneGraph:
+    """The parent predecoration that reduction num at site leaves, by
+    the rule of the module docstring."""
+    cut = set(site)
     s = Surgeon(g)
-    removed_tokens: set[int] = set()
-    dead_vertices: list[int] = []
-
-    def merge(v_keep: int, run: list[int], v_gone: int, gone_run: list[int]
-              ) -> None:
-        # replace `run` inside v_keep's rotation by v_gone's rotation
-        # minus `gone_run`, starting right after gone_run's end
-        rot_k = s.rot[v_keep]
-        i = rot_k.index(run[0])
-        assert rot_k[(i + len(run) - 1) % len(rot_k)] == run[-1]
-        rot_g = s.rot[v_gone]
-        j = (rot_g.index(gone_run[-1]) + 1) % len(rot_g)
-        arc = [rot_g[(j + t) % len(rot_g)] for t in range(len(rot_g))]
-        arc = arc[:len(rot_g) - len(gone_run)]
-        if i + len(run) <= len(rot_k):
-            s.rot[v_keep] = rot_k[:i] + arc + rot_k[i + len(run):]
-        else:
-            tail = (i + len(run)) % len(rot_k)
-            s.rot[v_keep] = rot_k[tail:i] + arc
-        dead_vertices.append(v_gone)
-
-    if num == 1:
-        (d,) = data
-        u, v = g.org[d], g.org[d ^ 1]
-        merge(u, [d], v, [d ^ 1])
-        removed_tokens.update((d, d ^ 1))
-    elif num == 2:
-        (x,) = data          # x: dart from neighbor to the leaf
-        leaf = g.org[x ^ 1]
-        s.remove_tokens(g.org[x], [x])
-        dead_vertices.append(leaf)
-        removed_tokens.update((x, x ^ 1))
-    elif num == 3:
-        q, k = data           # org(q[k]) = x (degree 2); walk x, B, y, A
-        keep = g.org[q[(k + 1) % 4]]
-        gone = g.org[q[(k + 3) % 4]]
-        x = g.org[q[k]]
-        y = g.org[q[(k + 2) % 4]]
-        # face-corner rule: sigma(out-dart) = reverse(in-dart)
-        merge(keep, [q[(k + 1) % 4], q[k] ^ 1],
-              gone, [q[(k + 3) % 4], q[(k + 2) % 4] ^ 1])
-        dead_vertices.extend((x, y))
-        for dz in q:
-            removed_tokens.update((dz, dz ^ 1))
-    elif num == 4:
-        q, k = data           # q[k] = v2 -> v1 direct edge
-        v2, v1 = g.org[q[k]], g.org[q[(k + 1) % 4]]
-        x = g.org[q[(k + 2) % 4]]
-        y = g.org[q[(k + 3) % 4]]
-        n_x = q[(k + 1) % 4]          # v1 -> x
-        n_edge = q[k] ^ 1             # v1 -> v2
-        np_edge = q[k]                # v2 -> v1
-        np_y = q[(k + 3) % 4] ^ 1     # v2 -> y
-        merge(v1, [n_x, n_edge], v2, [np_edge, np_y])
-        dead_vertices.extend((x, y))
-        for dz in q:
-            removed_tokens.update((dz, dz ^ 1))
-    elif num == 5:
-        q, k = data           # q[k] originates at the attachment vertex
-        v = g.org[q[k]]
-        n1 = q[k]                      # v -> x
-        n2 = q[(k + 3) % 4] ^ 1        # v -> y
-        s.remove_tokens(v, [n1, n2])
-        dead_vertices.extend(g.org[q[(k + j) % 4]] for j in (1, 2, 3))
-        for dz in q:
-            removed_tokens.update((dz, dz ^ 1))
-    elif num == 6:
-        (dq,) = data          # v -> w shared edge
-        v, w = g.org[dq], g.org[dq ^ 1]
-        q2 = g.faces[g.face_of[dq]]
-        q1 = g.faces[g.face_of[dq ^ 1]]
-        i1 = q1.index(dq ^ 1)
-        a = g.org[q1[(i1 + 2) % 4]]
-        b = g.org[q1[(i1 + 3) % 4]]
-        i2 = q2.index(dq)
-        d2 = g.org[q2[(i2 + 2) % 4]]
-        c2 = g.org[q2[(i2 + 3) % 4]]
-        va = q1[(i1 + 1) % 4]          # v -> a
-        vc = q2[(i2 + 3) % 4] ^ 1      # v -> c
-        s.remove_tokens(v, [va, dq, vc])
-        dead_vertices.extend((w, a, b, c2, d2))
-        for dz in q1 + q2:
-            removed_tokens.update((dz, dz ^ 1))
-    elif num == 7:
-        dq, flip = data       # q -> r shared edge, handedness
-        d1, d2 = (dq, dq ^ 1) if flip else (dq ^ 1, dq)
-        quad1 = g.faces[g.face_of[d1]]   # (r,q,v,p1), or (q,r,p1,v) if flip
-        quad2 = g.faces[g.face_of[d2]]   # (q,r,t,s), or (r,q,s,t) if flip
-        i1, i2 = quad1.index(d1), quad2.index(d2)
-        # v's darts: n_p = v -> p1 and n_q = v -> q
-        if flip:
-            n_p, n_q = quad1[(i1 + 2) % 4] ^ 1, quad1[(i1 + 3) % 4]
-        else:
-            n_p, n_q = quad1[(i1 + 2) % 4], quad1[(i1 + 1) % 4] ^ 1
-        s.remove_tokens(g.org[n_p], [n_p, n_q])
-        dead_vertices.extend((g.org[n_p ^ 1], g.org[dq], g.org[dq ^ 1],
-                              g.org[quad2[(i2 + 2) % 4]],
-                              g.org[quad2[(i2 + 3) % 4]]))
-        for dz in quad1 + quad2:
-            removed_tokens.update((dz, dz ^ 1))
-    elif num == 8:
-        q, k = data           # remove org(q[k+1]), org(q[k+2])
-        u = g.org[q[k]]
-        v = g.org[q[(k + 3) % 4]]
-        a = g.org[q[(k + 1) % 4]]
-        b = g.org[q[(k + 2) % 4]]
-        s.remove_tokens(u, [q[k]])
-        s.remove_tokens(v, [q[(k + 2) % 4] ^ 1])
-        dead_vertices.extend((a, b))
-        for dz in (q[k], q[(k + 1) % 4], q[(k + 2) % 4]):
-            removed_tokens.update((dz, dz ^ 1))
-    elif num == 9:
-        q, k = data
-        x = g.org[q[k]]
-        for d in g.darts_at(x):
-            s.remove_tokens(g.org[d ^ 1], [d ^ 1])
-            removed_tokens.update((d, d ^ 1))
-        dead_vertices.append(x)
-    elif num == 10:
-        (d,) = data
-        s.remove_tokens(g.org[d], [d])
-        s.remove_tokens(g.org[d ^ 1], [d ^ 1])
-        removed_tokens.update((d, d ^ 1))
-    else:
-        raise ValueError(f"unknown reduction {num}")
-
-    outer_token = None
-    for d in g.faces[g.outer]:
-        if d not in removed_tokens:
-            outer_token = d
-            break
-    assert outer_token is not None
-    if dead_vertices:
-        s.delete_vertices(dead_vertices)
-    parent, _ = s.freeze(outer_token)
+    rows, touched = [], []
+    for row in s.rot:
+        ends = [i for i, d in enumerate(row, 1) if d in cut]
+        if ends:   # the removed darts are one run: resume after it
+            row = [d for d in row[ends[-1]:] + row[:ends[-1]] if d not in cut]
+            if not row:
+                continue
+            touched.append(len(rows))
+        rows.append(row)
+    if num in (1, 3, 4):
+        a, b = touched
+        rows[a] += rows.pop(b)
+    s.rot = rows
+    parent, _ = s.freeze(next(d for d in g.faces[g.outer] if d not in cut))
     return parent

@@ -109,7 +109,7 @@ def is_canonical_child(child: PlaneGraph, ext_num: int,
         stats.invalid += 1
         return None
     code, labelings = canonical_data(child, "full")
-    sites = [inv_site] + [site for site, _ in found[1]]
+    sites = [inv_site] + found[1]
     keys = _site_keys(child, sites, labelings)
     if keys[0] != min(keys[1:]):
         stats.rejected += 1
@@ -123,11 +123,11 @@ def canonical_parent(p: Predecoration
     found = scan_reductions(p.g)
     if found is None:
         raise ValueError("base predecoration has no parent")
-    num, entries = found
+    num, sites = found
     _, labelings = canonical_data(p.g, "full")
-    keys = _site_keys(p.g, [site for site, _ in entries], labelings)
+    keys = _site_keys(p.g, sites, labelings)
     best = min(range(len(keys)), key=keys.__getitem__)
-    parent = apply_reduction(p.g, num, entries[best][1])
+    parent = apply_reduction(p.g, num, sites[best])
     return Predecoration(parent), num, keys[best]
 
 

@@ -66,10 +66,11 @@ class PlaneGraph:
         nxt = [0] * nd
         prv = [0] * nd
         vdarts = []
+        for v, row in enumerate(rows):
+            if not row:
+                raise MapError(f"vertex {v} has no darts")
         try:
             for v, row in enumerate(rows):
-                if not row:
-                    raise MapError(f"vertex {v} has no darts")
                 least = min(row)
                 if least < 0:
                     raise MapError(f"negative dart {least}")

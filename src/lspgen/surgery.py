@@ -9,8 +9,6 @@ graph together with the token -> new dart translation.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .maps import PlaneGraph
 
 
@@ -36,19 +34,7 @@ class Surgeon:
         i = self.rot[v].index(anchor)
         self.rot[v][i:i] = tokens
 
-    def remove_tokens(self, v: int, tokens: list[int]) -> None:
-        drop = set(tokens)
-        self.rot[v] = [t for t in self.rot[v] if t not in drop]
-
-    def delete_vertices(self, vs: list[int]) -> list[int]:
-        """Drops vertices entirely; returns old_of_new index table."""
-        drop = set(vs)
-        keep = [v for v in range(len(self.rot)) if v not in drop]
-        self.rot = [self.rot[v] for v in keep]
-        return keep
-
-    def freeze(self, outer_token: Optional[int]
-               ) -> tuple[PlaneGraph, dict[int, int]]:
+    def freeze(self, outer_token: int) -> tuple[PlaneGraph, dict[int, int]]:
         trans: dict[int, int] = {}
         k = 0
         for row in self.rot:
@@ -58,5 +44,5 @@ class Surgeon:
                     trans[t ^ 1] = 2 * k + 1
                     k += 1
         g = PlaneGraph([[trans[t] for t in row] for row in self.rot],
-                       None if outer_token is None else trans[outer_token])
+                       trans[outer_token])
         return g, trans

@@ -39,7 +39,7 @@ def applicable_reductions(g):
     if not sites:
         raise ValueError("base predecoration has no reduction")
     return [(num, site) for num in sorted(sites)
-            for site, _ in sites[num]]
+            for site in sites[num]]
 
 
 def test_bases_have_no_reduction():
@@ -213,8 +213,7 @@ def _reference_decision(child, ext_num, inv_site):
     if problems or not sites or min(sites) != ext_num:
         return None
     code, labelings = canonical_data(child, "full")
-    keys = _site_keys(child, [inv_site] + [s for s, _ in sites[ext_num]],
-                      labelings)
+    keys = _site_keys(child, [inv_site] + sites[ext_num], labelings)
     return code if keys[0] == min(keys[1:]) else None
 
 
@@ -246,12 +245,55 @@ def test_staged_canonical_child_test_equals_full_reference():
             sites = all_reductions(child)
             ref_num = min(sites)
             _, labelings = canonical_data(child, "full")
-            ref_key = min(_site_keys(child, [s for s, _ in sites[ref_num]],
-                                     labelings))
+            ref_key = min(_site_keys(child, sites[ref_num], labelings))
             _, got_num, got_key = canonical_parent(Predecoration(child))
             assert (got_num, got_key) == (ref_num, ref_key)
     assert children == 2498
     assert accepted == 165 - 2 + 89     # visited less bases, plus duplicates
+
+
+def _inversions(rmax):
+    """For every child that passes the canonical-child test up to rmax,
+    checks that the canonical parent undoes the applied extension: same
+    number, and a parent isomorphic to the extended skeleton.  Sites
+    that generate prunes are skipped, since their children are rejected
+    (see `_pruned_sites`).  Returns the number of children per
+    extension number."""
+    seen = []
+    generate(GenerationTask(1, rmax, 1), visitor=seen.append)
+    checked = Counter()
+    for p in seen:
+        kept = kept_reduction(p.g, p.walk)
+        code = canonical_code(p.g, "full")
+        for num, step, apply_ext, args in extension_sites(p.g, p.walk):
+            if p.lo + step > rmax or kept(num, args[0]):
+                continue
+            result = apply_ext(p.g, p.walk, *args)
+            if result is None:
+                continue
+            child, inv_site = result
+            if is_canonical_child(child, num, inv_site,
+                                  GenerationStats()) is None:
+                continue
+            parent, got, _ = canonical_parent(Predecoration(child))
+            assert got == num, (num, args)
+            assert canonical_code(parent.g, "full") == code, (num, args)
+            checked[num] += 1
+    return checked
+
+
+def test_reductions_invert_their_extensions():
+    checked = _inversions(18)
+    assert sorted(checked) == list(range(1, 10))
+    assert sum(checked.values()) == 1543
+
+
+@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                    reason="set LSPGEN_STRETCH=1 for the rate-22 check")
+def test_reductions_invert_their_extensions_to_rate_22():
+    checked = _inversions(22)
+    assert sorted(checked) == list(range(1, 11))
+    assert sum(checked.values()) == 11940
 
 
 def test_visit_sequence_matches_digest():

@@ -69,7 +69,7 @@ def test_malformed_rows_rejected(rows):
 def test_two_vertices_never_merge_into_one():
     # renaming cube vertices 6 and 7 to 0 and 1 would give vertices 0
     # and 1 two rotation cycles each
-    with pytest.raises(MapError):
+    with pytest.raises(MapError, match="has no darts"):
         cube().relabeled([0, 1, 2, 3, 4, 5, 0, 1])
 
 
