@@ -56,16 +56,18 @@ def glued_orbits(g: PlaneGraph, d: Decoration
 
 
 def _glue(g: PlaneGraph, d: Decoration
-          ) -> tuple[list[tuple[int, int, int]], dict[int, int], list[int]]:
+          ) -> tuple[list[tuple[int, int, int]], dict[int, int], list[int],
+                     list[int]]:
     """``glued_orbits`` with the glued class of every (chamber,
     decoration vertex) pair, indexed ``chamber * d.g.n + vertex`` and
-    named by its smallest pair, in place of the orbit tables."""
+    named by its smallest pair, in place of the orbit tables, and the
+    number of classes of each decoration vertex (one per orbit)."""
     nbrs, side_of_edge, orbits = glued_orbits(g, d)
     n = d.g.n
     cls = [0] * (len(nbrs) * n)
     for x, (least, _) in enumerate(orbits):
         cls[x::n] = [ch * n + x for ch in least]
-    return nbrs, side_of_edge, cls
+    return nbrs, side_of_edge, cls, [len(members) for _, members in orbits]
 
 
 @lru_cache(maxsize=2)   # the classifier's tetrahedron, a chain's host
@@ -105,10 +107,11 @@ def _links(g: PlaneGraph, d: Decoration):
 
     Each edge of the result is a glued type-1 class, which joins the
     type-0 ends of its two type-2 edges.  Returns the gluing once those
-    ends are checked; raises ``MapError`` when the result would not be a
+    ends are checked against the classes of each type, one per orbit of
+    a vertex's table; raises ``MapError`` when the result would not be a
     loop-free graph.
     """
-    nbrs, side_of_edge, cls = _glue(g, d)
+    nbrs, side_of_edge, cls, sizes = _glue(g, d)
     dg, vt, et = d.g, d.vt, d.et
     n = dg.n
     # type-2 edges as (type-0 end, type-1 end, side or None)
@@ -127,13 +130,10 @@ def _links(g: PlaneGraph, d: Decoration):
             if k is None or ch < row[k]:
                 ends.setdefault(cls[base + m], []).append(cls[base + a])
 
-    t0 = {cls[base + v] for base in range(0, len(cls), n)
-          for v in range(n) if vt[v] == 0}
-    if len({a for far in ends.values() for a in far}) != len(t0):
+    count = [sum(s for s, t in zip(sizes, vt) if t == k) for k in (0, 1)]
+    if len({a for far in ends.values() for a in far}) != count[0]:
         raise MapError("type-0 vertex without type-2 edges")
-    t1 = [v for v in range(n) if vt[v] == 1]
-    if (len({cls[base + m] for base in range(0, len(cls), n) for m in t1})
-            != len(ends) or any(len(far) != 2 for far in ends.values())):
+    if count[1] != len(ends) or any(len(far) != 2 for far in ends.values()):
         raise MapError("type-1 vertex without exactly two type-2 edges")
     if any(a == b for a, b in ends.values()):
         raise MapError("extraction would create a loop")
@@ -157,13 +157,11 @@ def apply_decoration(g: PlaneGraph, d: Decoration) -> PlaneGraph:
     nbrs, side_of_edge, cls = _links(g, d)
     dg, vt, et = d.g, d.vt, d.et
     n, org, outer, face_of = dg.n, dg.org, dg.outer, dg.face_of
-
-    def home(ch: int, x: int) -> int:
-        """The chamber, ch or its neighbour across the side of x, in
-        which x lies on an inner face."""
-        if face_of[x ^ (ch & 1)] != outer:
-            return ch
-        return nbrs[ch][side_of_edge[x >> 1]]
+    step = (dg.nxt, dg.prv)
+    # per parity and dart, the side to cross where the dart lies on the
+    # outer face of that parity's copy (-1 on an inner face)
+    cross = [[side_of_edge[x >> 1] if face_of[x ^ p] == outer else -1
+              for x in range(2 * dg.ne)] for p in (0, 1)]
 
     # per inner face and parity, the first dart of its walk that has the
     # face's type-0 corner at one of its ends, leaving the corner
@@ -176,25 +174,27 @@ def apply_decoration(g: PlaneGraph, d: Decoration) -> PlaneGraph:
         base = ch * n
         for y in firsts[ch & 1]:
             if cls[base + org[y]] not in start:
-                start[cls[base + org[y]]] = (home(ch, y), y)
+                k = cross[ch & 1][y]
+                start[cls[base + org[y]]] = (ch if k < 0 else nbrs[ch][k], y)
 
     # the dart of an edge at the end where the edge is met first is even
     first_dart: dict[int, int] = {}
     rows = []
-    for first in start.values():
+    for ch0, x0 in start.values():
         row = []
-        ch, x = first
+        ch, x = ch0, x0
         while True:
             if et[x >> 1] == 2:
                 m = cls[ch * n + org[x ^ 1]]
                 if m in first_dart:
                     row.append(first_dart[m] + 1)
                 else:
-                    first_dart[m] = 2 * len(first_dart)
-                    row.append(first_dart[m])
-            x = dg.prv[x] if ch & 1 else dg.nxt[x]
-            ch = home(ch, x)
-            if (ch, x) == first:
+                    row.append(first_dart.setdefault(m, 2 * len(first_dart)))
+            p = ch & 1
+            x = step[p][x]
+            if cross[p][x] >= 0:
+                ch = nbrs[ch][cross[p][x]]
+            if x == x0 and ch == ch0:
                 break
         rows.append(row)
     return PlaneGraph(rows)

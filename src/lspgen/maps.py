@@ -15,7 +15,9 @@ optional vertex/edge label channels and an optional outer-face restriction),
 automorphism groups derived from them, and planar_code I/O.  A code is
 read from every start dart, but each reading stops at its first vertex row
 larger than the best so far, and starts that a known automorphism maps to
-a tested start are skipped (see ``canonical_data``).
+a tested start are skipped (see ``canonical_data``).  Start (d, mirror)
+sits at position ``mirror * 2E + d``, so each tie's automorphism acts on
+the starts by arithmetic on its dart map, with no lookup table.
 """
 
 from __future__ import annotations
@@ -327,29 +329,21 @@ def _bfs_code(g: PlaneGraph, d0: int, mirror: bool,
 
 
 def dart_sequence(g: PlaneGraph, d0: int, mirror: bool) -> list[int]:
-    """The darts in the order the BFS code visits them (each exactly once)."""
-    org = g.org
+    """The darts in the order the BFS code visits them (each exactly once):
+    the rotation of each vertex from its entry dart, vertices in order."""
     step = g.prv if mirror else g.nxt
-    lab = [0] * g.n
-    entry = [0] * g.n
-    order = [org[d0]]
-    lab[org[d0]] = 1
-    entry[org[d0]] = d0
+    seen = {g.org[d0]}
     seq = []
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        d = entry[v]
+    entries = [d0]
+    for e in entries:
+        d = e
         while True:
-            w = org[d ^ 1]
-            if not lab[w]:
-                order.append(w)
-                lab[w] = len(order)
-                entry[w] = d ^ 1
             seq.append(d)
+            if g.org[d ^ 1] not in seen:
+                seen.add(g.org[d ^ 1])
+                entries.append(d ^ 1)
             d = step[d]
-            if d == entry[v]:
+            if d == e:
                 break
     return seq
 
@@ -367,56 +361,54 @@ def canonical_data(g: PlaneGraph, mode: str = "full",
     isomorphism preserving the outer face.
 
     A code is abandoned at its first vertex row larger than the best so
-    far.  A start tying the best gives an automorphism gamma, the dart
-    map from ``ref`` (the first best start) to it, which takes each start
-    ``(d, m)`` to ``(gamma[d], m ^ flip)``; a start is skipped when its
-    orbit under the automorphisms found so far holds an earlier start.
-    Starts in one orbit have equal codes, and a start with the best code
-    ties or lies in the orbit of one that tied, so the achieving pairs
-    are the orbit of ``ref``, its first member.
+    far.  Start ``(d, m)`` sits at position ``m * 2E + d``.  A start tying
+    the best gives an automorphism gamma, the dart map from ``ref`` (the
+    first best start) to it: on positions, gamma then gamma + 2E, halves
+    swapped when it flips orientation.  A start is skipped when its orbit
+    under the automorphisms found so far holds an earlier start.  Starts
+    in one orbit have equal codes, and a start with the best code ties or
+    lies in the orbit of one that tied, so the achieving pairs are the
+    orbit of ``ref``, its first member.
     """
     if mode not in ("full", "oriented"):
         raise ValueError(f"unknown mode {mode!r}")
-    mirrors = (False, True) if mode == "full" else (False,)
+    nd = 2 * g.ne
+    mirrors = (0, 1) if mode == "full" else (0,)
     if g.outer is None:
-        starts = [(d, m) for m in mirrors for d in range(2 * g.ne)]
+        order = range(len(mirrors) * nd)
     else:   # mirror readings of the outer face start on its reversed darts
-        starts = [(d ^ m, m) for m in mirrors for d in g.faces[g.outer]]
+        order = [m * nd + (d ^ m) for m in mirrors for d in g.faces[g.outer]]
     best: Optional[list[int]] = None
-    ref = 0
-    ref_seq: Optional[list[int]] = None   # dart_sequence from starts[ref]
-    perms: list[list[int]] = []   # automorphisms found, on start positions
-    orbit: Optional[list[int]] = None   # start -> first start of its orbit
-    for i, (d0, mirror) in enumerate(starts):
-        if orbit is not None and orbit[i] != i:
+    ref = 0         # position of the first best start
+    perms: list[list[int]] = []   # automorphisms found, on positions
+    orbit: Optional[list[int]] = None   # position -> first start of orbit
+    for p in order:
+        if orbit is not None and orbit[p] != p:
             continue
-        code = _bfs_code(g, d0, mirror, vlab, elab, best)
+        code = _bfs_code(g, p % nd, p >= nd, vlab, elab, best)
         if code is None:
             continue
         if best is None or code < best:
-            best, ref, ref_seq = code, i, None
+            best, ref = code, p
             continue
-        if not perms:
-            index = {2 * d + m: j for j, (d, m) in enumerate(starts)}
-        if ref_seq is None:
-            ref_seq = dart_sequence(g, *starts[ref])
-        gamma = _dart_map(g, ref_seq, starts[i])
-        flip = mirror != starts[ref][1]
-        perms.append([index[2 * gamma[d] + (m ^ flip)] for d, m in starts])
-        orbit = [-1] * len(starts)
-        for j in range(len(starts)):
-            if orbit[j] < 0:
-                orbit[j] = j
-                queue = [j]
-                for x in queue:
-                    for p in perms:
-                        if orbit[p[x]] < 0:
-                            orbit[p[x]] = j
-                            queue.append(p[x])
+        gamma = _dart_map(g, (ref % nd, ref >= nd), (p % nd, p >= nd))
+        shifted = [x + nd for x in gamma] if len(mirrors) == 2 else []
+        perms.append(gamma + shifted if (p >= nd) == (ref >= nd)
+                     else shifted + gamma)
+        orbit = [-1] * len(mirrors) * nd
+        for x in order:
+            if orbit[x] < 0:
+                orbit[x] = x
+                queue = [x]
+                for y in queue:
+                    for q in perms:
+                        z = q[y]
+                        if orbit[z] < 0:
+                            orbit[z] = x
+                            queue.append(z)
     assert best is not None
-    if orbit is None:
-        return tuple(best), [starts[ref]]
-    return tuple(best), [s for j, s in enumerate(starts) if orbit[j] == ref]
+    hits = [ref] if orbit is None else [p for p in order if orbit[p] == ref]
+    return tuple(best), [(p % nd, p >= nd) for p in hits]
 
 
 def canonical_code(g: PlaneGraph, mode: str = "full",
@@ -442,14 +434,22 @@ def canonical_order(g: PlaneGraph, mode: str = "full",
     return new_of_old
 
 
-def _dart_map(g: PlaneGraph, ref_seq: list[int],
-              other: tuple[int, bool]) -> tuple[int, ...]:
-    """The dart map from the BFS visit order ``ref_seq`` to the one from
-    the start ``other``."""
-    gamma = [0] * (2 * g.ne)
-    for a, b in zip(ref_seq, dart_sequence(g, *other)):
-        gamma[a] = b
-    return tuple(gamma)
+def _dart_map(g: PlaneGraph, ref: tuple[int, bool],
+              other: tuple[int, bool]) -> list[int]:
+    """The dart map from the BFS visit order from the start ``ref`` to the
+    one from ``other``, walking both in step (their codes are equal)."""
+    gamma = [-1] * (2 * g.ne)
+    sa, sb = (g.prv if mirror else g.nxt for _, mirror in (ref, other))
+    seen = {g.org[ref[0]]}
+    entries = [(ref[0], other[0])]
+    for x, y in entries:
+        while gamma[x] < 0:     # around the vertex, back to its entry
+            gamma[x] = y
+            if g.org[x ^ 1] not in seen:
+                seen.add(g.org[x ^ 1])
+                entries.append((x ^ 1, y ^ 1))
+            x, y = sa[x], sb[y]
+    return gamma
 
 
 def automorphisms_flagged(g: PlaneGraph, mode: str = "full",
@@ -464,10 +464,9 @@ def automorphisms_flagged(g: PlaneGraph, mode: str = "full",
     """
     _, hits = canonical_data(g, mode, vlab, elab)
     ref = hits[0]
-    ref_seq = dart_sequence(g, *ref)
     out: dict[tuple[tuple[int, ...], bool], None] = {}
     for h in hits:
-        out.setdefault((_dart_map(g, ref_seq, h), h[1] != ref[1]), None)
+        out.setdefault((tuple(_dart_map(g, ref, h)), h[1] != ref[1]), None)
     return list(out)
 
 

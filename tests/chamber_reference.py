@@ -176,11 +176,13 @@ def side_paths(d) -> dict[int, list[int]]:
 
 
 def _glue(g: PlaneGraph, d
-          ) -> tuple[list[tuple[int, int, int]], dict[int, int], list[int]]:
+          ) -> tuple[list[tuple[int, int, int]], dict[int, int], list[int],
+                     list[int]]:
     """One copy of the decoration per chamber (flag) of g, glued along
     shared sides: the neighbours of each chamber across sides 0, 1, 2,
-    the side of each edge of the decoration's outer walk, and the glued
-    class of every (chamber, vertex) pair."""
+    the side of each edge of the decoration's outer walk, the glued
+    class of every (chamber, vertex) pair, and the number of distinct
+    classes of each decoration vertex."""
     if g.ne < 1:
         raise MapError("seed graph needs at least one edge")
     nbrs: list[tuple[int, int, int]] = []
@@ -208,7 +210,8 @@ def _glue(g: PlaneGraph, d
                         cls[a] = b
     for x in range(len(cls)):
         cls[x] = find(x)
-    return nbrs, _side_edges(d, sides), cls
+    return (nbrs, _side_edges(d, sides), cls,
+            [len(set(cls[x::n])) for x in range(n)])
 
 
 def _side_edges(d, sides: dict[int, list[int]]) -> dict[int, int]:
@@ -235,7 +238,7 @@ def _side_edges(d, sides: dict[int, list[int]]) -> dict[int, int]:
 def decorate_chambers(g: PlaneGraph, d) -> ChamberSystem:
     """The chamber system produced by filling every chamber of C_g with
     the decoration (mirrored in alternate chambers)."""
-    nbrs, side_of_edge, cls = _glue(g, d)
+    nbrs, side_of_edge, cls, _ = _glue(g, d)
     dg = d.g
 
     # faces of the new chamber system: one per (chamber, inner face of d)

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from chamber_reference import _glue as union_find_glue
-from chamber_reference import (automorphism_orbits, barycentric_subdivision,
+from chamber_reference import (ChamberSystem, automorphism_orbits,
+                               barycentric_subdivision,
                                connectivity_of_chamber_system,
                                decorate_chambers, extract_original)
 from lspgen.catalog import OPERATION_NAMES, SEED_NAMES, lookup, seed
 from lspgen.chambers import _glue, apply_decoration
+from lspgen.decorations import Decoration
 from lspgen.maps import (MapError, PlaneGraph, build_from_rotations,
                          canonical_code, random_relabeling,
                          vertex_connectivity_capped, write_planar_code)
@@ -179,6 +181,30 @@ def test_apply_matches_chamber_system_route(host, operations):
     for d in operations:
         assert _outcome(apply_decoration, host, d) \
             == _outcome(reference, host, d), d
+
+
+@pytest.mark.parametrize("host", ["tetrahedron", "cube"])
+def test_retyped_edge_trips_the_count_checks(host, monkeypatch):
+    """A type-2 edge of a catalog decoration retyped 0 or 1 leaves a
+    type-0 vertex without type-2 edges or a type-1 vertex with only one.
+    The counts per orbit say which, as the chamber-system route's
+    extraction does; its chamber-system check, which rejects every
+    retyping before extraction, is switched off."""
+    monkeypatch.setattr(ChamberSystem, "check", lambda self: None)
+    seen = set()
+    for name in OPERATION_NAMES:
+        d = lookup(name)
+        for e in (e for e in range(d.g.ne) if d.et[e] == 2):
+            for t in (0, 1):
+                bad = Decoration(d.g, d.vt, d.et[:e] + (t,) + d.et[e + 1:],
+                                 d.corners)
+                got = _outcome(apply_decoration, seed(host), bad)
+                assert got == _outcome(
+                    lambda g, d: extract_original(decorate_chambers(g, d)),
+                    seed(host), bad), (name, e, t)
+                seen.add(got)
+    assert seen == {"MapError: type-0 vertex without type-2 edges",
+                    "MapError: type-1 vertex without exactly two type-2 edges"}
 
 
 # -- the closed-form gluing against the union-find of the reference ---------

@@ -346,6 +346,28 @@ def test_canonical_data_matches_reference_on_skeletons():
                 reference_canonical_data(g, mode), (to_rotations(g), mode)
 
 
+def _chain_results(seeds):
+    """Every result of two catalog operations applied in turn."""
+    out = []
+    for name in seeds:
+        for first in OPERATION_NAMES:
+            host = apply_decoration(seed(name), lookup(first))
+            out += [apply_decoration(host, lookup(op))
+                    for op in OPERATION_NAMES]
+    return out
+
+
+def test_canonical_data_matches_reference_on_operation_chains():
+    # the hosts keep the seeds' groups (orders 24 and 48): each one takes
+    # three ties in mode "full" and two in "oriented"
+    graphs = _chain_results(("tetrahedron", "cube"))
+    assert len(graphs) == 200
+    for g in graphs:
+        for mode in ("full", "oriented"):
+            assert canonical_data(g, mode) == \
+                reference_canonical_data(g, mode), (to_rotations(g), mode)
+
+
 def test_canonical_data_matches_reference_on_identity_codes():
     decorations = []
     for p in _skeletons():
@@ -380,6 +402,17 @@ def test_symmetric_map_builds_few_codes(monkeypatch):
     assert 4 * g.ne == 240 and len(hits) == 120
     assert sum(built) <= 8
     assert len(built) <= 24
+
+
+def test_chain_host_builds_few_codes(monkeypatch):
+    # kiss after truncate: 1,080 starts, one orbit of 120 achieves the code
+    g = apply_decoration(apply_decoration(seed("icosahedron"),
+                                          lookup("truncate")), lookup("kiss"))
+    built = _count_codes(monkeypatch)
+    _, hits = canonical_data(g, "full")
+    assert 4 * g.ne == 1080 and len(hits) == 120
+    assert sum(built) <= 9
+    assert len(built) <= 40
 
 
 def test_asymmetric_map_tries_every_start(monkeypatch):
