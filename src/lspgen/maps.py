@@ -17,7 +17,10 @@ read from every start dart, but each reading stops at its first vertex row
 larger than the best so far, and starts that a known automorphism maps to
 a tested start are skipped (see ``canonical_data``).  Start (d, mirror)
 sits at position ``mirror * 2E + d``, so each tie's automorphism acts on
-the starts by arithmetic on its dart map, with no lookup table.
+the starts by arithmetic on its dart map, with no lookup table.  A
+labelled code is read only from starts at a vertex of least label; an
+unlabelled one is stored on its graph.  Neighbour lists become dart rows
+in one walk that finds each reverse dart on the neighbour's row.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import random
 from typing import Iterable, Optional, Sequence
 
 PLANAR_CODE_HEADER = b">>planar_code<<"
+_ZERO_BASED = bytes((b - 1) % 256 for b in range(256))   # 1-based ids to 0-based
 
 
 class MapError(ValueError):
@@ -55,7 +59,7 @@ class PlaneGraph:
     """
 
     __slots__ = ("n", "ne", "org", "nxt", "prv", "faces", "face_of",
-                 "outer", "genus", "_vdarts")
+                 "outer", "genus", "_vdarts", "_readings")
 
     def __init__(self, rows: Sequence[Sequence[int]],
                  outer_dart: Optional[int] = None):
@@ -120,6 +124,7 @@ class PlaneGraph:
         if not self._connected():
             raise MapError("graph is not connected")
         self.outer = None if outer_dart is None else self.face_of[outer_dart]
+        self._readings = ()     # (mode, code, hits): see canonical_data
 
     def _connected(self) -> bool:
         seen = [False] * self.n
@@ -215,62 +220,67 @@ def build_from_rotations(rotations: dict[int, Sequence[int]]) -> PlaneGraph:
             rots.append([index[w] for w in rotations[u]])
         except KeyError as exc:
             raise MapError(f"neighbor {exc.args[0]} of {u} is not a vertex")
+    return _paired(rots)
+
+
+def _paired(rots: Sequence[Sequence[int]]) -> PlaneGraph:
+    """The map with neighbour rows ``rots`` (vertex ids ``0 .. n-1``): one
+    walk over the dart positions, row by row, pairs each unpaired dart
+    with its reverse on the neighbour's row as edge ``k`` (darts ``2k``,
+    ``2k + 1``, edges in first-seen order).  The faults of the first row
+    that has any are reported at its least neighbour."""
     if any(u in row for u, row in enumerate(rots)):
         raise MapError("loop present")
-
-    # dart ids: consecutive per vertex in rotation order; the darts from
-    # u to w are paired with those from w to u
     starts = []
     total = 0
-    occ: dict[tuple[int, int], list[int]] = {}
-    for u, row in enumerate(rots):
+    for row in rots:
         starts.append(total)
-        for w in row:
-            occ.setdefault((u, w), []).append(total)
-            total += 1
-    rev = [-1] * total
-    for (u, w), ds in sorted(occ.items()):
-        back = occ.get((w, u))
-        if u > w and back is not None:
-            continue
-        if back is None or len(back) != len(ds):
-            raise MapError(f"inconsistent rotations between {u} and {w}")
-        m = len(ds)
-        if m == 1:
-            rev[ds[0]] = back[0]
-            rev[back[0]] = ds[0]
-            continue
-        # multiplicity: occurrences must be cyclically consecutive
-        ds2 = _consecutive_run(ds, starts[u], len(rots[u]))
-        back2 = _consecutive_run(back, starts[w], len(rots[w]))
-        if ds2 is None or back2 is None:
-            raise MapError(f"ambiguous parallel edges between {u} and {w}")
-        for k in range(m):
-            a, b = ds2[k], back2[m - 1 - k]
-            rev[a] = b
-            rev[b] = a
-
-    # renumber so that rev = ^1
+        total += len(row)
     new_id = [-1] * total
     k = 0
-    for d in range(total):
-        if new_id[d] < 0:
-            new_id[d] = 2 * k
-            new_id[rev[d]] = 2 * k + 1
-            k += 1
+    for u, row in enumerate(rots):
+        s = starts[u]
+        faults = []
+        for i, w in enumerate(row):
+            if new_id[s + i] >= 0:
+                continue
+            back = rots[w]
+            if w > u and row.count(w) == 1 and back.count(u) == 1:
+                j = starts[w] + back.index(u)
+            else:
+                try:
+                    j = starts[w] + _parallel_mate(row, back, u, w, i)
+                except MapError as exc:
+                    faults.append((w, str(exc)))
+                    continue
+            new_id[s + i] = k
+            new_id[j] = k + 1
+            k += 2
+        if faults:
+            raise MapError(min(faults)[1])
     return PlaneGraph([new_id[s:s + len(row)]
                        for s, row in zip(starts, rots)])
 
 
-def _consecutive_run(ds: list[int], start: int, deg: int) -> Optional[list[int]]:
-    """Orders dart positions as one cyclic run, or None if not consecutive."""
-    offs = sorted((d - start) for d in ds)
-    m = len(offs)
-    for r in range(m):
-        rot = offs[r:] + [o + deg for o in offs[:r]]
-        if all(rot[i + 1] - rot[i] == 1 for i in range(m - 1)):
-            return [start + (o % deg) for o in rot]
-    return None
+def _parallel_mate(row: Sequence[int], back: Sequence[int], u: int, w: int,
+                   i: int) -> int:
+    """Where on ``back`` (w's row) the reverse of ``row[i]`` (u to w) is,
+    by the reversed-run rule.  A dart to a smaller vertex that is still
+    unpaired is one that vertex does not list."""
+    m = row.count(w)
+    if w < u or back.count(u) != m:
+        raise MapError(f"inconsistent rotations between {u} and {w}")
+    a, b = _run_start(row, w), _run_start(back, u)
+    if a is None or b is None:
+        raise MapError(f"ambiguous parallel edges between {u} and {w}")
+    return (b + m - 1 - (i - a) % len(row)) % len(back)
+
+
+def _run_start(row: Sequence[int], x: int) -> Optional[int]:
+    """Where the cyclic run of ``x`` in ``row`` begins (0 when the row is
+    all ``x``), or None when its occurrences are not consecutive."""
+    heads = [i for i, y in enumerate(row) if y == x and row[i - 1] != x]
+    return None if len(heads) > 1 else (heads or [0])[0]
 
 
 def to_rotations(g: PlaneGraph) -> dict[int, list[int]]:
@@ -369,15 +379,27 @@ def canonical_data(g: PlaneGraph, mode: str = "full",
     in one orbit have equal codes, and a start with the best code ties or
     lies in the orbit of one that tied, so the achieving pairs are the
     orbit of ``ref``, its first member.
+
+    With ``vlab`` only the starts at a vertex of least label are read: a
+    code begins ``[n, ne, vlab[start vertex]]``.  A graph is immutable,
+    so its unlabelled reading in each mode is computed once and stored.
     """
     if mode not in ("full", "oriented"):
         raise ValueError(f"unknown mode {mode!r}")
+    unlabelled = vlab is None and elab is None
+    if unlabelled:
+        for m, known, hits in g._readings:
+            if m == mode:
+                return known, list(hits)
     nd = 2 * g.ne
     mirrors = (0, 1) if mode == "full" else (0,)
     if g.outer is None:
         order = range(len(mirrors) * nd)
     else:   # mirror readings of the outer face start on its reversed darts
         order = [m * nd + (d ^ m) for m in mirrors for d in g.faces[g.outer]]
+    if vlab is not None:    # a code begins [n, ne, vlab[start vertex]]
+        least = min(vlab[g.org[p % nd]] for p in order)
+        order = [p for p in order if vlab[g.org[p % nd]] == least]
     best: Optional[list[int]] = None
     ref = 0         # position of the first best start
     perms: list[list[int]] = []   # automorphisms found, on positions
@@ -408,7 +430,10 @@ def canonical_data(g: PlaneGraph, mode: str = "full",
                             queue.append(z)
     assert best is not None
     hits = [ref] if orbit is None else [p for p in order if orbit[p] == ref]
-    return tuple(best), [(p % nd, p >= nd) for p in hits]
+    canon, pairs = tuple(best), [(p % nd, p >= nd) for p in hits]
+    if unlabelled:
+        g._readings += ((mode, canon, tuple(pairs)),)
+    return canon, pairs
 
 
 def canonical_code(g: PlaneGraph, mode: str = "full",
@@ -568,28 +593,23 @@ def write_planar_code(graphs: Iterable[PlaneGraph], header: bool = True) -> byte
 
 def read_planar_code(data: bytes) -> list[PlaneGraph]:
     """Decodes a planar_code byte stream (optional ASCII header)."""
-    pos = 0
-    if data.startswith(PLANAR_CODE_HEADER):
-        pos = len(PLANAR_CODE_HEADER)
+    pos = len(PLANAR_CODE_HEADER) if data.startswith(PLANAR_CODE_HEADER) else 0
     graphs = []
     while pos < len(data):
         n = data[pos]
         pos += 1
         if n == 0:
             raise MapError("planar_code record with zero vertices")
-        rot: dict[int, list[int]] = {}
-        for v in range(1, n + 1):
-            nbrs = []
-            while True:
-                if pos >= len(data):
-                    raise MapError("truncated planar_code stream")
-                byte = data[pos]
-                pos += 1
-                if byte == 0:
-                    break
-                if byte > n:
-                    raise MapError(f"vertex index {byte} out of range (n={n})")
-                nbrs.append(byte)
-            rot[v] = nbrs
-        graphs.append(build_from_rotations(rot))
+        rows = []
+        for _ in range(n):
+            end = data.find(0, pos)
+            row = data[pos:end] if end >= 0 else data[pos:]
+            if row and max(row) > n:
+                byte = next(b for b in row if b > n)
+                raise MapError(f"vertex index {byte} out of range (n={n})")
+            if end < 0:
+                raise MapError("truncated planar_code stream")
+            rows.append(row.translate(_ZERO_BASED))
+            pos = end + 1
+        graphs.append(_paired(rows))
     return graphs

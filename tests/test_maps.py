@@ -146,11 +146,23 @@ def test_planar_code_no_header():
     assert canonical_code(read_planar_code(data)[0]) == canonical_code(cube())
 
 
+PLANAR_CODE_ERRORS = [
+    (bytes([0]), "zero vertices"),
+    (bytes([3, 2, 0, 1]), "truncated"),
+    (bytes([2, 9, 0, 1, 0]), r"vertex index 9 out of range \(n=2\)"),
+    (bytes([2, 1, 0, 1, 0]), "loop present"),
+    (bytes([3, 2, 3, 0, 1, 0, 0]), "inconsistent rotations between 0 and 2"),
+    # a one-sided adjacency from the larger vertex names it first
+    (bytes([2, 0, 1, 0]), "inconsistent rotations between 1 and 0"),
+    (bytes([3, 2, 3, 2, 3, 0, 1, 1, 0, 1, 1, 0]),
+     "ambiguous parallel edges between 0 and 1"),
+]
+
+
 def test_planar_code_errors():
-    with pytest.raises(MapError):
-        read_planar_code(bytes([3, 2, 0, 1]))       # truncated
-    with pytest.raises(MapError):
-        read_planar_code(bytes([2, 9, 0, 1, 0]))    # index out of range
+    for data, message in PLANAR_CODE_ERRORS:
+        with pytest.raises(MapError, match=message):
+            read_planar_code(data)
 
 
 def test_multigraph_round_trip():
@@ -158,6 +170,23 @@ def test_multigraph_round_trip():
     assert (theta.n, theta.ne, len(theta.faces)) == (2, 3, 3)
     back = read_planar_code(write_planar_code([theta]))[0]
     assert canonical_code(back) == canonical_code(theta)
+
+
+@pytest.mark.parametrize("rot, org, nxt", [
+    (CUBE,
+     (0, 1, 0, 3, 0, 4, 1, 5, 1, 2, 2, 6, 2, 3, 3, 7, 4, 7, 4, 5, 5, 6, 6, 7),
+     (2, 6, 4, 13, 0, 16, 8, 19, 1, 10, 12, 21, 9, 14, 3, 23, 18, 15, 5, 20,
+      7, 22, 11, 17)),
+    ({1: [2, 2, 2], 2: [1, 1, 1]}, (0, 1, 0, 1, 0, 1), (2, 5, 4, 1, 0, 3)),
+    # the double edge's darts at vertex 2 wrap around the end of its row
+    ({1: [2, 2, 3], 2: [3, 1, 1], 3: [1, 2]},
+     (0, 1, 0, 1, 0, 2, 1, 2), (2, 6, 4, 1, 0, 7, 3, 5)),
+], ids=["cube", "theta", "reversed-run"])
+def test_planar_code_read_back_darts(rot, org, nxt):
+    # dart ids number the edges in first-seen order along the rows, and
+    # parallel edges pair by the reversed-run rule
+    back = read_planar_code(write_planar_code([build_from_rotations(rot)]))[0]
+    assert (back.org, back.nxt) == (org, nxt)
 
 
 # the cube with vertex 6's rotation mutated: 6 lists 1, which does not
@@ -380,15 +409,18 @@ def test_canonical_data_matches_reference_on_identity_codes():
             reference_canonical_data(d.g, "oriented", vlab, d.et)
 
 
-def _count_codes(monkeypatch):
+def _count_codes(monkeypatch, starts=None):
     """Wraps the BFS-code kernel; returns one entry per call, True when
-    the call built its code in full."""
+    the call built its code in full.  Each call's start (d0, mirror) is
+    appended to ``starts`` when given."""
     built = []
     kernel = maps._bfs_code
 
     def counted(*args):
         code = kernel(*args)
         built.append(code is not None)
+        if starts is not None:
+            starts.append(args[1:3])
         return code
 
     monkeypatch.setattr(maps, "_bfs_code", counted)
@@ -418,9 +450,47 @@ def test_chain_host_builds_few_codes(monkeypatch):
 def test_asymmetric_map_tries_every_start(monkeypatch):
     g = next(g for g in _skeleton_graphs() if g.outer is not None
              and len(reference_canonical_data(g)[1]) == 1)
+    g = g.with_outer(g.outer)   # a copy with no stored readings
     built = _count_codes(monkeypatch)
     canonical_data(g, "full")
     assert len(built) == 2 * len(g.faces[g.outer])
+
+
+def test_unlabelled_readings_are_stored(monkeypatch):
+    g = apply_decoration(seed("cube"), lookup("ambo"))
+    built = _count_codes(monkeypatch)
+    first = canonical_data(g, "full")
+    calls = len(built)
+    assert canonical_data(g, "full") == first
+    assert len(built) == calls      # the second call builds no code
+    canonical_data(g, "full")[1].clear()    # each call has its own hits
+    assert canonical_data(g, "full") == first
+    vlab = [v % 2 for v in range(g.n)]
+    assert canonical_data(g, "full", vlab) == \
+        reference_canonical_data(g, "full", vlab)
+    assert len(built) > calls       # a labelled call is never stored
+    calls = len(built)
+    canonical_data(g, "full", vlab)
+    assert len(built) > calls
+
+
+def test_identity_codes_read_least_label_starts(monkeypatch):
+    decorations = []
+    for p in _skeletons():
+        if p.lo <= 9:
+            complete(p, 1, 1, 9, decorations.append)
+    starts = []
+    _count_codes(monkeypatch, starts)
+    skipped = 0
+    for d in decorations:
+        vlab = tuple(3 * t + m for t, m in zip(d.vt, _corner_marks(d)))
+        starts.clear()
+        canonical_data(d.g, "oriented", vlab, d.et)
+        least = min(vlab[d.g.org[e]] for e in d.g.faces[d.g.outer])
+        assert starts
+        assert all(vlab[d.g.org[e]] == least for e, _ in starts)
+        skipped += len(d.g.faces[d.g.outer]) - len(starts)
+    assert skipped > 0
 
 
 # -- properties of canonical codes on random maps ---------------------------
