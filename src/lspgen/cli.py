@@ -47,6 +47,10 @@ def cmd_generate(args) -> int:
 def _generate(args) -> PipelineResult:
     """Writes what `lspgen generate` asks for to stdout."""
     rmin, rmax = args.rate
+    if args.sidecar and (args.format != "pc" or args.count
+                         or args.predecorations):
+        raise ValueError("--sidecar needs --format pc records, with neither "
+                         "--count nor --predecorations")
     if args.count:
         result = run_pipeline(rmin, rmax, args.k)
         source = (result.predecorations if args.predecorations
@@ -68,8 +72,7 @@ def _generate(args) -> PipelineResult:
         return result
     # records are written as they arrive unless they must be sorted first
     sink = []
-    sidecar = args.sidecar if args.format == "pc" else None
-    with (open(sidecar, "w", encoding="ascii") if sidecar
+    with (open(args.sidecar, "w", encoding="ascii") if args.sidecar
           else contextlib.nullcontext()) as side:
         if args.format == "pc":
             sys.stdout.buffer.write(write_planar_code([]))   # the header

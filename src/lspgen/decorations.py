@@ -297,6 +297,8 @@ def read_deco(text: str) -> Decoration:
             or head[4] != "k"):
         raise DecoFormatError(f"bad size line: {lines[1]}")
     n, rate, kcls = _ints(head[1::2], lines[1])
+    if not 1 <= kcls <= 3:
+        raise DecoFormatError(f"connectivity class not in 1..3: {lines[1]}")
     cor = lines[2].split()
     if len(cor) != 4 or cor[0] != "corners":
         raise DecoFormatError("missing corners line")
@@ -313,6 +315,8 @@ def read_deco(text: str) -> Decoration:
         parts = ln.split()
         if parts[0] == "rot" and len(parts) > 1:
             v, *nbrs = _ints([parts[1].rstrip(":")] + parts[2:], ln)
+            if v in rot:
+                raise DecoFormatError(f"second rotation line: {ln}")
             rot[v] = nbrs
         elif parts[0] == "et" and len(parts) == 4:
             u, w, t = _ints(parts[1:], ln)
@@ -345,6 +349,9 @@ def read_deco(text: str) -> Decoration:
                 if key not in pools or not pools[key]:
                     raise DecoFormatError(f"edge type missing for {key}")
                 et[e] = pools[key].pop(0)
+    for (u, w), left in pools.items():
+        if left:
+            raise DecoFormatError(f"edge type for no edge: et {u + 1} {w + 1}")
     d = Decoration(g, vt, tuple(et), corners)  # type: ignore
     problems = validate(g, vt, tuple(et), corners[1], corners[0], corners[2])
     if problems:

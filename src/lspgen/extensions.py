@@ -33,6 +33,21 @@ first that has a site, since only the smallest number takes part in the
 canonical-child test: numbers 1 and 2 need one pass over the edges, the
 quadrangle patterns 3-10 are searched only when no smaller one applies.
 
+One rule applies all ten extensions (`_extend`), each from its picture
+in `PICTURES`: the new darts 0 .. 2k-1, the reverse of x being x ^ 1;
+the sectors, each (walk offset o, darts); and the rows of the new
+vertices.  The first sector's darts go in just after walk[i], each later
+one's just before walk[i+o-1] ^ 1, the dart by which the walk arrives at
+position i + o; both name the same outer sector, but freezing numbers
+darts by their place in the row.  A split (1, 3, 4) at (i, j), whose
+sectors both have offset 0, cuts v's row after walk[i] and after
+walk[j]: v keeps the run that ends at walk[j], then the first sector,
+and the other run becomes a new vertex, before the picture's rows, with
+the second sector.  The site is every new dart, and the outer face is
+that of the first sector's last dart.  An extension over more than one
+position needs distinct vertices there and one more outside them.
+Extension 7's second handedness reverses every row and sector.
+
 One rule undoes all ten extensions (`apply_reduction`): delete the site's
 edges from every rotation, each touched row resuming just after its
 removed darts; delete every vertex left with no darts; for a split (1, 3,
@@ -44,7 +59,7 @@ A child that would keep a parent's outer bridge (reduction 1) or pendant
 edge (2) is never built.  An extension at walk position i, its first
 argument, adds new vertices and rewires only the old ones at positions
 i ... i + span - 1 (a split at (i, j) edits only org[walk[i]]):
-  extension  1-7  8  9  10      (`SPAN`)
+  extension  1-7  8  9  10      (`SPAN`: 1 + the last sector's offset)
   span       1    2  3  4
 8-10 also turn the walk darts between those positions into quadrangle
 sides.  A parent edge with no rewired end keeps its darts, its ends'
@@ -66,6 +81,7 @@ the walk (a vertex stays outer after a closure iff occ >= 2):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterator, Optional
 
 from .maps import PlaneGraph
@@ -73,229 +89,79 @@ from .surgery import Surgeon
 
 ExtResult = tuple[PlaneGraph, tuple[int, ...]]
 Applier = Callable[..., Optional[ExtResult]]
-SPAN = (1, 1, 1, 1, 1, 1, 1, 2, 3, 4)   # SPAN[num - 1], see the docstring
 
 
-def _arc_after(rot: list[int], start: int, stop: int) -> list[int]:
-    """Tokens from `start` to `stop` inclusive, cyclically."""
-    i = rot.index(start)
-    out = []
-    while True:
-        out.append(rot[i])
-        if rot[i] == stop:
-            return out
-        i = (i + 1) % len(rot)
+# PICTURES[num - 1] = (sectors, rows) of extension num.  Each comment
+# names the new edges in dart order: edge e is darts 2e and 2e + 1, and 2e
+# leaves the first-named end.  v is the host vertex (v1, v2 the halves of
+# a split); 8 glues onto the edge u-v, 9 and 10 close over the outer paths
+# u-b-w and a-b-c-d.
+PICTURES = (
+    (((0, (0,)), (0, (1,))), ()),                     # 1 v1-v2
+    (((0, (0,)),), ((1,),)),                          # 2 v-x
+    (((0, (0, 7)), (0, (4, 3))), ((2, 1), (6, 5))),   # 3 v1-x x-v2 v2-y y-v1
+    (((0, (2, 0)), (0, (1, 7))), ((4, 3), (6, 5))),   # 4 v1-v2 v1-x x-y y-v2
+    (((0, (0, 7)),), ((2, 1), (4, 3), (6, 5))),       # 5 v-x x-m m-y y-v
+    (((0, (0, 6, 8)),),                               # 6 v-a a-b b-w v-w
+     ((2, 1), (4, 3), (13, 7, 5), (9, 10), (11, 12))),    # v-c c-d d-w
+    (((0, (0, 7)),),                                  # 7 v-p p-r r-q q-v
+     ((1, 2), (8, 4, 3), (6, 5, 13), (9, 10), (11, 12))),  # r-t t-s s-q
+    (((0, (0,)), (1, (5,))), ((1, 2), (3, 4))),       # 8 u-a a-b b-v
+    (((0, (3,)), (2, (0,))), ((2, 1),)),              # 9 w-x x-u
+    (((0, (0,)), (3, (1,))), ()),                     # 10 a-d
+)
+SPAN = tuple(1 + sectors[-1][0] for sectors, _ in PICTURES)   # SPAN[num - 1]
 
 
-def _split(g: PlaneGraph, walk: tuple[int, ...], i: int, j: int
-           ) -> Optional[tuple[Surgeon, int, list[int], list[int]]]:
-    """The vertex v met at outer positions i and j, cut between them: a
-    Surgeon on g, v, and v's rotation arcs after position i and after
-    position j.  None unless i and j are two sectors of one vertex."""
-    pi, pj = walk[i], walk[j]
-    v = g.org[pi]
-    if g.org[pj] != v or pi == pj:
-        return None
-    s = Surgeon(g)
-    rot = s.rot[v]
-    return (s, v, _arc_after(rot, g.nxt[pi], pj),
-            _arc_after(rot, g.nxt[pj], pi))
-
-
-def _child(s: Surgeon, outer_token: int, site: tuple[int, ...]
-           ) -> ExtResult:
-    """The finished child, outer face at outer_token, and the site's
-    tokens as sorted child darts."""
-    child, tr = s.freeze(outer_token)
-    return child, tuple(sorted(tr[t] for t in site))
-
-
-# -- extensions -------------------------------------------------------------
-# Every extension returns (child graph, inverse-reduction site in child
-# darts) or None when the site is structurally inapplicable.  Children
-# still need validate_predecoration.
-
-
-def ext1_split(g: PlaneGraph, walk: tuple[int, ...], i: int, j: int
-               ) -> Optional[ExtResult]:
-    split = _split(g, walk, i, j)
-    if split is None:
-        return None
-    s, v, arc1, arc2 = split
-    n1, n2 = s.fresh_pair()
-    s.rot[v] = arc1 + [n1]
-    s.new_vertex(arc2 + [n2])
-    return _child(s, n1, (n1, n2))
-
-
-def ext2_pendant(g: PlaneGraph, walk: tuple[int, ...], i: int
-                 ) -> Optional[ExtResult]:
-    p = walk[i]
-    v = g.org[p]
-    s = Surgeon(g)
-    n1, n2 = s.fresh_pair()
-    s.insert_after(v, p, [n1])
-    s.new_vertex([n2])
-    return _child(s, n1, (n1, n2))
-
-
-def ext3_split_quad(g: PlaneGraph, walk: tuple[int, ...], i: int, j: int
-                    ) -> Optional[ExtResult]:
-    split = _split(g, walk, i, j)
-    if split is None:
-        return None
-    s, v, arc1, arc2 = split
-    e1, e1r = s.fresh_pair()   # v1 - x
-    e2, e2r = s.fresh_pair()   # x - v2
-    e3, e3r = s.fresh_pair()   # v2 - y
-    e4, e4r = s.fresh_pair()   # y - v1
-    s.rot[v] = arc1 + [e1, e4r]        # v1
-    s.new_vertex(arc2 + [e3, e2r])     # v2
-    s.new_vertex([e2, e1r])            # x
-    s.new_vertex([e4, e3r])            # y
-    return _child(s, e4r, (e1, e1r, e2, e2r, e3, e3r, e4, e4r))
-
-
-def ext4_split_edge_quad(g: PlaneGraph, walk: tuple[int, ...], a: int, b: int
-                         ) -> Optional[ExtResult]:
-    """Split with direct edge filling gap `a` and the quad spanning gap `b`."""
-    split = _split(g, walk, a, b)
-    if split is None:
-        return None
-    s, v, arc1, arc2 = split
-    de, der = s.fresh_pair()   # v1 - v2 (direct)
-    x1, x1r = s.fresh_pair()   # v1 - x
-    xy, xyr = s.fresh_pair()   # x - y
-    ye, yer = s.fresh_pair()   # y - v2
-    s.rot[v] = arc1 + [x1, de]         # v1
-    s.new_vertex(arc2 + [der, yer])    # v2
-    s.new_vertex([xy, x1r])            # x
-    s.new_vertex([ye, xyr])            # y
-    return _child(s, de, (de, der, x1, x1r, xy, xyr, ye, yer))
-
-
-def ext5_attach_quad(g: PlaneGraph, walk: tuple[int, ...], i: int
-                     ) -> Optional[ExtResult]:
-    p = walk[i]
-    v = g.org[p]
-    s = Surgeon(g)
-    vx, vxr = s.fresh_pair()
-    xm, xmr = s.fresh_pair()
-    my, myr = s.fresh_pair()
-    yv, yvr = s.fresh_pair()
-    s.insert_after(v, p, [vx, yvr])
-    s.new_vertex([xm, vxr])   # x
-    s.new_vertex([my, xmr])   # m
-    s.new_vertex([yv, myr])   # y
-    return _child(s, yvr, (vx, vxr, xm, xmr, my, myr, yv, yvr))
-
-
-def ext6_attach_double(g: PlaneGraph, walk: tuple[int, ...], i: int
-                       ) -> Optional[ExtResult]:
-    p = walk[i]
-    v = g.org[p]
-    s = Surgeon(g)
-    va, var = s.fresh_pair()
-    ab, abr = s.fresh_pair()
-    bw, bwr = s.fresh_pair()
-    vw, vwr = s.fresh_pair()
-    vc, vcr = s.fresh_pair()
-    cd, cdr = s.fresh_pair()
-    dw, dwr = s.fresh_pair()
-    s.insert_after(v, p, [va, vw, vc])
-    s.new_vertex([ab, var])            # a
-    s.new_vertex([bw, abr])            # b
-    s.new_vertex([dwr, vwr, bwr])      # w
-    s.new_vertex([vcr, cd])            # c
-    s.new_vertex([cdr, dw])            # d
-    return _child(s, vc, (va, var, ab, abr, bw, bwr, vw, vwr,
-                          vc, vcr, cd, cdr, dw, dwr))
-
-
-def ext7_attach_strip(g: PlaneGraph, walk: tuple[int, ...], i: int,
-                      flip: bool) -> Optional[ExtResult]:
-    p = walk[i]
-    v = g.org[p]
-    s = Surgeon(g)
-    vp, vpr = s.fresh_pair()   # v - p1
-    pr_, prr = s.fresh_pair()  # p1 - r
-    rq, rqr = s.fresh_pair()   # r - q
-    qv, qvr = s.fresh_pair()   # q - v
-    rt, rtr = s.fresh_pair()   # r - t
-    ts, tsr = s.fresh_pair()   # t - s
-    sq, sqr = s.fresh_pair()   # s - q
-    rot_p1 = [vpr, pr_]
-    rot_r = [rt, rq, prr]
-    rot_q = [qv, rqr, sqr]
-    rot_t = [rtr, ts]
-    rot_s = [tsr, sq]
-    ins = [vp, qvr]
-    if flip:
-        rot_p1.reverse()
-        rot_r.reverse()
-        rot_q.reverse()
-        rot_t.reverse()
-        rot_s.reverse()
-        ins.reverse()
-    s.insert_after(v, p, ins)
-    s.new_vertex(rot_p1)
-    s.new_vertex(rot_r)
-    s.new_vertex(rot_q)
-    s.new_vertex(rot_t)
-    s.new_vertex(rot_s)
-    return _child(s, ins[-1], (vp, vpr, pr_, prr, rq, rqr, qv, qvr,
-                               rt, rtr, ts, tsr, sq, sqr))
-
-
-def ext8_glue(g: PlaneGraph, walk: tuple[int, ...], i: int
-              ) -> Optional[ExtResult]:
-    if g.n < 3:
-        return None
-    d = walk[i]
-    u, v = g.org[d], g.org[d ^ 1]
-    s = Surgeon(g)
-    ua, uar = s.fresh_pair()
-    ab, abr = s.fresh_pair()
-    bv, bvr = s.fresh_pair()
-    s.insert_after(u, d, [ua])
-    s.insert_before(v, d ^ 1, [bvr])
-    s.new_vertex([uar, ab])   # a
-    s.new_vertex([abr, bv])   # b
-    return _child(s, ua, (ua, uar, ab, abr, bv, bvr))
-
-
-def ext9_close2(g: PlaneGraph, walk: tuple[int, ...], i: int
-                ) -> Optional[ExtResult]:
-    if g.n < 4:
-        return None
+def _extend(picture: tuple, g: PlaneGraph, walk: tuple[int, ...], i: int,
+            j: Optional[int] = None) -> Optional[ExtResult]:
+    """The child of `picture` at walk position i, or of a split at i and
+    j, by the rule of the module docstring: (child graph, inverse site in
+    child darts), or None where the span's vertices are too few or not
+    distinct.  New dart x is the token ~x (see `_tokens`).  Children
+    still need validate_predecoration."""
+    sectors, rows = picture
     m = len(walk)
-    d1, d2 = walk[i], walk[(i + 1) % m]
-    u, v, w = g.org[d1], g.org[d2], g.org[d2 ^ 1]
-    if len({u, v, w}) != 3:
+    span = 1 + sectors[-1][0]
+    if span > 1 and (g.n <= span or len(
+            {g.org[walk[(i + t) % m]] for t in range(span)}) < span):
         return None
     s = Surgeon(g)
-    wx, wxr = s.fresh_pair()
-    xu, xur = s.fresh_pair()
-    s.insert_before(w, d2 ^ 1, [wx])
-    s.insert_after(u, d1, [xur])
-    s.new_vertex([xu, wxr])   # x
-    return _child(s, xur, (wx, wxr, xu, xur))
+    if j is not None:
+        row = s.rot[g.org[walk[i]]]
+        at = row.index(walk[i]) + 1
+        row[:] = row[at:] + row[:at]   # from just after walk[i] to it
+        at = row.index(walk[j]) + 1
+        s.rot.append([*row[at:], *sectors[1][1]])
+        row[at:] = sectors[0][1]
+    else:
+        for o, darts in sectors:
+            # after walk[i], or before the dart the walk arrives by
+            d = walk[(i + o - 1) % m] ^ 1 if o else walk[i]
+            row = s.rot[g.org[d]]
+            at = row.index(d) + (o == 0)
+            row[at:at] = darts
+    s.rot += rows
+    child, tr = s.freeze(sectors[0][1][-1])
+    # tr maps every token: the 2 * g.ne old darts and the new -1, -2, ...
+    return child, tuple(sorted(tr[t] for t in range(2 * g.ne - len(tr), 0)))
 
 
-def ext10_close3(g: PlaneGraph, walk: tuple[int, ...], i: int
-                 ) -> Optional[ExtResult]:
-    if g.n < 5:
-        return None
-    m = len(walk)
-    d1, d2, d3 = walk[i], walk[(i + 1) % m], walk[(i + 2) % m]
-    a, b, c, dd = g.org[d1], g.org[d2], g.org[d3], g.org[d3 ^ 1]
-    if len({a, b, c, dd}) != 4:
-        return None
-    s = Surgeon(g)
-    ad, adr = s.fresh_pair()
-    s.insert_after(a, d1, [ad])
-    s.insert_before(dd, d3 ^ 1, [adr])
-    return _child(s, ad, (ad, adr))
+def _tokens(picture: tuple) -> tuple:
+    """The picture with each new dart x as the token ~x, which is no old
+    dart's id and whose reverse is ~x ^ 1 = ~(x ^ 1)."""
+    sectors, rows = picture
+    return (tuple((o, tuple(~x for x in darts)) for o, darts in sectors),
+            tuple(tuple(~x for x in row) for row in rows))
+
+
+_APPLY = {num: partial(_extend, _tokens(picture))   # by extension number
+          for num, picture in enumerate(PICTURES, 1)}
+# extension 7 builds its strip in both handednesses: the mirror image
+# reverses every row and sector
+_STRIP_FLIPPED = partial(_extend, _tokens((
+    tuple((o, darts[::-1]) for o, darts in PICTURES[6][0]),
+    tuple(row[::-1] for row in PICTURES[6][1]))))
 
 
 def extension_sites(g: PlaneGraph, walk: tuple[int, ...]
@@ -312,20 +178,20 @@ def extension_sites(g: PlaneGraph, walk: tuple[int, ...]
     for positions in by_vertex.values():
         for ii, i in enumerate(positions):
             for j in positions[ii + 1:]:
-                yield 1, 2, ext1_split, (i, j)
-                yield 3, 6, ext3_split_quad, (i, j)
-                yield 4, 6, ext4_split_edge_quad, (i, j)
-                yield 4, 6, ext4_split_edge_quad, (j, i)
+                yield 1, 2, _APPLY[1], (i, j)
+                yield 3, 6, _APPLY[3], (i, j)
+                yield 4, 6, _APPLY[4], (i, j)
+                yield 4, 6, _APPLY[4], (j, i)
     for i in range(m):
         b, c = cut[(i + 1) % m], cut[(i + 2) % m]
-        yield 2, 2, ext2_pendant, (i,)
-        yield 5, 6, ext5_attach_quad, (i,)
-        yield 6, 10, ext6_attach_double, (i,)
-        yield 7, 10, ext7_attach_strip, (i, False)
-        yield 7, 10, ext7_attach_strip, (i, True)
-        yield 8, 4, ext8_glue, (i,)
-        yield 9, 4 - b, ext9_close2, (i,)
-        yield 10, 4 - b - c, ext10_close3, (i,)
+        yield 2, 2, _APPLY[2], (i,)
+        yield 5, 6, _APPLY[5], (i,)
+        yield 6, 10, _APPLY[6], (i,)
+        yield 7, 10, _APPLY[7], (i,)
+        yield 7, 10, _STRIP_FLIPPED, (i,)
+        yield 8, 4, _APPLY[8], (i,)
+        yield 9, 4 - b, _APPLY[9], (i,)
+        yield 10, 4 - b - c, _APPLY[10], (i,)
 
 
 def kept_reduction(g: PlaneGraph, walk: tuple[int, ...]

@@ -126,6 +126,17 @@ def test_usage_errors(capsys):
     assert main(["generate", "--rate", "3", "--threads", "2"]) == 2
 
 
+def test_sidecar_needs_pc_records(tmp_path, capsys):
+    side = tmp_path / "side"
+    for extra in ([], ["--count"], ["--predecorations"],
+                  ["--format", "pc", "--count"]):
+        assert main(["generate", "--rate", "3", "--sidecar", str(side),
+                     *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sidecar") and err.count("\n") == 1
+    assert not side.exists()
+
+
 def test_generated_pc_round_trips():
     code, data = run_cli_bytes(["generate", "--rate", "3", "--format", "pc",
                                 "--sorted"])
@@ -160,10 +171,11 @@ def test_unsorted_records_are_written_as_they_arrive(tmp_path, monkeypatch):
         return real(*args, on_decoration=emit)
 
     monkeypatch.setattr(cli, "run_pipeline", pipeline)
-    for fmt in ("deco", "pc"):
+    side = ["--sidecar", str(tmp_path / "side")]
+    for fmt, extra in (("deco", []), ("pc", side)):
         sizes.clear()
         assert main(["generate", "--rate", "1-4", "--format", fmt,
-                     "--sidecar", str(tmp_path / "side")]) == 0
+                     *extra]) == 0
         # every record is out before the next one arrives
         assert len(sizes) == 14 and sizes == sorted(set(sizes))
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lspgen.catalog import lookup
+from lspgen.cli import main
 from lspgen.complete import complete
 from lspgen.decorations import (DecoFormatError, Decoration, canonicalized,
                                 connectivity_class, corner_pairs,
@@ -194,6 +195,25 @@ def test_deco_rejects_garbage():
     good = write_deco(lookup("identity"))
     with pytest.raises(DecoFormatError):
         read_deco(good.replace("rate 1", "rate 2"))
+
+
+@pytest.mark.parametrize("old, new", [
+    (" k 3", " k 0"),
+    (" k 3", " k -5"),
+    ("rot 2: 4 1", "rot 2: 4 1\nrot 2: 4 1"),
+    ("et 3 4 0", "et 3 4 0\net 2 3 0"),     # not an edge
+    ("et 3 4 0", "et 3 4 0\net 1 2 1"),     # a second type for an edge
+    ("et 3 4 0", "et 3 4 0\net 1 99 1"),    # not a vertex
+], ids=["k0", "k-5", "second-rot", "non-edge", "repeated-edge", "range"])
+def test_deco_rejects_malformed_records(old, new, tmp_path, capsys):
+    text = write_deco(lookup("ambo"))
+    assert old in text
+    with pytest.raises(DecoFormatError):
+        read_deco(text.replace(old, new))
+    deco = tmp_path / "op.deco"
+    deco.write_text(text.replace(old, new))
+    assert main(["apply", "--op-file", str(deco), "--seed", "cube"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 def test_deco_corner_outside_the_vertices():

@@ -12,7 +12,8 @@ from lspgen.generate import (GenerationStats, GenerationTask, _site_keys,
                              is_canonical_child)
 from lspgen.maps import (build_from_rotations, canonical_code, canonical_data,
                          read_planar_code)
-from lspgen.predecorations import Predecoration, validate_predecoration
+from lspgen.predecorations import (Predecoration, outer_walk,
+                                   validate_predecoration)
 
 DIGESTS = dict(
     reversed(line.split())
@@ -312,18 +313,45 @@ def _site_counts(g):
     return {num: len(sites) for num, sites in all_reductions(g).items()}
 
 
+def _mirror_pairs(rmax, moves):
+    """(moves(g, True), moves(mirror image of g, False)) for every
+    skeleton g up to rmax; the two agree when the moves commute with
+    taking mirror images."""
+    seen = []
+    generate(GenerationTask(1, rmax, 1), visitor=seen.append)
+    return [(moves(p.g, True), moves(p.g.mirrored(), False)) for p in seen]
+
+
 def test_reductions_are_mirror_equivariant():
     # canonical codes count reflections as isomorphisms, so the canonical
     # reduction must map to a reduction of the same number on the mirror
     # image; reduction 7 once matched its strip in one handedness only
-    seen = []
-    generate(GenerationTask(1, 14, 1), visitor=seen.append)
-    strips = 0
-    for p in seen:
-        counts = _site_counts(p.g)
-        assert _site_counts(p.g.mirrored()) == counts
-        strips += counts.get(7, 0)
-    assert strips > 0
+    pairs = _mirror_pairs(14, lambda g, _: _site_counts(g))
+    for counts, mirror_counts in pairs:
+        assert mirror_counts == counts
+    assert sum(counts.get(7, 0) for counts, _ in pairs) > 0
+
+
+def _children(g, flip):
+    """(number, oriented code) of every child of every extension site of
+    g, each child mirrored when flip is set."""
+    walk = outer_walk(g)
+    out = Counter()
+    for num, _, apply_ext, args in extension_sites(g, walk):
+        result = apply_ext(g, walk, *args)
+        if result is not None:
+            child = result[0].mirrored() if flip else result[0]
+            out[num, canonical_code(child, "oriented")] += 1
+    return out
+
+
+def test_extensions_are_mirror_equivariant():
+    # the mirror image of every child is a child of the mirror image, by
+    # the same number; extension 7 builds its strip in both handednesses
+    pairs = _mirror_pairs(10, _children)
+    assert len(pairs) == 30
+    for mirrored_children, children_of_mirror in pairs:
+        assert children_of_mirror == mirrored_children
 
 
 def test_mirror_pair_at_rate_18_has_one_canonical_parent():
