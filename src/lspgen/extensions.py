@@ -55,16 +55,23 @@ removed darts; delete every vertex left with no darts; for a split (1, 3,
 fills the gap the other's removed darts left.  The outer face is that of
 the first outer dart outside the site.
 
-A child that would keep a parent's outer bridge (reduction 1) or pendant
-edge (2) is never built.  An extension at walk position i, its first
-argument, adds new vertices and rewires only the old ones at positions
-i ... i + span - 1 (a split at (i, j) edits only org[walk[i]]):
-  extension  1-7  8  9  10      (`SPAN`: 1 + the last sector's offset)
-  span       1    2  3  4
-8-10 also turn the walk darts between those positions into quadrangle
-sides.  A parent edge with no rewired end keeps its darts, its ends'
-degrees and the outer face on both sides, so the child keeps that site,
-and `generate` rejects it for every extension number above the site's.
+A child whose smallest reduction, 1 (an outer bridge, both ends of
+degree >= 2) or 2 (a pendant edge, the other end of degree >= 2), is
+below the applied number is never built; `kept_reduction` decides this
+exactly from the parent.  No extension changes an inner face, and every
+new edge but that of 1 and 2 is a quadrangle side.  1-7 only add darts
+in outer sectors, so degrees rise (a split leaves each half degree >=
+2); 8-10 at position i also make the walk darts walk[i ... i + span - 2]
+quadrangle sides (`SPAN`: 2, 3 and 4 for 8, 9 and 10).  So a parent's
+reduction 1 and 2 sites stay sites of 1 or 2 in the child unless 8-10
+cover one of their darts (a pendant edge becomes a bridge when 2-7
+attach at its leaf), no other old edge becomes one, and attaching at
+one end of the base K2 leaves a pendant at the other.  Extension
+  1     is never pruned;
+  2     at v is pruned iff the parent has a reduction 1 site or v is the
+        leaf of a reduction 2 site;
+  3-7   iff the parent has a reduction 1 or 2 site or is K2;
+  8-10  iff some reduction 1 or 2 site has neither dart covered.
 
 Each extension moves the lower rate bound lo = 4*quads + 2*(len(walk) -
 #outer vertices) of `rate_bounds_of` by a step read off the parent's
@@ -196,17 +203,26 @@ def extension_sites(g: PlaneGraph, walk: tuple[int, ...]
 
 def kept_reduction(g: PlaneGraph, walk: tuple[int, ...]
                    ) -> Callable[[int, int], bool]:
-    """``kept(num, i)``: whether every child of extension num at walk
-    position i keeps a parent's site of a smaller reduction, 1 or 2."""
+    """``kept(num, i)``: whether the child of extension num at walk
+    position i has a reduction 1 or 2 below num, decided from the parent
+    by the table of the module docstring."""
     deg = [g.degree(v) for v in range(g.n)]
-    ends = [[(g.org[a], g.org[b]) for a, b in find(g, deg)]
-            for find in (_reduction1, _reduction2)]
+    bridges = {d >> 1 for d, _ in _reduction1(g, deg)}
+    pendants = _reduction2(g, deg)
+    leaves = {g.org[x] for site in pendants for x in site
+              if deg[g.org[x]] == 1}
+    sites = bridges.union(d >> 1 for d, _ in pendants)   # edge ids
+    m = len(walk)
 
     def kept(num: int, i: int) -> bool:
-        rewired = {g.org[walk[(i + t) % len(walk)]]
-                   for t in range(SPAN[num - 1])}
-        return any(u not in rewired and v not in rewired
-                   for edges in ends[:num - 1] for u, v in edges)
+        if num == 1:
+            return False
+        if num == 2:
+            return bool(bridges) or g.org[walk[i]] in leaves
+        if num <= 7:
+            return bool(sites) or g.n == 2
+        return bool(sites.difference(walk[(i + t) % m] >> 1
+                                     for t in range(SPAN[num - 1] - 1)))
     return kept
 
 

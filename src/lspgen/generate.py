@@ -12,8 +12,10 @@ that fails ends its way:
   1. screened: the child's lower rate bound would exceed the target
      (each extension moves the bound by an exact step, see `extensions`),
      so the child is never built;
-  2. pruned: the child would keep an outer bridge or pendant edge of the
-     parent, a reduction below the applied extension (see `extensions`);
+  2. pruned: the child would have a reduction 1 or 2 below the applied
+     extension, decided exactly from the parent's outer bridges and
+     pendant edges and the walk darts the extension covers (see
+     `extensions`);
   3. rejected: the child's smallest reduction number is not the applied
      extension (`scan_reductions` stops at that number);
   4. invalid: the child is not a predecoration (`validate_predecoration`);
