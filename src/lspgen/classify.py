@@ -12,35 +12,9 @@ winds around a point in some polyhedral application also appears on it.
 The type-1 subgraph of the tiling is the vertex-face incidence graph of
 the result.  A type-1 2-cycle is a vertex met twice by one face, a cut
 vertex; a type-1 4-cycle with vertices of type 0 or 2 on both sides is
-a separating pair.  One derived test decides class 1, the face-twice
-test of the paste below.  It finds the 2-cycles inside one chamber, and
-two cases that reach across chambers as well:
-
-* an internal type-1 edge with both ends on side k, with its mirror
-  image across k: two type-1 edges between the same glued vertex a and
-  face f, so a occurs twice on f;
-* a result edge that glues into a loop at a: when a has other edges, a
-  occurs twice on the walk of the face beside the loop.  No application
-  exists then (``chambers.apply_decoration`` raises ``MapError``), but
-  the test reads only the gluing and gives class 1 all the same.
-
-One calibration comes first, ``_corner_axis_branch``, fitted to the
-published 2-connectivity column, not a consequence of the definition
-above.  The decorations that only it puts in class 1 have no type-1
-2-cycle in any application to a 2-connected plane graph with at least
-three vertices (two chambers of such a host share two points only
-across a common side), and their applications to the Platonic solids
-have no cut vertex.  The published column counts them as 1-connected
-nonetheless; the paper's own statement of its 2-connectivity test is
-not in this repository.  The calibration gives the published k=2
-column up to rate 12 and too few class-1 decorations from rate 13 on.
-
-The paste is read off the orbit tables of ``chambers.glued_orbits``:
-the faces of the result are the glued type-2 classes, a glued type-1
-edge is one occurrence of a vertex on a face walk, and a glued type-1
-class joins the ends of its two type-2 edges.  Two facts about plane
-graphs (Mohar & Thomassen, *Graphs on Surfaces*, 2001, ch. 2) decide
-the class in the star of a type-0 vertex a:
+a separating pair.  Two facts about plane graphs (Mohar & Thomassen,
+*Graphs on Surfaces*, 2001, ch. 2) decide the class in the star of a
+type-0 vertex a:
 
 * in a connected plane graph, a vertex is a cut vertex exactly when it
   occurs twice on some face walk: class 1 if a has two type-1 edges to
@@ -53,6 +27,36 @@ Otherwise the class is 3.  The operation keeps every symmetry of the
 tetrahedron, whose group of order 24 acts regularly on the chambers,
 so every cut vertex, separating pair or loop of the result is the
 image of one at a vertex of chamber 0, and only those are tried.
+
+Class 1 is decided on the decoration alone (``_face_twice``).  The
+chambers are the elements of the tetrahedron's reflection group W; the
+copies of a decoration vertex x glued into one class form a coset of
+W_S(x), the parabolic subgroup of the sides S(x) through x, and those of
+a type-1 edge e one of W_S(e), with S(e) = {k} along side k and empty
+otherwise.  As W_I & W_J = W_(I & J) (Humphreys, *Reflection Groups and
+Coxeter Groups*, 1990, 5.5), a type-1 edge a-y gives |W_(S(a) & S(y))|
+/ |W_S(e)| incidences of a in chamber 0 with each face of y it meets,
+and two vertices share at most one side.  So a meets a face twice
+exactly when two type-1 edges join a to one y, or one joins a to a y on
+its side k without lying along k (its mirror image across k is a second
+edge to that face).  This counts the gluing, not the result, so it also
+sees a loop at a, which puts a twice on the face beside it: no
+application exists then, but the class is 1 all the same.  Class 2 is
+read off the orbit tables of ``chambers.glued_orbits`` (the faces are
+the glued type-2 classes, a glued type-1 class joins the ends of its
+two type-2 edges), and only at cap 3: the k=2 filter needs no more
+than "class 1 or not".
+
+One calibration comes first, ``_corner_axis_branch``, fitted to the
+published 2-connectivity column, not a consequence of the definition
+above.  The decorations that only it puts in class 1 have no type-1
+2-cycle in any application to a 2-connected plane graph with at least
+three vertices (two chambers of such a host share two points only
+across a common side), and their applications to the Platonic solids
+have no cut vertex.  The published column counts them as 1-connected
+nonetheless; the paper's own statement of its 2-connectivity test is
+not in this repository.  The calibration gives the published k=2
+column up to rate 12 and too few class-1 decorations from rate 13 on.
 
 The 0 <-> 2 type flip ``decorations.swap02`` (the dual operation;
 Brinkmann, Goetschalckx & Schein, Proc. R. Soc. A 473 (2017) 20170267)
@@ -119,29 +123,50 @@ def _corner_axis_branch(decoration) -> bool:
     return False
 
 
-def connectivity_class_of(decoration) -> int:
-    """1, 2 or 3 for a (rooted) decoration."""
+def connectivity_class_of(decoration, cap: int = 3) -> int:
+    """The class of a (rooted) decoration, 1, 2 or 3, capped at cap."""
     if _corner_axis_branch(decoration):
         return 1
-    return tetrahedron_class(decoration)
+    return tetrahedron_class(decoration, cap)
 
 
-def tetrahedron_class(decoration) -> int:
-    """The vertex connectivity, capped at 3, of the decoration applied to
-    the tetrahedron: connected, with at least four vertices (a type-0
-    vertex of the decoration glues into four classes or more), so the
-    small cases of ``maps.vertex_connectivity_capped`` never arise.
-    When a result edge would glue into a loop, no application exists;
-    the step still returns 1, since the loop's vertex occurs twice on
-    the walk of the face beside it."""
-    return _tetrahedron_witness(decoration)[0]
+def tetrahedron_class(decoration, cap: int = 3) -> int:
+    """The vertex connectivity, capped at cap and at 3, of the decoration
+    applied to the tetrahedron (1 where a result edge would be a loop):
+    connected, with at least four vertices (a type-0 vertex of the
+    decoration glues into four classes or more), so the small cases of
+    ``maps.vertex_connectivity_capped`` never arise."""
+    return _tetrahedron_witness(decoration, cap)[0]
 
 
-def _tetrahedron_witness(d) -> tuple[int, tuple[int, ...]]:
-    """The class and its witness, in glued classes ``chamber * n +
-    vertex`` (chamber 0's vertex x is class x): a vertex and a face it
-    occurs twice on (class 1); a separating pair a, b and two faces
-    through both, not joined across a-b edges (class 2); () (class 3)."""
+def _face_twice(d) -> tuple[int, int] | None:
+    """A type-0 vertex a and a type-2 vertex y such that a occurs twice
+    on y's face in chamber 0 (the module docstring's rule), or None."""
+    g, vt, sides = d.g, d.vt, d.sides
+    outer_edges = {x >> 1 for x in g.faces[g.outer]}
+    seen = set()
+    for e, t in enumerate(d.et):
+        if t == 1:
+            a, y = g.edge_ends(e)
+            if vt[a]:
+                a, y = y, a
+            if (a, y) in seen or e not in outer_edges and any(
+                    a in s and y in s for s in sides):
+                return a, y
+            seen.add((a, y))
+    return None
+
+
+def _tetrahedron_witness(d, cap: int = 3) -> tuple[int, tuple[int, ...]]:
+    """The class, capped at cap, and its witness, in glued classes
+    ``chamber * n + vertex`` (chamber 0's vertex x is class x): a vertex
+    and a face it occurs twice on (class 1); a separating pair a, b and
+    two faces through both, not joined across a-b edges (class 2); ()
+    (class 3, or capped below 3, which builds no gluing)."""
+    if (pair := _face_twice(d)) is not None:
+        return 1, pair
+    if cap < 3:
+        return cap, ()
     nbrs, side_of_edge, orbits = glued_orbits(_tetrahedron(), d)
     g, n = d.g, d.g.n
     # per vertex and edge type: (far end, its least-chamber table, side)
@@ -163,10 +188,6 @@ def _tetrahedron_witness(d) -> tuple[int, tuple[int, ...]]:
         return stars[v, t]
 
     t0 = [x for x in range(n) if d.vt[x] == 0]
-    for a in t0:
-        faces = star(a, 1)
-        if len(set(faces)) < len(faces):
-            return 1, (a, next(f for f in faces if faces.count(f) > 1))
     # result edges at each chamber-0 vertex, by far end
     edges: dict[int, dict[int, list[int]]] = {a: {} for a in t0}
     for a in t0:

@@ -64,7 +64,8 @@ def bipartition(g: PlaneGraph) -> list[int]:
 class CompletionStats:
     """The completion funnel: cover searches (one per skeleton), mirrors
     completed from one, covers filed (over the v1 choices) and built
-    (after the stabilizer dedup), decorations emitted, classifier calls."""
+    (after the stabilizer dedup), decorations emitted, classifier calls
+    (at k >= 2 only, each verdict capped at k)."""
     searches: int = 0
     mirrored: int = 0
     covers: int = 0
@@ -315,7 +316,7 @@ class _Completer:
         lo, hi = sorted(d.corners[::2])     # a mirror image swaps v0, v2
         key += (lo, hi, d.vt[lo])
         if key not in self.verdicts:
-            self.verdicts[key] = connectivity_class(d)
+            self.verdicts[key] = connectivity_class(d, self.k)
         return self.verdicts[key]
 
 

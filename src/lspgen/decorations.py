@@ -43,7 +43,7 @@ class Decoration:
     def sides(self) -> tuple[frozenset[int], ...]:
         """The vertices of sides 0, 1 and 2: side k is the stretch of
         the outer walk between the two corners other than vk.  The
-        gluing reads it, and the classifier through the gluing."""
+        gluing reads it, and the classifier's face-twice rule."""
         g = self.g
         verts = [g.org[x] for x in g.faces[g.outer]]
         pos = {v: i for i, v in enumerate(verts)}
@@ -150,13 +150,14 @@ def corner_pairs(g: PlaneGraph, vt, v1: int) -> list[tuple[int, int]]:
 # -- connectivity class -----------------------------------------------------
 
 
-def connectivity_class(d: Decoration) -> int:
-    """Highest k in {1,2,3} for which this is a k-connected decoration.
+def connectivity_class(d: Decoration, cap: int = 3) -> int:
+    """Highest k in {1,2,3} for which this is a k-connected decoration,
+    or cap if smaller (a filter for class >= k needs no more than cap k).
 
     The class belongs to the rooted decoration (it depends on where the
     corners are placed); see lspgen.classify for the procedure.
     """
-    return classify.connectivity_class_of(d)
+    return classify.connectivity_class_of(d, cap)
 
 
 # -- transforms and identity -------------------------------------------------

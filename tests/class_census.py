@@ -4,9 +4,10 @@ Every decoration of rate 1 to RMAX (default 14) is classified, and the
 step that decided it is counted:
 
 * ``calibration``: ``classify._corner_axis_branch``, class 1;
-* ``paste 1``: the tetrahedron step, class 1 (a vertex twice on one
-  face walk); ``loops`` counts those among them whose application to
-  the tetrahedron fails because a result edge would be a loop;
+* ``paste 1``: the face-twice rule ``classify._face_twice``, class 1
+  (a vertex twice on one face walk of the paste); ``loops`` counts those
+  among them whose application to the tetrahedron fails because a
+  result edge would be a loop;
 * ``paste 2`` and ``class 3``: the tetrahedron step, classes 2 and 3.
 
 Run from a checkout (rate 20 takes about 80 s on a 2 vCPU host)::
@@ -18,7 +19,8 @@ import sys
 from collections import Counter
 
 from lspgen.chambers import apply_decoration
-from lspgen.classify import _corner_axis_branch, _tetrahedron, tetrahedron_class
+from lspgen.classify import (_corner_axis_branch, _face_twice, _tetrahedron,
+                             tetrahedron_class)
 from lspgen.maps import MapError
 from lspgen.pipeline import run_pipeline
 
@@ -29,13 +31,13 @@ def deciding_steps(d) -> tuple[str, ...]:
     """The census columns that count d."""
     if _corner_axis_branch(d):
         return ("calibration",)
-    verdict = tetrahedron_class(d)
-    if verdict == 1:
+    if _face_twice(d) is not None:
         try:
             apply_decoration(_tetrahedron(), d)
         except MapError:
             return ("paste 1", "loops")
-    return (("paste 1", "paste 2", "class 3")[verdict - 1],)
+        return ("paste 1",)
+    return (("paste 2", "class 3")[tetrahedron_class(d) - 2],)
 
 
 def census(rmax: int) -> dict[int, Counter]:

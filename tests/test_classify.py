@@ -1,20 +1,25 @@
-"""The classifier's tetrahedron step against the route it replaced.
+"""The classifier's tetrahedron step against the routes it replaced.
 
-The step decides the class from the faces and edges around each type-0
-vertex of chamber 0, read off the orbit tables of the gluing.  The
-reference builds the whole chamber system, extracts the decorated
+The step decides class 1 by a rule on the decoration alone, and class 2
+from the faces and edges around each type-0 vertex of chamber 0, read
+off the orbit tables of the gluing.  The rule is checked against the
+gluing-based face-twice test it replaced (``_face_twice_by_paste``).
+The reference builds the whole chamber system, extracts the decorated
 tetrahedron and computes its vertex connectivity; the step's witness
 (a cut vertex, or a separating pair) must separate that graph.
 """
 
+import os
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from chamber_reference import decorate_chambers, extract_original
-from lspgen.chambers import apply_decoration
-from lspgen.classify import _tetrahedron, _tetrahedron_witness, tetrahedron_class
+from lspgen import classify
+from lspgen.chambers import apply_decoration, glued_orbits
+from lspgen.classify import (_face_twice, _tetrahedron, _tetrahedron_witness,
+                             connectivity_class_of, tetrahedron_class)
 from lspgen.decorations import connectivity_class, mirror, read_deco, swap02
 from lspgen.maps import MapError, PlaneGraph, vertex_connectivity_capped
 from lspgen.pipeline import run_pipeline
@@ -120,3 +125,82 @@ def test_loop_is_class_1():
         assert verdict == 1 and _incidences(cs)[frozenset((a, f))] >= 2
         # the dual operation applies, to a graph with a bridge
         assert _check_witness(swap02(t), *_reference(swap02(t))) == 1
+
+
+# -- the face-twice rule against the paste ----------------------------------
+
+def _face_twice_by_paste(d):
+    """The pairs (a, f) of a type-0 vertex a of chamber 0 and a glued face
+    f that a occurs on twice, read off the orbit tables as the classifier
+    did before the rule: the far end of each glued type-1 edge at a, with
+    a side edge counted in the lower of its two chambers."""
+    nbrs, side_of_edge, orbits = glued_orbits(_tetrahedron(), d)
+    g, n = d.g, d.g.n
+    faces = Counter()
+    for x in range(2 * g.ne):
+        a, y, k = g.org[x], g.org[x ^ 1], side_of_edge.get(x >> 1)
+        if d.et[x >> 1] == 1 and d.vt[a] == 0:
+            faces.update((a, orbits[y][0][c] * n + y)
+                         for c in orbits[a][1][0]
+                         if k is None or c < nbrs[c][k])
+    return {af for af, times in faces.items() if times > 1}
+
+
+def _check_rule_against_paste(rmax):
+    """The rule finds a vertex twice on a face exactly when the paste does,
+    on every decoration up to rmax, and its witness is one the paste
+    finds; returns how many decorations it puts in class 1."""
+    found = []
+
+    def check(d):
+        witness, twice = _face_twice(d), _face_twice_by_paste(d)
+        assert (witness is not None) == bool(twice), d
+        if witness is not None:
+            assert witness in twice, d
+            found.append(witness)
+
+    run_pipeline(1, rmax, 1, on_decoration=check)
+    return len(found)
+
+
+def test_face_twice_rule_matches_paste():
+    # none of the 20 decorations of the calibration is among the 10
+    assert _check_rule_against_paste(14) == 10
+
+
+@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                    reason="set LSPGEN_STRETCH=1 for rates 15-20")
+def test_face_twice_rule_matches_paste_to_rate_20():
+    assert _check_rule_against_paste(20) == 2662
+
+
+def test_face_twice_rule_matches_chamber_reference():
+    # the class-boundary records and the loop, with their mirror and dual
+    # images, against the incidences of the independent chamber system
+    records = _records("class_boundary.deco") + _records("loop_r15.deco")
+    found = 0
+    for d in records:
+        for t in (d, mirror(d), swap02(d)):
+            witness = _face_twice(t)
+            twice = {pair for pair, times in _incidences(
+                decorate_chambers(_tetrahedron(), t)).items() if times > 1}
+            assert (witness is not None) == bool(twice), t
+            if witness is not None:
+                assert frozenset(witness) in twice, t
+                found += 1
+    assert found == 12
+
+
+def test_class_capped_at_2_builds_no_gluing(monkeypatch):
+    decorations = []
+    run_pipeline(1, 14, 1, on_decoration=decorations.append)
+
+    def no_gluing(*args):
+        raise AssertionError("cap 2 built the gluing")
+
+    monkeypatch.setattr(classify, "glued_orbits", no_gluing)
+    capped = [connectivity_class_of(d, 2) for d in decorations]
+    monkeypatch.undo()
+    full = [connectivity_class_of(d) for d in decorations]
+    assert capped == [min(c, 2) for c in full]
+    assert set(capped) == {1, 2}

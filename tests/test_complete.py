@@ -329,12 +329,13 @@ def test_chirality_is_computed_once_per_skeleton(monkeypatch):
 
 # -- the mirror embedding, completed from the skeleton's search ---------------
 
-def _check_mirror_sharing(monkeypatch, rmax):
-    """Completes every skeleton up to rmax at k=2.  Each mirror's v1
+def _check_mirror_sharing(monkeypatch, rmax, k=2):
+    """Completes every skeleton up to rmax at k.  Each mirror's v1
     choices and reflected covers must be what its own automorphisms and
     search give, and each class read from the verdicts (the skeleton's,
-    in a mirror) what the classifier gives the decoration; returns the
-    numbers of mirrors and shared verdicts."""
+    in a mirror) what the classifier gives the decoration, capped at k
+    as the completer asks for it; returns the numbers of mirrors and
+    shared verdicts."""
     counts = {"mirrors": 0, "shared": 0}
     run, classed = _Completer.run, _Completer._class
 
@@ -351,18 +352,24 @@ def _check_mirror_sharing(monkeypatch, rmax):
         known = len(self.verdicts)
         cls = classed(self, d, key)
         if len(self.verdicts) == known:
-            assert cls == connectivity_class_of(d)
+            assert cls == min(connectivity_class_of(d), k)
             counts["shared"] += self.pre is not None
         return cls
 
     monkeypatch.setattr(_Completer, "run", run_checked)
     monkeypatch.setattr(_Completer, "_class", class_checked)
-    run_pipeline(1, rmax, 2)
+    run_pipeline(1, rmax, k)
     return counts["mirrors"], counts["shared"]
 
 
 def test_mirror_takes_reflected_covers_and_verdicts(monkeypatch):
     assert _check_mirror_sharing(monkeypatch, 14) == (84, 400)
+
+
+def test_mirror_shares_full_verdicts_at_k3(monkeypatch):
+    # at k=3 the verdicts are not capped below 3, so each shared one is
+    # compared with the full class
+    assert _check_mirror_sharing(monkeypatch, 14, 3) == (84, 400)
 
 
 @pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
