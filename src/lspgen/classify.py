@@ -60,12 +60,12 @@ column up to rate 12 and too few class-1 decorations from rate 13 on.
 
 The 0 <-> 2 type flip ``decorations.swap02`` (the dual operation;
 Brinkmann, Goetschalckx & Schein, Proc. R. Soc. A 473 (2017) 20170267)
-keeps the class, and ``lspgen.complete`` classifies one decoration of
-each flipped pair.  The calibration reads only the type-1 edges, the
-sides and whether v1 has type 1, which the flip keeps.  Applying
-``swap02(d)`` to the self-dual tetrahedron gives the dual of applying
-d, and duality keeps 2- and 3-connectedness of plane graphs.  Checked
-on all 3,160 decorations up to rate 14.
+keeps the class, and the two of each flipped pair that
+``lspgen.complete`` builds share one verdict.  The calibration reads
+only the type-1 edges, the sides and whether v1 has type 1, which the
+flip keeps.  Applying ``swap02(d)`` to the self-dual tetrahedron gives
+the dual of applying d, and duality keeps 2- and 3-connectedness of
+plane graphs.  Checked on all 3,160 decorations up to rate 14.
 """
 
 from __future__ import annotations
@@ -123,11 +123,17 @@ def _corner_axis_branch(decoration) -> bool:
     return False
 
 
-def connectivity_class_of(decoration, cap: int = 3) -> int:
-    """The class of a (rooted) decoration, 1, 2 or 3, capped at cap."""
-    if _corner_axis_branch(decoration):
-        return 1
-    return tetrahedron_class(decoration, cap)
+def connectivity_class_of(d, cap: int = 3) -> int:
+    """The class of a (rooted) decoration, 1, 2 or 3, capped at cap.  A
+    verdict cell [v, c] on it (see ``lspgen.complete``) answers every cap
+    if v < c, and caps up to c otherwise; an empty one is filled."""
+    cell = d.verdict
+    if cell and (cell[0] < cell[1] or cap <= cell[1]):
+        return min(cell[0], cap)
+    v = 1 if _corner_axis_branch(d) else tetrahedron_class(d, cap)
+    if cell is not None:
+        cell[:] = v, cap
+    return v
 
 
 def tetrahedron_class(decoration, cap: int = 3) -> int:

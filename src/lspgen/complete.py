@@ -24,8 +24,9 @@ has only orientation-preserving ones).  Skeleton slot i (darts walk[i],
 walk[i + 1]) is its slot at dart walk[i + 1] ^ 1, ("g", i) its "g"
 choice at walk[i] ^ 1, and ("v", x) stays.  The search also files covers
 under the preimages of its v1 choices, which it sorts in its own
-coordinates; it reads each class off the skeleton's build of the
-preimage, and classifies only on a miss.
+coordinates.  The decorations of one v1 choice, cover (in the skeleton's
+coordinates) and corner pair, the mirror's and the 0 <-> 2 twin among
+them, share one verdict cell, which the classifier fills when asked.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def bipartition(g: PlaneGraph) -> list[int]:
 class CompletionStats:
     """The completion funnel: cover searches (one per skeleton), mirrors
     completed from one, covers filed (over the v1 choices) and built
-    (after the stabilizer dedup), decorations emitted, classifier calls
-    (at k >= 2 only, each verdict capped at k)."""
+    (after the stabilizer dedup), decorations emitted, verdicts computed
+    (at k >= 2 only, one per cell, capped at k)."""
     searches: int = 0
     mirrored: int = 0
     covers: int = 0
@@ -116,7 +117,7 @@ class _Completer:
         # the middle one is cut off from the outer face
         self.triples = [(g.org[walk[i]], g.org[walk[(i + 1) % m]],
                          g.org[walk[(i + 1) % m] ^ 1]) for i in range(m)]
-        self.verdicts: dict[tuple, int] = {}   # see `_class`
+        self.cells: dict[tuple, list[int]] = {}   # verdict cells, by key
         self.pre: Optional[dict[Choice, Choice]] = None   # see `mirrored`
 
     # -- symmetry ----------------------------------------------------------
@@ -141,11 +142,11 @@ class _Completer:
 
     def mirrored(self) -> _Completer:
         """The mirror embedding's completer, with the automorphisms and
-        verdicts here.  Its `pre` and `back` map its v1 choices and slots
-        to those here; `slot` is the inverse of `back`."""
+        verdict cells here.  Its `pre` and `back` map its v1 choices and
+        slots to those here; `slot` is the inverse of `back`."""
         mirror = _Completer(Predecoration(self.g.mirrored()), self.k,
                             self.rmin, self.rmax, self.auts)
-        mirror.verdicts, m, q = self.verdicts, self.m, mirror.walk
+        mirror.cells, m, q = self.cells, self.m, mirror.walk
         mirror.back = [self.pos[q[(j + 1) % m] ^ 1] for j in range(m)]
         mirror.slot = sorted(range(m), key=mirror.back.__getitem__)
         mirror.pre = {c: c if c[0] == "v" else ("g", self.pos[q[c[1]] ^ 1])
@@ -300,24 +301,20 @@ class _Completer:
         vt = tuple(self.col[v] * 2 if v < g.n else 1 for v in range(built.n))
         et = tuple(3 - vt[a] - vt[b]
                    for a, b in (built.edge_ends(e) for e in range(built.ne)))
-        firsts = [Decoration(built, vt, et, (v0, v1_vertex, v2))
+        key = (choice, cover) if self.pre is None else (
+            self.pre[choice], tuple(sorted(self.back[i] for i in cover)))
+        cells = self.cells     # sorted pairs: a mirror image swaps v0, v2
+        firsts = [Decoration(built, vt, et, (v0, v1_vertex, v2),
+                             cells.setdefault((key, *sorted((v0, v2))), []))
                   for v0, v2 in corner_pairs(built, vt, v1_vertex)]
         if self.k > 1:
-            key = (choice, cover) if self.pre is None else (
-                self.pre[choice], tuple(sorted(self.back[i] for i in cover)))
-            firsts = [d for d in firsts if self._class(d, key) >= self.k]
+            firsts = [d for d in firsts
+                      if connectivity_class(d, self.k) >= self.k]
         yield from firsts
         # The 0 <-> 2 flip keeps the degrees and the type-1 vertices, so
         # the corner pairs; it is the dual operation, of the same class
-        # (see lspgen.classify), so one verdict serves both twins.
-        yield from map(swap02, firsts)
-
-    def _class(self, d: Decoration, key: tuple) -> int:
-        lo, hi = sorted(d.corners[::2])     # a mirror image swaps v0, v2
-        key += (lo, hi, d.vt[lo])
-        if key not in self.verdicts:
-            self.verdicts[key] = connectivity_class(d, self.k)
-        return self.verdicts[key]
+        # (see lspgen.classify), so each twin takes the cell of its first.
+        yield from (swap02(d, d.verdict) for d in firsts)
 
 
 def complete(p: Predecoration, k: int = 1, rmin: int = 1,
@@ -330,7 +327,7 @@ def complete(p: Predecoration, k: int = 1, rmin: int = 1,
 
     A chiral skeleton hosts two disjoint mirror families of decorations;
     both its embeddings are completed, from one cover search and, since
-    a mirror image keeps the class, one verdict per mirror pair.
+    a mirror image keeps the class, one verdict cell per mirror pair.
     """
     if rmax is None:
         rmax = p.hi
@@ -349,7 +346,8 @@ def complete(p: Predecoration, k: int = 1, rmin: int = 1,
                                for cover in covers[pc])
                      for c, pc in mirror.pre.items()}
         count += mirror.run(list(mirror.pre), reflected, sink, stats)
-    stats.classified += len(comp.verdicts)
+    if k > 1:   # the filter fills each cell when the first build asks
+        stats.classified += len(comp.cells)
     return count
 
 

@@ -18,7 +18,7 @@ beyond the forced corners are counted (and classified) separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -35,6 +35,8 @@ class Decoration:
     vt: tuple[int, ...]
     et: tuple[int, ...]
     corners: tuple[int, int, int]   # (v0, v1, v2); v1 is identity-relevant
+    # [class, cap] once classified; lspgen.complete shares one per family
+    verdict: Optional[list] = field(default=None, compare=False, repr=False)
 
     def rate(self) -> int:
         return len(self.g.faces) - 1
@@ -163,11 +165,11 @@ def connectivity_class(d: Decoration, cap: int = 3) -> int:
 # -- transforms and identity -------------------------------------------------
 
 
-def swap02(d: Decoration) -> Decoration:
-    """Exchanges types 0 and 2 everywhere (identity <-> dual pairing)."""
-    sw = {0: 2, 1: 1, 2: 0}
-    return Decoration(d.g, tuple(sw[t] for t in d.vt),
-                      tuple(sw[t] for t in d.et), d.corners)
+def swap02(d: Decoration, verdict: Optional[list] = None) -> Decoration:
+    """Exchanges types 0 and 2 everywhere (identity <-> dual pairing); the
+    result carries the verdict cell given, none by default."""
+    return Decoration(d.g, tuple(2 - t for t in d.vt),
+                      tuple(2 - t for t in d.et), d.corners, verdict)
 
 
 def mirror(d: Decoration) -> Decoration:
@@ -241,6 +243,7 @@ def canonicalized(d: Decoration) -> Decoration:
 
 
 def write_deco(d: Decoration) -> str:
+    k = connectivity_class(d)       # before relabelling drops the cell
     d = canonicalized(d)
     g = d.g
     # rotate v0's list so that its first dart lies on the outer face
@@ -255,7 +258,7 @@ def write_deco(d: Decoration) -> str:
         rows.append(darts)
     lines = [
         "deco 1",
-        f"n {g.n} rate {d.rate()} k {connectivity_class(d)}",
+        f"n {g.n} rate {d.rate()} k {k}",
         f"corners {d.corners[0] + 1} {d.corners[1] + 1} {d.corners[2] + 1}",
         "types " + " ".join(str(t) for t in d.vt),
     ]

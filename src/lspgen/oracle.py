@@ -4,9 +4,9 @@ All triangulated disks with a given number of triangles are built by
 shelling (gluing one triangle at a time along one or two consecutive
 boundary edges), every admissible edge 3-coloring is enumerated, and the
 valid rooted decorations are collected by identity code.  Only the core
-map machinery, the validator and the classifier are shared with the main
-pipeline.  The construction path is disjoint from the generator and the
-completion search, and neither of them calls the validator.
+map machinery, the validator and the default class function are shared
+with the main pipeline.  The construction path is disjoint from the
+generator and the completion search, which never call the validator.
 """
 
 from __future__ import annotations
@@ -190,12 +190,14 @@ def decorations_brute(r: int) -> dict[tuple, Decoration]:
     return found
 
 
-def bruteforce_decorations(r: int, k: int = 1) -> dict[tuple, Decoration]:
-    """All decorations with rate r and class >= k, by identity code."""
+def bruteforce_decorations(r: int, k: int = 1, class_of=connectivity_class_of
+                           ) -> dict[tuple, Decoration]:
+    """All decorations with rate r and class >= k, by identity code, the
+    class given by class_of (a check of the classifier passes its own)."""
     if not 1 <= r <= 8:
         raise ValueError("brute force supports rates 1..8")
     return {code: d for code, d in decorations_brute(r).items()
-            if k == 1 or connectivity_class_of(d) >= k}
+            if k == 1 or class_of(d) >= k}
 
 
 def cross_check(r: int, k: int = 1) -> dict:

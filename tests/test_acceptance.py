@@ -13,13 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from chamber_reference import automorphism_orbits
+from chamber_reference import (automorphism_orbits, decorate_chambers,
+                               extract_original)
 from lspgen.catalog import lookup, seed
 from lspgen.chambers import apply_decoration
 from lspgen.classify import connectivity_class_of
 from lspgen.complete import complete, is_chiral
-from lspgen.decorations import (decoration_identity, mirror, swap02,
-                                type1_subgraph)
+from lspgen.decorations import (Decoration, decoration_identity, mirror,
+                                swap02, type1_subgraph)
 from lspgen.generate import GenerationTask, generate
 from lspgen.maps import (build_from_rotations, canonical_code,
                          vertex_connectivity_capped)
@@ -278,8 +279,36 @@ def test_criterion2_pins_match_oracle():
 
 # -- criterion 3: oracle equivalence ------------------------------------------
 
+PLATONIC = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
+
+
+def _class_by_hosts():
+    """A class function for the oracle that shares no code with
+    lspgen.classify or lspgen.chambers: the least vertex connectivity,
+    capped at 3, of the decoration applied to the five Platonic solids
+    through tests/chamber_reference, once per identity code.  Only the
+    calibration `_corner_axis_branch` could make the classifier differ,
+    and it puts no decoration in class 1 up to rate 9."""
+    classes = {}
+
+    def class_of(d):
+        code = decoration_identity(d)
+        if code not in classes:
+            classes[code] = min(vertex_connectivity_capped(
+                extract_original(decorate_chambers(seed(name), d)), 3)
+                for name in PLATONIC)
+        return classes[code]
+
+    return class_of
+
+
 @pytest.mark.parametrize("rate", range(1, 9))
 def test_criterion3_oracle_equivalence(rate):
+    # the oracle classifies by the host route; at rate 8 that route takes
+    # about 3 s against 1.3 s with the classifier, so tier-1 runs it up
+    # to rate 7, and rate 8 with the classifier unless LSPGEN_STRETCH
+    by_hosts = rate <= 7 or os.environ.get("LSPGEN_STRETCH")
+    class_of = _class_by_hosts() if by_hosts else connectivity_class_of
     t0 = time.time()
     main_codes = {1: set(), 2: set(), 3: set()}
 
@@ -294,12 +323,13 @@ def test_criterion3_oracle_equivalence(rate):
 
     generate(GenerationTask(rate, rate, 1), visitor=visit)
     for k in (1, 2, 3):
-        brute = set(bruteforce_decorations(rate, k))
+        brute = set(bruteforce_decorations(rate, k, class_of))
         assert main_codes[k] == brute, (
             f"rate {rate} k {k}: main {len(main_codes[k])} "
             f"vs brute {len(brute)}")
     print(f"criterion 3: rate={rate}: identity-code sets equal for "
-          f"k=1,2,3 ({time.time()-t0:.1f}s) PASS")
+          f"k=1,2,3, oracle classes by {'hosts' if by_hosts else 'classifier'}"
+          f" ({time.time()-t0:.1f}s) PASS")
 
 
 # -- criterion 4: classical operation regression ------------------------------
@@ -420,7 +450,8 @@ def test_criterion5_connectivity_preservation():
     targets = {"bowtie": 1, "k4-minus-edge": 2, "cube": 3}
     checked = 0
     for d in _decorations_upto(5):
-        cls = connectivity_class_of(d)
+        # a cell-less copy: the class is computed, not shared
+        cls = connectivity_class_of(Decoration(d.g, d.vt, d.et, d.corners))
         for name, k in targets.items():
             if cls < k:
                 continue

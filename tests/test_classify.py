@@ -11,6 +11,7 @@ tetrahedron and computes its vertex connectivity; the step's witness
 
 import os
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,9 @@ from lspgen import classify
 from lspgen.chambers import apply_decoration, glued_orbits
 from lspgen.classify import (_face_twice, _tetrahedron, _tetrahedron_witness,
                              connectivity_class_of, tetrahedron_class)
-from lspgen.decorations import connectivity_class, mirror, read_deco, swap02
+from lspgen.catalog import lookup
+from lspgen.decorations import (Decoration, connectivity_class, mirror,
+                                read_deco, swap02)
 from lspgen.maps import MapError, PlaneGraph, vertex_connectivity_capped
 from lspgen.pipeline import run_pipeline
 
@@ -192,8 +195,10 @@ def test_face_twice_rule_matches_chamber_reference():
 
 
 def test_class_capped_at_2_builds_no_gluing(monkeypatch):
+    # cell-less copies: each classification is computed, none shared
     decorations = []
-    run_pipeline(1, 14, 1, on_decoration=decorations.append)
+    run_pipeline(1, 14, 1, on_decoration=lambda d: decorations.append(
+        Decoration(d.g, d.vt, d.et, d.corners)))
 
     def no_gluing(*args):
         raise AssertionError("cap 2 built the gluing")
@@ -204,3 +209,57 @@ def test_class_capped_at_2_builds_no_gluing(monkeypatch):
     full = [connectivity_class_of(d) for d in decorations]
     assert capped == [min(c, 2) for c in full]
     assert set(capped) == {1, 2}
+
+
+# -- verdicts shared through the completer's cells ---------------------------
+
+def _check_shared_verdicts(monkeypatch, rmax):
+    """Classifies every decoration up to rmax at k=1 as it is emitted, as
+    a sink that wants every class does.  The class read through its
+    verdict cell, at cap 3 and then at cap 2, must equal a fresh
+    classification of a cell-less copy; returns the numbers of
+    decorations and of classifier evaluations (one `_corner_axis_branch`
+    call each), which the cap-2 reads must not add to."""
+    evaluations = [0]
+    real = classify._corner_axis_branch
+
+    def counted(d):
+        evaluations[0] += 1
+        return real(d)
+
+    monkeypatch.setattr(classify, "_corner_axis_branch", counted)
+    emitted = []
+    run_pipeline(1, rmax, 1, on_decoration=lambda d: emitted.append(
+        (d, connectivity_class_of(d))))
+    capped = [connectivity_class_of(d, 2) for d, _ in emitted]
+    monkeypatch.undo()
+    for (d, cls), cls2 in zip(emitted, capped):
+        fresh = Decoration(d.g, d.vt, d.et, d.corners)
+        assert cls == connectivity_class_of(fresh), d
+        assert cls2 == connectivity_class_of(fresh, 2) == min(cls, 2), d
+    return len(emitted), evaluations[0]
+
+
+def test_shared_verdicts_match_fresh_classification(monkeypatch):
+    assert _check_shared_verdicts(monkeypatch, 14) == (3160, 1180)
+
+
+@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                    reason="set LSPGEN_STRETCH=1 for rates 15-17")
+def test_shared_verdicts_match_fresh_classification_stretch(monkeypatch):
+    assert _check_shared_verdicts(monkeypatch, 17) == (14176, 4907)
+
+
+def test_capped_verdict_never_answers_a_higher_cap():
+    d = replace(lookup("ambo"), verdict=[])     # class 3
+    assert connectivity_class_of(d, 2) == 2 and d.verdict == [2, 2]
+    assert connectivity_class_of(d, 1) == 1 and d.verdict == [2, 2]
+    assert connectivity_class_of(d) == 3 and d.verdict == [3, 3]
+    assert connectivity_class_of(d, 2) == 2 and d.verdict == [3, 3]
+    # a class below the cap it was computed at is exact and answers every
+    # cap; a planted verdict shows that it is read, not recomputed
+    [loop] = _records("loop_r15.deco")
+    t = replace(loop, verdict=[])
+    assert connectivity_class_of(t, 2) == 1 and t.verdict == [1, 2]
+    assert connectivity_class_of(t) == 1 and t.verdict == [1, 2]
+    assert connectivity_class_of(replace(d, verdict=[2, 3])) == 2

@@ -8,7 +8,8 @@ from lspgen import complete as complete_module
 from lspgen import predecorations
 from lspgen.classify import connectivity_class_of
 from lspgen.complete import _Completer, complete, is_chiral
-from lspgen.decorations import decoration_identity, type1_subgraph, validate
+from lspgen.decorations import (Decoration, decoration_identity,
+                                type1_subgraph, validate)
 from lspgen.generate import GenerationTask, base_c4, base_k2, generate
 from lspgen.maps import build_from_rotations, canonical_code
 from lspgen.pipeline import run_pipeline
@@ -332,12 +333,14 @@ def test_chirality_is_computed_once_per_skeleton(monkeypatch):
 def _check_mirror_sharing(monkeypatch, rmax, k=2):
     """Completes every skeleton up to rmax at k.  Each mirror's v1
     choices and reflected covers must be what its own automorphisms and
-    search give, and each class read from the verdicts (the skeleton's,
-    in a mirror) what the classifier gives the decoration, capped at k
-    as the completer asks for it; returns the numbers of mirrors and
-    shared verdicts."""
+    search give, and each class read from a verdict cell (the
+    skeleton's, in a mirror) what the classifier gives a cell-less copy
+    of the decoration, capped at k as the completer asks for it; returns
+    the numbers of mirrors and shared verdicts."""
     counts = {"mirrors": 0, "shared": 0}
-    run, classed = _Completer.run, _Completer._class
+    in_mirror = [False]
+    run, build = _Completer.run, _Completer._build
+    classed = complete_module.connectivity_class
 
     def run_checked(self, choices, covers, visitor, stats):
         if self.pre is not None:
@@ -348,16 +351,23 @@ def _check_mirror_sharing(monkeypatch, rmax, k=2):
             counts["mirrors"] += 1
         return run(self, choices, covers, visitor, stats)
 
-    def class_checked(self, d, key):
-        known = len(self.verdicts)
-        cls = classed(self, d, key)
-        if len(self.verdicts) == known:
-            assert cls == min(connectivity_class_of(d), k)
-            counts["shared"] += self.pre is not None
+    def build_flagged(self, choice, cover):
+        # run exhausts each build before it starts the next
+        in_mirror[0] = self.pre is not None
+        return build(self, choice, cover)
+
+    def class_checked(d, cap):
+        known = bool(d.verdict)
+        cls = classed(d, cap)
+        if known:
+            fresh = Decoration(d.g, d.vt, d.et, d.corners)
+            assert cls == min(connectivity_class_of(fresh), k)
+            counts["shared"] += in_mirror[0]
         return cls
 
     monkeypatch.setattr(_Completer, "run", run_checked)
-    monkeypatch.setattr(_Completer, "_class", class_checked)
+    monkeypatch.setattr(_Completer, "_build", build_flagged)
+    monkeypatch.setattr(complete_module, "connectivity_class", class_checked)
     run_pipeline(1, rmax, k)
     return counts["mirrors"], counts["shared"]
 

@@ -1,6 +1,8 @@
 import functools
 import os
 import random
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from lspgen.decorations import (DecoFormatError, Decoration, canonicalized,
                                 decoration_identity, mirror, read_deco,
                                 swap02, type1_subgraph, validate, write_deco)
 from lspgen.generate import GenerationTask, generate
+from lspgen.oracle import decorations_brute
 from lspgen.pipeline import run_pipeline
 
 
@@ -23,6 +26,12 @@ def _collect(rmin, rmax, k=1):
     generate(GenerationTask(rmin, rmax, k),
              visitor=lambda p: complete(p, k, rmin, rmax, out.append))
     return out
+
+
+def _fresh(d):
+    """d without the verdict cell the completer gave it, so that the
+    classifier computes its class instead of reading a shared one."""
+    return Decoration(d.g, d.vt, d.et, d.corners)
 
 
 def test_identity_is_valid():
@@ -53,11 +62,11 @@ def test_rates_of_named_operations():
 
 def test_small_rates_are_3_connected():
     for d in _collect(1, 4):
-        assert connectivity_class(d) == 3
+        assert connectivity_class(_fresh(d)) == 3
 
 
 def test_rate5_has_a_2_connected_decoration():
-    classes = sorted(connectivity_class(d) for d in _collect(5, 5))
+    classes = sorted(connectivity_class(_fresh(d)) for d in _collect(5, 5))
     assert classes == [2, 2, 3, 3, 3, 3]
 
 
@@ -269,7 +278,7 @@ def test_class_matches_chamber_connectivity_on_cube():
     for d in _collect(1, 5):
         res = apply_decoration(cube, d)
         got = connectivity_of_chamber_system(barycentric_subdivision(res))
-        assert got == min(3, connectivity_class(d))
+        assert got == min(3, connectivity_class(_fresh(d)))
 
 
 CLASS_BOUNDARY = Path(__file__).parent / "data" / "class_boundary.deco"
@@ -301,3 +310,35 @@ def test_class_boundary_regressions(text):
         res = apply_decoration(cube, t)
         assert connectivity_of_chamber_system(
             barycentric_subdivision(res)) == expect
+
+
+# -- the verdict cell --------------------------------------------------------
+
+def test_a_verdict_cell_serves_one_mirror_twin_family():
+    # the completer shares one cell among the builds of a decoration, its
+    # 0 <-> 2 twin and, for a chiral skeleton, their mirror images
+    cells = {}
+    for d in _collect(1, 10):
+        cells.setdefault(id(d.verdict), []).append(d)
+    for first, *rest in cells.values():
+        family = {decoration_identity(t) for t in (
+            first, mirror(first), swap02(first), mirror(swap02(first)))}
+        assert {decoration_identity(t) for t in rest} <= family
+    assert Counter(map(len, cells.values())) == {2: 165, 4: 12}
+
+
+def test_only_the_completer_gives_a_verdict_cell():
+    d = _collect(5, 5)[0]
+    assert d.verdict == []
+    write_deco(d)       # prints the class, and so fills the cell
+    assert d.verdict == [connectivity_class(_fresh(d)), 3]
+    for t in (swap02(d), mirror(d), canonicalized(d), read_deco(write_deco(d)),
+              *decorations_brute(4).values()):
+        assert t.verdict is None
+
+
+def test_the_verdict_cell_is_not_compared():
+    d = lookup("ambo")
+    filled = replace(d, verdict=[3, 3])
+    assert filled == d and hash(filled) == hash(d) and repr(filled) == repr(d)
+    assert replace(d, verdict=[]) == replace(d, verdict=[1, 3])
