@@ -32,14 +32,14 @@ them, share one verdict cell, which the classifier fills when asked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Iterable, Iterator, Optional
 
 # validate, decoration_identity: unused, kept for perfbench/spans.py
 from .decorations import (Decoration, connectivity_class, corner_pairs,
                           decoration_identity, swap02, validate)
-from .maps import PlaneGraph, vertex_mapping
+from .maps import PlaneGraph, freeze, vertex_mapping
 from .predecorations import Predecoration, outer_vertex_occurrences
-from .surgery import Surgeon
 
 Choice = tuple[str, int]                       # ("v", vertex) or ("g", slot)
 Covers = dict[Choice, list[tuple[int, ...]]]   # slot sets by v1 choice
@@ -262,20 +262,17 @@ class _Completer:
     def _build(self, choice: Choice, cover: Iterable[int]
                ) -> Iterator[Decoration]:
         g, walk, m = self.g, self.walk, self.m
-        s = Surgeon(g)
-        outer_candidates: list[int] = []
+        rows = [list(g.darts_at(v)) for v in range(g.n)]
+        fresh = count(0, 2)
 
         def attach(targets: list[tuple[int, int, bool]]) -> int:
-            toks = []
+            new = []     # new dart x is the token ~x, as in maps.freeze
             for v, anchor, after in targets:
-                t, tr = s.fresh_pair()
-                if after:
-                    s.insert_after(v, anchor, [t])
-                else:
-                    s.insert_before(v, anchor, [t])
-                toks.append(tr)
-            outer_candidates.append(toks[0] ^ 1)
-            return s.new_vertex(toks)
+                t = ~next(fresh)
+                rows[v].insert(rows[v].index(anchor) + after, t)
+                new.append(t ^ 1)
+            rows.append(new)
+            return len(rows) - 1
 
         for f in self.quads:
             # walk dart x = (u -> v): fill edge enters at v, before x^1
@@ -292,12 +289,11 @@ class _Completer:
                                 (g.org[d ^ 1], d ^ 1, False)])
         else:
             v1_vertex = choice[1]
-        outer_token = next((d for d in walk if d not in covered), None)
-        if outer_token is None:
-            # fully covered boundary: the outer walk runs through the
-            # first host token of the last attachments (u -> new darts)
-            outer_token = outer_candidates[-1]
-        built, trans = s.freeze(outer_token)
+        # fully covered boundary: the outer walk runs through the first
+        # host token of the last attachment (u -> the new vertex)
+        outer_token = next((d for d in walk if d not in covered),
+                           rows[-1][0] ^ 1)
+        built, _ = freeze(rows, outer_token)
         vt = tuple(self.col[v] * 2 if v < g.n else 1 for v in range(built.n))
         et = tuple(3 - vt[a] - vt[b]
                    for a, b in (built.edge_ends(e) for e in range(built.ne)))

@@ -177,18 +177,20 @@ def mirror(d: Decoration) -> Decoration:
     return Decoration(d.g.mirrored(), d.vt, d.et, d.corners)
 
 
-def _corner_marks(d: Decoration) -> tuple[int, ...]:
+def _identity_labels(d: Decoration) -> tuple[int, ...]:
+    """Vertex labels of the identity code: 3 * type + corner mark, the
+    mark 1 at v1 and 2 at v0 and v2 ({v0, v2} is an unordered pair)."""
     v0, v1, v2 = d.corners
-    marks = [0] * d.g.n
-    marks[v0] = marks[v2] = 2      # {v0, v2} is an unordered pair
-    marks[v1] = 1
-    return tuple(marks)
+    vlab = [3 * t for t in d.vt]
+    vlab[v0] = 3 * d.vt[v0] + 2
+    vlab[v2] = 3 * d.vt[v2] + 2
+    vlab[v1] = 3 * d.vt[v1] + 1
+    return tuple(vlab)
 
 
 def decoration_identity(d: Decoration) -> tuple[int, ...]:
-    marks = _corner_marks(d)
-    vlab = tuple(3 * t + m for t, m in zip(d.vt, marks))
-    return canonical_code(d.g, "oriented", vlab=vlab, elab=d.et)
+    return canonical_code(d.g, "oriented", vlab=_identity_labels(d),
+                          elab=d.et)
 
 
 def type1_subgraph(d: Decoration) -> tuple[Predecoration, dict[int, int]]:
@@ -226,9 +228,8 @@ def canonicalized(d: Decoration) -> Decoration:
     order is canonical: each row keeps the cyclic dart order it was built
     with, starting at its least dart, so two isomorphic decorations built
     differently may still differ in where their rows start."""
-    marks = _corner_marks(d)
-    vlab = tuple(3 * t + m for t, m in zip(d.vt, marks))
-    order = canonical_order(d.g, "oriented", vlab=vlab, elab=d.et)
+    order = canonical_order(d.g, "oriented", vlab=_identity_labels(d),
+                            elab=d.et)
     g2 = d.g.relabeled(order)
     vt2 = [0] * d.g.n
     for v in range(d.g.n):

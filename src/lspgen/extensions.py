@@ -91,8 +91,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterator, Optional
 
-from .maps import PlaneGraph
-from .surgery import Surgeon
+from .maps import PlaneGraph, freeze
 
 ExtResult = tuple[PlaneGraph, tuple[int, ...]]
 Applier = Callable[..., Optional[ExtResult]]
@@ -133,30 +132,29 @@ def _extend(picture: tuple, g: PlaneGraph, walk: tuple[int, ...], i: int,
     if span > 1 and (g.n <= span or len(
             {g.org[walk[(i + t) % m]] for t in range(span)}) < span):
         return None
-    s = Surgeon(g)
+    rot = [list(g.darts_at(v)) for v in range(g.n)]
     if j is not None:
-        row = s.rot[g.org[walk[i]]]
+        row = rot[g.org[walk[i]]]
         at = row.index(walk[i]) + 1
         row[:] = row[at:] + row[:at]   # from just after walk[i] to it
         at = row.index(walk[j]) + 1
-        s.rot.append([*row[at:], *sectors[1][1]])
+        rot.append([*row[at:], *sectors[1][1]])
         row[at:] = sectors[0][1]
     else:
         for o, darts in sectors:
             # after walk[i], or before the dart the walk arrives by
             d = walk[(i + o - 1) % m] ^ 1 if o else walk[i]
-            row = s.rot[g.org[d]]
+            row = rot[g.org[d]]
             at = row.index(d) + (o == 0)
             row[at:at] = darts
-    s.rot += rows
-    child, tr = s.freeze(sectors[0][1][-1])
+    child, tr = freeze([*rot, *rows], sectors[0][1][-1])
     # tr maps every token: the 2 * g.ne old darts and the new -1, -2, ...
     return child, tuple(sorted(tr[t] for t in range(2 * g.ne - len(tr), 0)))
 
 
 def _tokens(picture: tuple) -> tuple:
-    """The picture with each new dart x as the token ~x, which is no old
-    dart's id and whose reverse is ~x ^ 1 = ~(x ^ 1)."""
+    """The picture with each new dart x as the token ~x (see
+    `maps.freeze`)."""
     sectors, rows = picture
     return (tuple((o, tuple(~x for x in darts)) for o, darts in sectors),
             tuple(tuple(~x for x in row) for row in rows))
@@ -415,9 +413,8 @@ def apply_reduction(g: PlaneGraph, num: int, site: Site) -> PlaneGraph:
     """The parent predecoration that reduction num at site leaves, by
     the rule of the module docstring."""
     cut = set(site)
-    s = Surgeon(g)
     rows, touched = [], []
-    for row in s.rot:
+    for row in map(g.darts_at, range(g.n)):
         ends = [i for i, d in enumerate(row, 1) if d in cut]
         if ends:   # the removed darts are one run: resume after it
             row = [d for d in row[ends[-1]:] + row[:ends[-1]] if d not in cut]
@@ -428,6 +425,5 @@ def apply_reduction(g: PlaneGraph, num: int, site: Site) -> PlaneGraph:
     if num in (1, 3, 4):
         a, b = touched
         rows[a] += rows.pop(b)
-    s.rot = rows
-    parent, _ = s.freeze(next(d for d in g.faces[g.outer] if d not in cut))
+    parent, _ = freeze(rows, next(d for d in g.faces[g.outer] if d not in cut))
     return parent

@@ -8,7 +8,8 @@ edge involution is ``d ^ 1``.  ``nxt[d]`` is the next dart
 counterclockwise around the origin vertex of ``d``.  Faces are the orbits
 of ``d -> prv[d ^ 1]``; with counterclockwise rotations this traverses
 every face with the face on the *left* of each dart.  An optional
-distinguished face is marked as the outer face.
+distinguished face is marked as the outer face.  A local rewrite edits a
+copy of the rows and turns it into a new map with ``freeze``.
 
 The module also provides plantri-style breadth-first canonical codes (with
 optional vertex/edge label channels and an optional outer-face restriction),
@@ -196,6 +197,33 @@ class PlaneGraph:
     def __repr__(self) -> str:
         return (f"PlaneGraph(n={self.n}, ne={self.ne}, "
                 f"f={len(self.faces)}, genus={self.genus})")
+
+
+def freeze(rows: Sequence[Sequence[int]], outer_token: int
+           ) -> tuple[PlaneGraph, dict[int, int]]:
+    """The map of rewritten rows and its token -> dart dict.
+
+    ``rows[v]`` lists the dart *tokens* at vertex ``v`` counterclockwise;
+    the reverse of token ``t`` is ``t ^ 1``.  A rewrite keeps each old
+    dart's id as its token and writes its new dart ``x`` as ``~x``, which
+    is no dart id and whose reverse is ``~x ^ 1 == ~(x ^ 1)``.  Darts are
+    numbered by first appearance, row by row: the k-th token seen with
+    its reverse unseen becomes dart ``2k`` and its reverse ``2k + 1``.
+    The outer face is the face left of ``outer_token``.  Rows that miss
+    some token's reverse raise ``MapError``.
+    """
+    trans: dict[int, int] = {}
+    k = 0
+    for row in rows:
+        for t in row:
+            if t not in trans:
+                trans[t] = 2 * k
+                trans[t ^ 1] = 2 * k + 1
+                k += 1
+    if 2 * k != sum(map(len, rows)):
+        raise MapError("rows do not partition the darts")
+    return PlaneGraph([[trans[t] for t in row] for row in rows],
+                      trans[outer_token]), trans
 
 
 def build_from_rotations(rotations: dict[int, Sequence[int]]) -> PlaneGraph:

@@ -3,10 +3,12 @@
 All triangulated disks with a given number of triangles are built by
 shelling (gluing one triangle at a time along one or two consecutive
 boundary edges), every admissible edge 3-coloring is enumerated, and the
-valid rooted decorations are collected by identity code.  Only the core
-map machinery, the validator and the default class function are shared
-with the main pipeline.  The construction path is disjoint from the
-generator and the completion search, which never call the validator.
+valid rooted decorations are collected by identity code.  It shares
+with the main pipeline only `lspgen.maps` (`freeze` builds each glued
+disk), the validator and the default class function; `cross_check` runs
+the main side through `run_pipeline`.  The construction path is disjoint
+from the generator and the completion search, which never call the
+validator.
 """
 
 from __future__ import annotations
@@ -15,12 +17,10 @@ from itertools import permutations
 from typing import Iterable, Optional
 
 from .classify import connectivity_class_of
-from .complete import complete
 from .decorations import Decoration, corner_pairs, decoration_identity, validate
-from .generate import GenerationTask, generate
-from .maps import PlaneGraph, build_from_rotations, canonical_code
+from .maps import PlaneGraph, build_from_rotations, canonical_code, freeze
+from .pipeline import run_pipeline
 from .predecorations import outer_vertex_occurrences
-from .surgery import Surgeon
 
 
 def _triangle() -> PlaneGraph:
@@ -30,26 +30,20 @@ def _triangle() -> PlaneGraph:
 
 def _apex_glue(g: PlaneGraph, d: int) -> PlaneGraph:
     u, v = g.org[d], g.org[d ^ 1]
-    s = Surgeon(g)
-    ux, uxr = s.fresh_pair()
-    xv, xvr = s.fresh_pair()
-    s.insert_after(u, d, [ux])
-    s.insert_before(v, d ^ 1, [xvr])
-    s.new_vertex([uxr, xv])
-    child, tr = s.freeze(ux)
-    return child
+    rows = [list(g.darts_at(x)) for x in range(g.n)]
+    rows[u].insert(rows[u].index(d) + 1, ~0)     # new edges u-x, x-v
+    rows[v].insert(rows[v].index(d ^ 1), ~3)
+    return freeze(rows + [[~1, ~2]], ~0)[0]
 
 
 def _fold(g: PlaneGraph, d1: int, d2: int) -> Optional[PlaneGraph]:
     u, v, w = g.org[d1], g.org[d2], g.org[d2 ^ 1]
     if len({u, v, w}) != 3 or g.has_edge(u, w):
         return None
-    s = Surgeon(g)
-    uw, uwr = s.fresh_pair()
-    s.insert_after(u, d1, [uw])
-    s.insert_before(w, d2 ^ 1, [uwr])
-    child, tr = s.freeze(uw)
-    return child
+    rows = [list(g.darts_at(x)) for x in range(g.n)]
+    rows[u].insert(rows[u].index(d1) + 1, ~0)     # new edge u-w
+    rows[w].insert(rows[w].index(d2 ^ 1), ~1)
+    return freeze(rows, ~0)[0]
 
 
 def _useless(g: PlaneGraph) -> bool:
@@ -204,12 +198,8 @@ def cross_check(r: int, k: int = 1) -> dict:
     """Comparison of the brute-force and main pipelines by identity code;
     the decorations found on one side only are listed in code order."""
     main: dict[tuple, Decoration] = {}
-
-    def visit(p):
-        complete(p, k, r, r,
-                 lambda d: main.setdefault(decoration_identity(d), d))
-
-    generate(GenerationTask(r, r, k), visitor=visit)
+    run_pipeline(r, r, k, on_decoration=lambda d: main.setdefault(
+        decoration_identity(d), d))
     brute = bruteforce_decorations(r, k)
     return {
         "rate": r,

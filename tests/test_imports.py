@@ -148,7 +148,14 @@ def test_readme_lists_the_public_api():
     assert re.findall(r"`(\w+)`", listed.split("\n\n")[0]) == lspgen.__all__
 
 
-SRC_LINE_BUDGET = 3309
+def test_readme_lists_every_module():
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Library overview")[1].split("\n\n")[1]
+    listed = re.findall(r"^\| `lspgen\.(\w+)` \|", table, re.M)
+    assert sorted(listed) == sorted(MODULES.keys() - {"__init__"})
+
+
+SRC_LINE_BUDGET = 3272
 
 
 def test_src_line_budget():

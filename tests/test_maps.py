@@ -11,10 +11,10 @@ from lspgen import maps
 from lspgen.catalog import OPERATION_NAMES, SEED_NAMES, lookup, seed
 from lspgen.chambers import apply_decoration
 from lspgen.complete import complete
-from lspgen.decorations import _corner_marks
+from lspgen.decorations import _identity_labels
 from lspgen.generate import GenerationTask, generate
 from lspgen.maps import (MapError, PlaneGraph, automorphisms_flagged,
-                         build_from_rotations,
+                         build_from_rotations, freeze,
                          canonical_code, canonical_data, read_planar_code,
                          random_relabeling, to_rotations,
                          vertex_connectivity_capped, write_planar_code)
@@ -64,6 +64,37 @@ def test_loop_rejected():
 def test_malformed_rows_rejected(rows):
     with pytest.raises(MapError):
         PlaneGraph(rows)
+
+
+# dart tokens of an apex x glued onto the edge u-v (old darts 0, 1): new
+# edges u-x (tokens ~0, ~1) and x-v (~2, ~3)
+APEX = [[0, ~0], [~3, 1], [~1, ~2]]
+
+
+def test_freeze_numbers_darts_by_first_appearance():
+    g, trans = freeze(APEX, ~0)
+    # ~3 is seen before its reverse ~2, so ~3 takes the even dart
+    assert trans == {0: 0, 1: 1, ~0: 2, ~1: 3, ~3: 4, ~2: 5}
+    assert all(trans[t ^ 1] == trans[t] ^ 1 for t in trans)
+    assert [g.darts_at(v) for v in range(g.n)] == [(0, 2), (1, 4), (3, 5)]
+
+
+@pytest.mark.parametrize("token, walk", [
+    (~0, (~0, ~2, 1)),      # u -> x -> v -> u
+    (0, (0, ~3, ~1)),       # u -> v -> x -> u
+])
+def test_freeze_outer_face_is_left_of_the_token(token, walk):
+    g, trans = freeze(APEX, token)
+    assert sorted(g.faces[g.outer]) == sorted(trans[t] for t in walk)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, ~0], [1], [~1, ~2]],           # ~3 missing
+    [[0, ~0], [~4, 1], [~1, ~2]],       # ~3 and ~5 missing
+])
+def test_freeze_rejects_a_missing_reverse(rows):
+    with pytest.raises(MapError, match="rows do not partition the darts"):
+        freeze(rows, 0)
 
 
 def test_two_vertices_never_merge_into_one():
@@ -404,7 +435,7 @@ def test_canonical_data_matches_reference_on_identity_codes():
             complete(p, 1, 1, 12, decorations.append)
     assert len(decorations) > 1000
     for d in decorations:
-        vlab = tuple(3 * t + m for t, m in zip(d.vt, _corner_marks(d)))
+        vlab = _identity_labels(d)
         assert canonical_data(d.g, "oriented", vlab, d.et) == \
             reference_canonical_data(d.g, "oriented", vlab, d.et)
 
@@ -483,7 +514,7 @@ def test_identity_codes_read_least_label_starts(monkeypatch):
     _count_codes(monkeypatch, starts)
     skipped = 0
     for d in decorations:
-        vlab = tuple(3 * t + m for t, m in zip(d.vt, _corner_marks(d)))
+        vlab = _identity_labels(d)
         starts.clear()
         canonical_data(d.g, "oriented", vlab, d.et)
         least = min(vlab[d.g.org[e]] for e in d.g.faces[d.g.outer])
