@@ -39,7 +39,7 @@ def glued_orbits(g: PlaneGraph, d: Decoration
     sides 0, 1 and 2, the side of each outer-walk edge (the one side that
     holds both its ends), and each decoration vertex's orbit table."""
     nbrs, tables = _host(g)
-    on = d.sides
+    on = d.facts.sides
     sides_of: list[tuple[int, ...]] = [()] * d.g.n
     for k in range(3):
         for x in on[k]:

@@ -28,7 +28,8 @@ tetrahedron, whose group of order 24 acts regularly on the chambers,
 so every cut vertex, separating pair or loop of the result is the
 image of one at a vertex of chamber 0, and only those are tried.
 
-Class 1 is decided on the decoration alone (``_face_twice``).  The
+Class 1 is decided on the decoration alone (``_face_twice``), from
+its ``facts``, which a completion record supplies without a map.  The
 chambers are the elements of the tetrahedron's reflection group W; the
 copies of a decoration vertex x glued into one class form a coset of
 W_S(x), the parabolic subgroup of the sides S(x) through x, and those of
@@ -60,8 +61,8 @@ column up to rate 12 and too few class-1 decorations from rate 13 on.
 
 The 0 <-> 2 type flip ``decorations.swap02`` (the dual operation;
 Brinkmann, Goetschalckx & Schein, Proc. R. Soc. A 473 (2017) 20170267)
-keeps the class, and the two of each flipped pair that
-``lspgen.complete`` builds share one verdict.  The calibration reads
+keeps the class, and the two records of each flipped pair that
+``lspgen.complete`` makes share one verdict.  The calibration reads
 only the type-1 edges, the sides and whether v1 has type 1, which the
 flip keeps.  Applying ``swap02(d)`` to the self-dual tetrahedron gives
 the dual of applying d, and duality keeps 2- and 3-connectedness of
@@ -84,7 +85,7 @@ def _tetrahedron() -> PlaneGraph:
         {1: [2, 3, 4], 2: [1, 4, 3], 3: [1, 2, 4], 4: [1, 3, 2]})
 
 
-def _corner_axis_branch(decoration) -> bool:
+def _corner_axis_branch(d) -> bool:
     """A corner lying between two type-1 boundary edges and carrying an
     internal type-1 edge into the interior.
 
@@ -93,28 +94,26 @@ def _corner_axis_branch(decoration) -> bool:
     1-connected, although no 2-connected plane host with three or more
     vertices shows it a cut vertex.  The rule is calibrated against the
     count tables, not derived (exact for rates up to 12, known to be
-    incomplete at 13+)."""
-    d = decoration
-    g = d.g
-    v0, v1, v2 = d.corners
-    walk = g.faces[g.outer]
-    outer_edges = {x >> 1 for x in walk}
-    on_walk = {g.org[x] for x in walk}
+    incomplete at 13+).  It reads ``d.facts`` (a decoration's or a
+    completion record's)."""
+    f = d.facts
+    v0, v1, v2 = f.corners
+    walk, steps = f.walk, f.steps
+    outer_edges = f.outer
+    on_walk = set(walk)
     neigh: dict[int, set[int]] = {}
     flank_ok = set()
-    for i, x in enumerate(walk):
-        v = g.org[x]
-        if d.et[x >> 1] == 1 and d.et[walk[i - 1] >> 1] == 1:
+    for i, v in enumerate(walk):
+        if steps[i] is not None and steps[i - 1] is not None:
             flank_ok.add(v)
             neigh.setdefault(v, set()).update(
-                (g.org[x ^ 1], g.org[walk[i - 1]]))
+                (walk[(i + 1) % len(walk)], walk[i - 1]))
 
     def inner_branch(c: int) -> bool:
-        return any((x >> 1) not in outer_edges and d.et[x >> 1] == 1
-                   and g.org[x ^ 1] not in on_walk
-                   for x in g.darts_at(c))
+        return any(e not in outer_edges and (y if a == c else a) not in on_walk
+                   for e, a, y in f.edges if c in (a, y))
 
-    if d.vt[v1] != 1:
+    if not f.v1_type1:
         return (v1 in flank_ok and neigh[v1] == {v0, v2}
                 and inner_branch(v1))
     for c, other in ((v0, v2), (v2, v0)):
@@ -147,19 +146,16 @@ def tetrahedron_class(decoration, cap: int = 3) -> int:
 
 def _face_twice(d) -> tuple[int, int] | None:
     """A type-0 vertex a and a type-2 vertex y such that a occurs twice
-    on y's face in chamber 0 (the module docstring's rule), or None."""
-    g, vt, sides = d.g, d.vt, d.sides
-    outer_edges = {x >> 1 for x in g.faces[g.outer]}
+    on y's face in chamber 0 (the module docstring's rule), or None.  It
+    reads ``d.facts`` (a decoration's or a completion record's)."""
+    f = d.facts
+    outer_edges, sides = f.outer, f.sides
     seen = set()
-    for e, t in enumerate(d.et):
-        if t == 1:
-            a, y = g.edge_ends(e)
-            if vt[a]:
-                a, y = y, a
-            if (a, y) in seen or e not in outer_edges and any(
-                    a in s and y in s for s in sides):
-                return a, y
-            seen.add((a, y))
+    for e, a, y in f.edges:
+        if (a, y) in seen or e not in outer_edges and any(
+                a in s and y in s for s in sides):
+            return a, y
+        seen.add((a, y))
     return None
 
 

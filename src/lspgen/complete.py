@@ -15,8 +15,14 @@ once a new v1 is placed; it enters no branch that cannot reach the rate
 window.  The screen decides validity alone: the disk is triangulated by
 construction, and it is 2-connected when no vertex is left twice on the
 outer walk.  The first cover set of each orbit under the v1 choice's
-stabilizer is built, with both bipartition type assignments and every
-placement of v0 and v2.
+stabilizer becomes a disk, and the disk one completion record per
+placement of v0 and v2, each with its 0 <-> 2 twin.  A record reads its
+rate, its corner pairs and the facts of the class-1 rules off the
+skeleton and the cover, so a count builds no map at k <= 2, where the
+filter asks only "class 1 or not".  A record builds its Decoration
+only for a sink that reads the graph: a visitor (identity codes, .deco
+or planar_code output) or the class-2/3 gluing at cap 3.  Each disk's
+map is built once, the same dart for dart whichever sink asks.
 
 A chiral skeleton's mirror embedding is completed from the same search,
 with the same automorphisms (mirroring keeps dart ids, and the skeleton
@@ -24,7 +30,7 @@ has only orientation-preserving ones).  Skeleton slot i (darts walk[i],
 walk[i + 1]) is its slot at dart walk[i + 1] ^ 1, ("g", i) its "g"
 choice at walk[i] ^ 1, and ("v", x) stays.  The search also files covers
 under the preimages of its v1 choices, which it sorts in its own
-coordinates.  The decorations of one v1 choice, cover (in the skeleton's
+coordinates.  The records of one v1 choice, cover (in the skeleton's
 coordinates) and corner pair, the mirror's and the 0 <-> 2 twin among
 them, share one verdict cell, which the classifier fills when asked.
 """
@@ -32,12 +38,14 @@ them, share one verdict cell, which the classifier fills when asked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 # validate, decoration_identity: unused, kept for perfbench/spans.py
-from .decorations import (Decoration, connectivity_class, corner_pairs,
-                          decoration_identity, swap02, validate)
+from .decorations import (Decoration, Facts, connectivity_class,
+                          decoration_identity, swap02, validate,
+                          walk_corner_pairs)
 from .maps import PlaneGraph, freeze, vertex_mapping
 from .predecorations import Predecoration, outer_vertex_occurrences
 
@@ -64,9 +72,10 @@ def bipartition(g: PlaneGraph) -> list[int]:
 @dataclass
 class CompletionStats:
     """The completion funnel: cover searches (one per skeleton), mirrors
-    completed from one, covers filed (over the v1 choices) and built
-    (after the stabilizer dedup), decorations emitted, verdicts computed
-    (at k >= 2 only, one per cell, capped at k)."""
+    completed from one, covers filed (over the v1 choices) and made into
+    records (`built`, after the stabilizer dedup), decorations counted
+    (`emitted`), verdicts computed (at k >= 2 only, one per cell, capped
+    at k)."""
     searches: int = 0
     mirrored: int = 0
     covers: int = 0
@@ -117,8 +126,22 @@ class _Completer:
         # the middle one is cut off from the outer face
         self.triples = [(g.org[walk[i]], g.org[walk[(i + 1) % m]],
                          g.org[walk[(i + 1) % m] ^ 1]) for i in range(m)]
+        # each vertex's degree and type (of the first) once the fills are
+        # in; the vertices that covers add are numbered from len(vt0)
+        self.deg0 = [2 * g.degree(v) - self.occ.get(v, 0)
+                     for v in range(g.n)] + [4] * len(self.quads)
+        self.vt0 = tuple(2 * c for c in self.col) + (1,) * len(self.quads)
         self.cells: dict[tuple, list[int]] = {}   # verdict cells, by key
         self.pre: Optional[dict[Choice, Choice]] = None   # see `mirrored`
+
+    @cached_property
+    def t1(self) -> list[tuple[int, int, int]]:
+        """The type-1 edges (id, type-0 end, type-2 end) of the first of
+        each 0 <-> 2 pair, in the order the build numbers them."""
+        g = self.g
+        return [(e, *sorted(g.edge_ends(e), key=self.col.__getitem__))
+                for e in dict.fromkeys(x >> 1 for v in range(g.n)
+                                       for x in g.darts_at(v))]
 
     # -- symmetry ----------------------------------------------------------
 
@@ -156,15 +179,20 @@ class _Completer:
     # -- enumeration ---------------------------------------------------------
 
     def run(self, choices: list[Choice], covers: Covers,
-            visitor: Callable[[Decoration], None],
-            stats: CompletionStats) -> int:
-        """Visits each decoration of this embedding once; returns how many.
+            visitor: Optional[Callable[[Decoration], None]],
+            stats: CompletionStats, tally: dict[int, int]) -> int:
+        """Counts each decoration of this embedding once, by rate into
+        `tally`, and visits it if a visitor is given; returns how many.
 
         An orientation-preserving symmetry fixing an outer dart is the
         identity, so a "g" choice has a trivial stabilizer; one fixing a
         "v" choice moves every walk occurrence of v1, and a valid cover
         keeps one, so only the identity fixes the cover.  Hence no two
-        type flips or corner pairs of one build coincide."""
+        type flips or corner pairs of one cover coincide.  The 0 <-> 2
+        flip keeps the degrees and the type-1 vertices, so the corner
+        pairs; it is the dual operation, of the same class (see
+        lspgen.classify), so each twin is counted with its first and
+        takes its verdict cell."""
         before = stats.emitted
         for choice in choices:
             stab = [ai for ai in range(len(self.smaps))
@@ -179,10 +207,30 @@ class _Completer:
                         continue
                     covers_seen.add(key)
                 stats.built += 1
-                for d in self._build(choice, cover):
-                    visitor(d)
-                    stats.emitted += 1
+                firsts = self.records(choice, cover)
+                if self.k > 1:
+                    firsts = [r for r in firsts
+                              if connectivity_class(r, self.k) >= self.k]
+                if firsts:
+                    rate = firsts[0].rate
+                    tally[rate] = tally.get(rate, 0) + 2 * len(firsts)
+                    stats.emitted += 2 * len(firsts)
+                    if visitor is not None:
+                        for r in firsts + [r.twin() for r in firsts]:
+                            visitor(r.decoration)
         return stats.emitted - before
+
+    def records(self, choice: Choice, cover: tuple[int, ...]
+                ) -> list[Record]:
+        """The first records of one cover (its first type assignment),
+        one per corner pair, in the order the built map lists the pairs."""
+        disk = _Disk(self, choice, cover)
+        key = (choice, cover) if self.pre is None else (
+            self.pre[choice], tuple(sorted(self.back[i] for i in cover)))
+        cells = self.cells     # sorted pairs: a mirror image swaps v0, v2
+        return [Record(disk, (v0, disk.v1, v2),
+                       cells.setdefault((key, *sorted((v0, v2))), []))
+                for v0, v2 in disk.pairs]
 
     def _demand(self, vertices: Iterable[int]) -> int:
         deg, left = self.deg, self.left
@@ -193,7 +241,7 @@ class _Completer:
         with each of the choices as v1 and give a rate in [rmin, rmax], in
         depth-first order (the order of the sorted tuples)."""
         g, m, occ, triples = self.g, self.m, self.occ, self.triples
-        self.deg = [2 * g.degree(v) - occ.get(v, 0) for v in range(g.n)]
+        self.deg = self.deg0[:]
         self.left = [occ.get(v, 0) for v in range(g.n)]
         self.vs = [x for kind, x in choices if kind == "v"]
         self.gslot = [("g", i) in choices for i in range(m)]
@@ -257,11 +305,69 @@ class _Completer:
             deg[u] -= 1
             deg[v] -= 1
 
-    # -- construction --------------------------------------------------------
 
-    def _build(self, choice: Choice, cover: Iterable[int]
-               ) -> Iterator[Decoration]:
-        g, walk, m = self.g, self.walk, self.m
+class _Disk:
+    """The triangulated disk of one v1 choice and cover, what its records
+    share.  Its outer walk, each step's type-1 edge, and every vertex's
+    type (of the first) and degree are read off the cover as `built`
+    makes them: a degree-3 vertex at slot i replaces walk vertex i + 1, a
+    new v1 at slot i goes after walk vertex i, and added vertices are
+    numbered after the fills, the cover's in slot order, then v1.  The
+    built walk starts at its dart of least id, at the least skeleton
+    vertex v on it: at the step into v if that step's reverse is v's
+    least dart (first in v's row), else at v."""
+
+    __slots__ = ("comp", "choice", "cover", "rate", "vt", "v1", "walk",
+                 "steps", "pairs", "_built")
+
+    def __init__(self, comp: _Completer, choice: Choice,
+                 cover: tuple[int, ...]):
+        self.comp, self.choice, self.cover = comp, choice, cover
+        self._built = None
+        g, walk, m, org = comp.g, comp.walk, comp.m, comp.g.org
+        gs = choice[1] if choice[0] == "g" else None
+        self.rate = 4 * len(comp.quads) + 2 * len(cover) + (gs is not None)
+        self.vt = comp.vt0 + (1,) * (len(cover) + (gs is not None))
+        deg = comp.deg0 + [3] * len(cover) + [2] * (gs is not None)
+        new = dict(zip(sorted(cover), count(len(comp.vt0))))
+        ends = [v for i in cover for v in comp.triples[i]]
+        self.v1 = choice[1]
+        if gs is not None:
+            new[gs] = self.v1 = len(deg) - 1
+            ends += comp.triples[gs][:2]
+        for v in ends:
+            deg[v] += 1
+        cut = {(i + 1) % m for i in cover}
+        verts, steps = [], []
+        least = start = None
+        for i, x in enumerate(walk):
+            if i in cut:
+                continue
+            v = org[x]
+            if least is None or v < least:
+                least = v
+                start = len(verts) - (walk[i - 1] ^ 1 == g.darts_at(v)[0])
+            verts.append(v)
+            if i in new:
+                verts.append(new[i])
+                steps += (None, None)
+            else:
+                steps.append(x >> 1)
+        self.walk = tuple(verts[start:] + verts[:start])
+        self.steps = tuple(steps[start:] + steps[:start])
+        self.pairs = walk_corner_pairs(self.walk, self.vt, deg.__getitem__,
+                                       self.v1)
+
+    @property
+    def built(self) -> tuple[PlaneGraph, tuple[int, ...], tuple[int, ...]]:
+        """The map, with the vertex and edge types of the first."""
+        if self._built is None:
+            self._built = self._build()
+        return self._built
+
+    def _build(self) -> tuple[PlaneGraph, tuple[int, ...], tuple[int, ...]]:
+        comp, choice, cover = self.comp, self.choice, self.cover
+        g, walk, m = comp.g, comp.walk, comp.m
         rows = [list(g.darts_at(v)) for v in range(g.n)]
         fresh = count(0, 2)
 
@@ -274,7 +380,7 @@ class _Completer:
             rows.append(new)
             return len(rows) - 1
 
-        for f in self.quads:
+        for f in comp.quads:
             # walk dart x = (u -> v): fill edge enters at v, before x^1
             attach([(g.org[x ^ 1], x ^ 1, False) for x in g.faces[f]])
         for i in sorted(cover):
@@ -285,41 +391,74 @@ class _Completer:
         if choice[0] == "g":
             d = walk[choice[1]]
             covered.add(d)
-            v1_vertex = attach([(g.org[d], d, True),
-                                (g.org[d ^ 1], d ^ 1, False)])
-        else:
-            v1_vertex = choice[1]
+            attach([(g.org[d], d, True), (g.org[d ^ 1], d ^ 1, False)])
         # fully covered boundary: the outer walk runs through the first
         # host token of the last attachment (u -> the new vertex)
         outer_token = next((d for d in walk if d not in covered),
                            rows[-1][0] ^ 1)
         built, _ = freeze(rows, outer_token)
-        vt = tuple(self.col[v] * 2 if v < g.n else 1 for v in range(built.n))
-        et = tuple(3 - vt[a] - vt[b]
-                   for a, b in (built.edge_ends(e) for e in range(built.ne)))
-        key = (choice, cover) if self.pre is None else (
-            self.pre[choice], tuple(sorted(self.back[i] for i in cover)))
-        cells = self.cells     # sorted pairs: a mirror image swaps v0, v2
-        firsts = [Decoration(built, vt, et, (v0, v1_vertex, v2),
-                             cells.setdefault((key, *sorted((v0, v2))), []))
-                  for v0, v2 in corner_pairs(built, vt, v1_vertex)]
-        if self.k > 1:
-            firsts = [d for d in firsts
-                      if connectivity_class(d, self.k) >= self.k]
-        yield from firsts
-        # The 0 <-> 2 flip keeps the degrees and the type-1 vertices, so
-        # the corner pairs; it is the dual operation, of the same class
-        # (see lspgen.classify), so each twin takes the cell of its first.
-        yield from (swap02(d, d.verdict) for d in firsts)
+        vt, org = self.vt, built.org
+        et = tuple(3 - vt[a] - vt[b] for a, b in zip(org[::2], org[1::2]))
+        return built, vt, et
+
+
+class Record:
+    """A completion record: one decoration as the completer makes it, from
+    a disk, its corners and the verdict cell of its family; a first, or
+    the 0 <-> 2 flipped twin of a first (`first`).  Its rate and class-1
+    facts need no map; its Decoration is built when a sink reads the
+    graph: `decoration`, or g, vt and et, which the gluing reads."""
+
+    __slots__ = ("disk", "corners", "verdict", "first", "_facts", "_built")
+
+    def __init__(self, disk: _Disk, corners: tuple[int, int, int],
+                 verdict: list, first: Optional[Record] = None):
+        self.disk, self.corners = disk, corners
+        self.verdict, self.first = verdict, first
+        self._facts = self._built = None
+
+    @property
+    def rate(self) -> int:
+        return self.disk.rate
+
+    def twin(self) -> Record:
+        """The twin of a first."""
+        return Record(self.disk, self.corners, self.verdict, self)
+
+    @property
+    def facts(self) -> Facts:
+        if self._facts is None:
+            disk, edges = self.disk, self.disk.comp.t1
+            if self.first is not None:
+                edges = [(e, y, a) for e, a, y in edges]
+            self._facts = Facts(disk.walk, disk.steps, tuple(edges),
+                                self.corners, disk.choice[0] == "g")
+        return self._facts
+
+    @property
+    def decoration(self) -> Decoration:
+        if self._built is None:
+            self._built = (
+                Decoration(*self.disk.built, self.corners, self.verdict)
+                if self.first is None
+                else swap02(self.first.decoration, self.verdict))
+        return self._built
+
+    g = property(lambda self: self.decoration.g)
+    vt = property(lambda self: self.decoration.vt)
+    et = property(lambda self: self.decoration.et)
 
 
 def complete(p: Predecoration, k: int = 1, rmin: int = 1,
              rmax: Optional[int] = None,
              visitor: Optional[Callable[[Decoration], None]] = None,
-             stats: Optional[CompletionStats] = None) -> int:
-    """Visits every decoration with this type-1 skeleton exactly once
-    (connectivity class >= k, rate within [rmin, rmax]); returns the count
-    and adds the funnel to `stats`.
+             stats: Optional[CompletionStats] = None,
+             tally: Optional[dict[int, int]] = None) -> int:
+    """Counts every decoration with this type-1 skeleton exactly once
+    (connectivity class >= k, rate within [rmin, rmax]), by rate into
+    `tally` if given, and visits it if a visitor is given; returns the
+    count and adds the funnel to `stats`.  Without a visitor nothing is
+    built at k <= 2.
 
     A chiral skeleton hosts two disjoint mirror families of decorations;
     both its embeddings are completed, from one cover search and, since
@@ -327,22 +466,23 @@ def complete(p: Predecoration, k: int = 1, rmin: int = 1,
     """
     if rmax is None:
         rmax = p.hi
-    sink = visitor if visitor is not None else (lambda d: None)
     stats = stats if stats is not None else CompletionStats()
+    tally = tally if tally is not None else {}
     comp = _Completer(p, k, rmin, rmax)
     choices = comp.v1_choices()
     mirror = comp.mirrored() if is_chiral(p) else None
     pre = mirror.pre.values() if mirror else ()
     covers = comp._covers(choices + [c for c in pre if c not in choices])
     stats.searches += 1
-    count = comp.run(choices, covers, sink, stats)
+    count = comp.run(choices, covers, visitor, stats, tally)
     if mirror is not None:
         stats.mirrored += 1
         reflected = {c: sorted(tuple(sorted(mirror.slot[i] for i in cover))
                                for cover in covers[pc])
                      for c, pc in mirror.pre.items()}
-        count += mirror.run(list(mirror.pre), reflected, sink, stats)
-    if k > 1:   # the filter fills each cell when the first build asks
+        count += mirror.run(list(mirror.pre), reflected, visitor, stats,
+                            tally)
+    if k > 1:   # the filter fills each cell when the first record asks
         stats.classified += len(comp.cells)
     return count
 

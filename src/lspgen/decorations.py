@@ -20,13 +20,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from . import classify
 from .maps import (MapError, PlaneGraph, build_from_rotations,
                    canonical_code, canonical_order,
                    vertex_connectivity_capped)
 from .predecorations import Predecoration, outer_vertex_occurrences
+
+
+class Facts:
+    """What the class-1 rules of lspgen.classify read: the outer walk's
+    vertices in order; for each step walk[i] -> walk[i + 1] the id of its
+    edge if that has type 1, else None; the type-1 edges as (id, type-0
+    end, type-2 end); the corners; whether v1 has type 1.  A Decoration
+    reads them off its map, a completion record (lspgen.complete) off its
+    skeleton and cover.  Derived: `outer`, the type-1 edges on the walk,
+    and `sides`, the vertices of sides 0, 1 and 2 (side k is the stretch
+    of the walk between the two corners other than vk), which the gluing
+    reads too."""
+
+    __slots__ = ("walk", "steps", "edges", "corners", "v1_type1", "outer",
+                 "sides")
+
+    def __init__(self, walk: tuple[int, ...], steps: tuple[Optional[int], ...],
+                 edges: tuple[tuple[int, int, int], ...],
+                 corners: tuple[int, int, int], v1_type1: bool):
+        self.walk, self.steps, self.edges = walk, steps, edges
+        self.corners, self.v1_type1 = corners, v1_type1
+        self.outer = frozenset(steps) - {None}
+        pos = {v: i for i, v in enumerate(walk)}
+
+        def arc(a: int, b: int) -> tuple[int, ...]:
+            i, j = pos[a], pos[b]
+            return walk[i:j + 1] if i <= j else walk[i:] + walk[:j + 1]
+
+        v0, v1, v2 = corners
+        sides = []
+        for vk, a, b in ((v0, v1, v2), (v1, v0, v2), (v2, v0, v1)):
+            path = arc(a, b)
+            sides.append(frozenset(arc(b, a) if vk in path else path))
+        self.sides = tuple(sides)
 
 
 @dataclass(frozen=True)
@@ -42,31 +76,25 @@ class Decoration:
         return len(self.g.faces) - 1
 
     @cached_property
-    def sides(self) -> tuple[frozenset[int], ...]:
-        """The vertices of sides 0, 1 and 2: side k is the stretch of
-        the outer walk between the two corners other than vk.  The
-        gluing reads it, and the classifier's face-twice rule."""
-        g = self.g
-        verts = [g.org[x] for x in g.faces[g.outer]]
-        pos = {v: i for i, v in enumerate(verts)}
-
-        def arc(a: int, b: int) -> list[int]:
-            i, j = pos[a], pos[b]
-            return verts[i:j + 1] if i <= j else verts[i:] + verts[:j + 1]
-
-        v0, v1, v2 = self.corners
-        out = []
-        for vk, a, b in ((v0, v1, v2), (v1, v0, v2), (v2, v0, v1)):
-            path = arc(a, b)
-            out.append(frozenset(arc(b, a) if vk in path else path))
-        return tuple(out)
+    def facts(self) -> Facts:
+        g, vt, et = self.g, self.vt, self.et
+        walk = g.faces[g.outer]
+        edges = []
+        for e, t in enumerate(et):
+            if t == 1:
+                a, y = g.edge_ends(e)
+                edges.append((e, y, a) if vt[a] else (e, a, y))
+        return Facts(tuple([g.org[x] for x in walk]),
+                     tuple([x >> 1 if et[x >> 1] == 1 else None
+                            for x in walk]),
+                     tuple(edges), self.corners, vt[self.corners[1]] == 1)
 
 
-def _noncorner_ok(g: PlaneGraph, vt, v: int, outer: bool) -> bool:
-    deg = g.degree(v)
+def _noncorner_ok(t: int, deg: int, outer: bool) -> bool:
+    """The degree rule of a non-corner vertex of type t."""
     if outer:
-        return deg == 3 if vt[v] == 1 else deg > 3
-    return deg == 4 if vt[v] == 1 else deg > 4
+        return deg == 3 if t == 1 else deg > 3
+    return deg == 4 if t == 1 else deg > 4
 
 
 def validate(g: PlaneGraph, vt, et, v1: int,
@@ -115,9 +143,9 @@ def validate(g: PlaneGraph, vt, et, v1: int,
         if v in outer_set:
             if (v0 is None or v2 is None) and vt[v] != 1:
                 continue    # could still become v0 or v2
-            if not _noncorner_ok(g, vt, v, outer=True):
+            if not _noncorner_ok(vt[v], g.degree(v), outer=True):
                 problems.append(f"outer vertex {v} violates degree rule")
-        elif not _noncorner_ok(g, vt, v, outer=False):
+        elif not _noncorner_ok(vt[v], g.degree(v), outer=False):
             problems.append(f"inner vertex {v} violates degree rule")
     if problems:
         return problems
@@ -135,18 +163,20 @@ def validate(g: PlaneGraph, vt, et, v1: int,
 
 def corner_pairs(g: PlaneGraph, vt, v1: int) -> list[tuple[int, int]]:
     """All valid {v0, v2} assignments for a fixed v1."""
-    outer = list(outer_vertex_occurrences(g))
+    return walk_corner_pairs(outer_vertex_occurrences(g), vt, g.degree, v1)
+
+
+def walk_corner_pairs(outer: Iterable[int], vt, degree: Callable[[int], int],
+                      v1: int) -> list[tuple[int, int]]:
+    """All valid {v0, v2} assignments for a fixed v1, given the outer
+    walk's vertices in order, each once, the vertex types and degrees."""
     forced = [v for v in outer
-              if v != v1 and not _noncorner_ok(g, vt, v, outer=True)]
+              if v != v1 and not _noncorner_ok(vt[v], degree(v), outer=True)]
     if len(forced) > 2 or any(vt[v] == 1 for v in forced):
         return []
     cands = [v for v in outer if v != v1 and vt[v] != 1]
-    pairs = []
-    for i, a in enumerate(cands):
-        for b in cands[i + 1:]:
-            if all(f in (a, b) for f in forced):
-                pairs.append((a, b))
-    return pairs
+    return [(a, b) for i, a in enumerate(cands) for b in cands[i + 1:]
+            if (a in forced) + (b in forced) == len(forced)]
 
 
 # -- connectivity class -----------------------------------------------------
@@ -168,8 +198,8 @@ def connectivity_class(d: Decoration, cap: int = 3) -> int:
 def swap02(d: Decoration, verdict: Optional[list] = None) -> Decoration:
     """Exchanges types 0 and 2 everywhere (identity <-> dual pairing); the
     result carries the verdict cell given, none by default."""
-    return Decoration(d.g, tuple(2 - t for t in d.vt),
-                      tuple(2 - t for t in d.et), d.corners, verdict)
+    return Decoration(d.g, tuple([2 - t for t in d.vt]),
+                      tuple([2 - t for t in d.et]), d.corners, verdict)
 
 
 def mirror(d: Decoration) -> Decoration:

@@ -41,17 +41,12 @@ def run_pipeline(rate_min: int, rate_max: int, k: int = 1,
         result.predecorations[r] = 0
 
     def visit(p: Predecoration) -> None:
-        rates: set[int] = set()
-
-        def emit(d: Decoration) -> None:
-            result.decorations[d.rate()] += 1
-            rates.add(d.rate())
-            if on_decoration:
-                on_decoration(d)
-
-        complete(p, k, rate_min, rate_max, emit, result.completion)
+        tally: dict[int, int] = {}
+        complete(p, k, rate_min, rate_max, on_decoration, result.completion,
+                 tally)
         weight = 2 if is_chiral(p) else 1
-        for r in rates:
+        for r, n in tally.items():
+            result.decorations[r] += n
             result.predecorations[r] += weight
 
     result.stats = generate(task, visitor=visit)

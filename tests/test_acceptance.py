@@ -302,6 +302,32 @@ def _class_by_hosts():
     return class_of
 
 
+def _check_host_route_equals_classifier(rmin, rmax):
+    """The host route of `_class_by_hosts` gives every decoration of
+    rates rmin to rmax the class `connectivity_class_of` gives a cell-less
+    copy of it; returns how many decorations were compared."""
+    class_of, compared = _class_by_hosts(), [0]
+
+    def check(d):
+        fresh = Decoration(d.g, d.vt, d.et, d.corners)
+        assert class_of(d) == connectivity_class_of(fresh), d
+        compared[0] += 1
+
+    generate(GenerationTask(rmin, rmax, 1), visitor=lambda p: complete(
+        p, 1, rmin, rmax, check))
+    return compared[0]
+
+
+def test_host_route_equals_classifier():
+    assert _check_host_route_equals_classifier(1, 7) == sum(
+        COUNTS[r][0] for r in range(1, 8))
+
+
+@stretch
+def test_host_route_equals_classifier_stretch():
+    assert _check_host_route_equals_classifier(8, 9) == 58 + 82
+
+
 @pytest.mark.parametrize("rate", range(1, 9))
 def test_criterion3_oracle_equivalence(rate):
     # the oracle classifies by the host route; at rate 8 that route takes

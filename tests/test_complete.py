@@ -6,10 +6,11 @@ import pytest
 
 from lspgen import complete as complete_module
 from lspgen import predecorations
-from lspgen.classify import connectivity_class_of
+from lspgen.classify import (_corner_axis_branch, _face_twice,
+                             connectivity_class_of)
 from lspgen.complete import _Completer, complete, is_chiral
-from lspgen.decorations import (Decoration, decoration_identity,
-                                type1_subgraph, validate)
+from lspgen.decorations import (Decoration, corner_pairs,
+                                decoration_identity, type1_subgraph, validate)
 from lspgen.generate import GenerationTask, base_c4, base_k2, generate
 from lspgen.maps import build_from_rotations, canonical_code
 from lspgen.pipeline import run_pipeline
@@ -18,6 +19,11 @@ from lspgen.predecorations import Predecoration, outer_vertex_occurrences
 
 # k=2 counts at rates 1-12 (criterion 1 of tests/test_acceptance.py)
 K2_PINS = [2, 2, 4, 6, 6, 20, 28, 58, 82, 168, 200, 492]
+# k=1 counts at rates 1-14, and the k=2 counts the program gives at rates
+# 13 and 14, 644 and 1418 against the published 640 and 1400 (the known
+# deviations of criterion 1)
+K1_PINS = [2, 2, 4, 6, 6, 20, 28, 58, 82, 170, 204, 496, 650, 1432]
+K2_GIVEN = K2_PINS + [644, 1418]
 
 
 def _pre(rot):
@@ -146,7 +152,14 @@ def decorations_from_state(p: Predecoration, v1_choice,
     """
     comp = _Completer(p, 1, 1, p.hi)
     feasible = _reference_screen(comp, v1_choice, cover)
-    return list(comp._build(v1_choice, cover)) if feasible else []
+    return _decorations(comp, v1_choice, cover) if feasible else []
+
+
+def _decorations(comp, choice, cover) -> list:
+    """The decorations of one cover's records, in emission order: the
+    firsts, then their 0 <-> 2 twins."""
+    firsts = comp.records(choice, tuple(sorted(cover)))
+    return [r.decoration for r in firsts + [r.twin() for r in firsts]]
 
 
 def test_decorations_from_state():
@@ -279,7 +292,7 @@ def test_cover_search_equals_full_validator():
                 if base + 2 * len(cover) < 1:
                     continue
                 valid = {not validate(d.g, d.vt, d.et, d.corners[1])
-                         for d in comp._build(choice, cover)}
+                         for d in _decorations(comp, choice, cover)}
                 assert len(valid) <= 1
                 if valid == {True}:
                     want.append(cover)
@@ -335,38 +348,31 @@ def _check_mirror_sharing(monkeypatch, rmax, k=2):
     choices and reflected covers must be what its own automorphisms and
     search give, and each class read from a verdict cell (the
     skeleton's, in a mirror) what the classifier gives a cell-less copy
-    of the decoration, capped at k as the completer asks for it; returns
-    the numbers of mirrors and shared verdicts."""
+    of the record's decoration, capped at k as the completer asks for
+    it; returns the numbers of mirrors and shared verdicts."""
     counts = {"mirrors": 0, "shared": 0}
-    in_mirror = [False]
-    run, build = _Completer.run, _Completer._build
+    run = _Completer.run
     classed = complete_module.connectivity_class
 
-    def run_checked(self, choices, covers, visitor, stats):
+    def run_checked(self, choices, covers, *rest):
         if self.pre is not None:
             own = _Completer(Predecoration(self.g), self.k, self.rmin,
                              self.rmax)
             assert choices == own.v1_choices()
             assert covers == own._covers(choices)
             counts["mirrors"] += 1
-        return run(self, choices, covers, visitor, stats)
+        return run(self, choices, covers, *rest)
 
-    def build_flagged(self, choice, cover):
-        # run exhausts each build before it starts the next
-        in_mirror[0] = self.pre is not None
-        return build(self, choice, cover)
-
-    def class_checked(d, cap):
-        known = bool(d.verdict)
-        cls = classed(d, cap)
+    def class_checked(r, cap):
+        known = bool(r.verdict)
+        cls = classed(r, cap)
         if known:
-            fresh = Decoration(d.g, d.vt, d.et, d.corners)
+            fresh = Decoration(r.g, r.vt, r.et, r.corners)
             assert cls == min(connectivity_class_of(fresh), k)
-            counts["shared"] += in_mirror[0]
+            counts["shared"] += r.disk.comp.pre is not None
         return cls
 
     monkeypatch.setattr(_Completer, "run", run_checked)
-    monkeypatch.setattr(_Completer, "_build", build_flagged)
     monkeypatch.setattr(complete_module, "connectivity_class", class_checked)
     run_pipeline(1, rmax, k)
     return counts["mirrors"], counts["shared"]
@@ -386,3 +392,82 @@ def test_mirror_shares_full_verdicts_at_k3(monkeypatch):
                     reason="set LSPGEN_STRETCH=1 for rates 15-17")
 def test_mirror_takes_reflected_covers_and_verdicts_stretch(monkeypatch):
     assert _check_mirror_sharing(monkeypatch, 17) == (284, 2181)
+
+
+# -- completion records: counted without building ------------------------------
+
+def _plain(facts):
+    """The class-1 facts with each type-1 edge named by its ends, not by
+    its id (a record numbers the skeleton's edges, a map its own)."""
+    return (facts.walk, tuple(e is not None for e in facts.steps),
+            tuple((a, y, e in facts.outer) for e, a, y in facts.edges),
+            facts.corners, facts.v1_type1)
+
+
+def _check_records_against_builds(monkeypatch, rmax):
+    """Every record up to rmax, first and twin, against the decoration it
+    builds: the same rate, the same corner pairs in the same order (the
+    disk's pairs are its records' corners), the same class-1 facts and
+    the same class-1 rules' answers.  Returns the number of records."""
+    checked = [0]
+    records = _Completer.records
+
+    def checked_records(self, choice, cover):
+        firsts = records(self, choice, cover)
+        assert firsts, "a screened cover has a corner pair"
+        for r in firsts + [r.twin() for r in firsts]:
+            d = r.decoration
+            assert r.rate == d.rate()
+            assert r.disk.pairs == corner_pairs(d.g, d.vt, r.disk.v1)
+            assert _plain(r.facts) == _plain(d.facts)
+            assert _corner_axis_branch(r) == _corner_axis_branch(d)
+            assert _face_twice(r) == _face_twice(d)
+            checked[0] += 1
+        return firsts
+
+    monkeypatch.setattr(_Completer, "records", checked_records)
+    run_pipeline(1, rmax, 1)
+    return checked[0]
+
+
+def test_records_match_their_builds(monkeypatch):
+    assert _check_records_against_builds(monkeypatch, 14) == sum(K1_PINS)
+
+
+@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                    reason="set LSPGEN_STRETCH=1 for rates 15-17")
+def test_records_match_their_builds_stretch(monkeypatch):
+    assert _check_records_against_builds(monkeypatch, 17) == 14176
+
+
+@pytest.mark.parametrize("k, column", [(1, K1_PINS), (2, K2_GIVEN)])
+def test_count_builds_nothing(monkeypatch, k, column):
+    # modelled on test_class_capped_at_2_builds_no_gluing
+    def no_build(*args):
+        raise AssertionError("the count built a map")
+
+    monkeypatch.setattr(complete_module, "freeze", no_build)
+    res = run_pipeline(1, 14, k)
+    assert [res.decorations[r] for r in range(1, 15)] == column
+
+
+def _check_count_equals_emitting_path(rmax, k):
+    counted = run_pipeline(1, rmax, k)
+    seen = dict.fromkeys(range(1, rmax + 1), 0)
+    emitted = run_pipeline(1, rmax, k, on_decoration=lambda d:
+                           seen.__setitem__(d.rate(), seen[d.rate()] + 1))
+    for r in range(1, rmax + 1):
+        assert counted.decorations[r] == seen[r] == emitted.decorations[r]
+        assert counted.predecorations[r] == emitted.predecorations[r]
+    assert counted.completion == emitted.completion
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_count_equals_emitting_path(k):
+    _check_count_equals_emitting_path(13, k)
+
+
+@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                    reason="set LSPGEN_STRETCH=1 for rates 14-17")
+def test_count_equals_emitting_path_stretch():
+    _check_count_equals_emitting_path(17, 2)
