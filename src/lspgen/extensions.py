@@ -75,9 +75,10 @@ one end of the base K2 leaves a pendant at the other.  Extension
 
 Each extension moves the lower rate bound lo = 4*quads + 2*(len(walk) -
 #outer vertices) of `rate_bounds_of` by a step read off the parent's
-outer walk, so a child above the rate window is never built.  With b, c
-the origins of walk[i+1], walk[i+2] and occ(v) the occurrences of v on
-the walk (a vertex stays outer after a closure iff occ >= 2):
+outer walk, so `extension_sites` never produces a site whose child lies
+above the rate window.  With b, c the origins of walk[i+1], walk[i+2]
+and occ(v) the occurrences of v on the walk (a vertex stays outer after
+a closure iff occ >= 2):
   1, 2     +2                               walk +2, one new outer vertex
   3, 4, 5  +6                               a quad, walk +4, three new
   6, 7     +10                              two quads, walk +6, five new
@@ -88,6 +89,7 @@ the walk (a vertex stays outer after a closure iff occ >= 2):
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import Callable, Iterator, Optional
 
@@ -169,34 +171,51 @@ _STRIP_FLIPPED = partial(_extend, _tokens((
     tuple(row[::-1] for row in PICTURES[6][1]))))
 
 
-def extension_sites(g: PlaneGraph, walk: tuple[int, ...]
+# (number, step, applier, arguments swapped) of the sites at a pair of walk
+# positions of one vertex, and (number, step, applier) of those at one walk
+# position with a fixed step; 9 and 10 follow, with steps from b and c
+_PAIR_SITES = ((1, 2, _APPLY[1], False), (3, 6, _APPLY[3], False),
+               (4, 6, _APPLY[4], False), (4, 6, _APPLY[4], True))
+_POSITION_SITES = ((2, 2, _APPLY[2]), (5, 6, _APPLY[5]), (6, 10, _APPLY[6]),
+                   (7, 10, _APPLY[7]), (7, 10, _STRIP_FLIPPED),
+                   (8, 4, _APPLY[8]))
+
+
+def extension_sites(g: PlaneGraph, walk: tuple[int, ...], limit: int = 10
                     ) -> Iterator[tuple[int, int, Applier, tuple]]:
-    """All (extension number, step in the lower rate bound, applier,
-    arguments) sites of one predecoration, in a fixed order; a site is
-    built by ``applier(g, walk, *arguments)``, so a screened one costs
-    nothing.  The steps are the module's table."""
+    """The (extension number, step in the lower rate bound, applier,
+    arguments) sites of one predecoration whose step is at most
+    ``limit`` (10, the largest step, keeps all `site_count` of them), in
+    a fixed order; a site is built by ``applier(g, walk, *arguments)``.
+    The steps are the module's table, so a site above the limit is never
+    produced."""
     m = len(walk)
     by_vertex: dict[int, list[int]] = {}
     for i, d in enumerate(walk):
         by_vertex.setdefault(g.org[d], []).append(i)
-    cut = [2 * (len(by_vertex[g.org[d]]) >= 2) for d in walk]  # 2[occ>=2]
-    for positions in by_vertex.values():
+    pair = [site for site in _PAIR_SITES if site[1] <= limit]
+    for positions in by_vertex.values() if pair else ():
         for ii, i in enumerate(positions):
             for j in positions[ii + 1:]:
-                yield 1, 2, _APPLY[1], (i, j)
-                yield 3, 6, _APPLY[3], (i, j)
-                yield 4, 6, _APPLY[4], (i, j)
-                yield 4, 6, _APPLY[4], (j, i)
+                for num, step, applier, swapped in pair:
+                    yield num, step, applier, (j, i) if swapped else (i, j)
+    fixed = [site for site in _POSITION_SITES if site[1] <= limit]
+    cut = [2 * (len(by_vertex[g.org[d]]) >= 2) for d in walk]  # 2[occ>=2]
     for i in range(m):
+        for num, step, applier in fixed:
+            yield num, step, applier, (i,)
         b, c = cut[(i + 1) % m], cut[(i + 2) % m]
-        yield 2, 2, _APPLY[2], (i,)
-        yield 5, 6, _APPLY[5], (i,)
-        yield 6, 10, _APPLY[6], (i,)
-        yield 7, 10, _APPLY[7], (i,)
-        yield 7, 10, _STRIP_FLIPPED, (i,)
-        yield 8, 4, _APPLY[8], (i,)
-        yield 9, 4 - b, _APPLY[9], (i,)
-        yield 10, 4 - b - c, _APPLY[10], (i,)
+        if 4 - b <= limit:
+            yield 9, 4 - b, _APPLY[9], (i,)
+        if 4 - b - c <= limit:
+            yield 10, 4 - b - c, _APPLY[10], (i,)
+
+
+def site_count(g: PlaneGraph, walk: tuple[int, ...]) -> int:
+    """How many sites `extension_sites` has with no limit: 8 per walk
+    position and 4 per pair of walk positions at one vertex."""
+    occ = Counter(g.org[d] for d in walk)
+    return 8 * len(walk) + 2 * sum(c * (c - 1) for c in occ.values())
 
 
 def kept_reduction(g: PlaneGraph, walk: tuple[int, ...]

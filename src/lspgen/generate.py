@@ -11,7 +11,8 @@ Each extension site passes the checks cheapest first, and the first
 that fails ends its way:
   1. screened: the child's lower rate bound would exceed the target
      (each extension moves the bound by an exact step, see `extensions`),
-     so the child is never built;
+     so `extension_sites` never produces the site; the screened sites
+     are counted as `site_count` minus the sites produced;
   2. pruned: the child would have a reduction 1 or 2 below the applied
      extension, decided exactly from the parent's outer bridges and
      pendant edges and the walk darts the extension covers (see
@@ -20,7 +21,8 @@ that fails ends its way:
      extension (`scan_reductions` stops at that number);
   4. invalid: the child is not a predecoration (`validate_predecoration`);
   5. rejected: the applied site is not the canonical one among the sites
-     of that number (the only check that takes a canonical code);
+     of that number (the only check that takes a canonical code; a site
+     alone in its number is canonical without its site keys);
   6. duplicate: an isomorphic child came from the same extension of the
      same parent.
 Completion is skipped (but extension continues) while the upper bound is
@@ -35,7 +37,7 @@ from typing import Callable, Optional
 from .maps import PlaneGraph, build_from_rotations, canonical_data, dart_sequence
 from .predecorations import Predecoration, validate_predecoration
 from .extensions import (apply_reduction, extension_sites, kept_reduction,
-                         scan_reductions)
+                         scan_reductions, site_count)
 
 
 def base_k2() -> Predecoration:
@@ -111,6 +113,8 @@ def is_canonical_child(child: PlaneGraph, ext_num: int,
         stats.invalid += 1
         return None
     code, labelings = canonical_data(child, "full")
+    if found[1] == [inv_site]:      # the one site of its number
+        return code
     sites = [inv_site] + found[1]
     keys = _site_keys(child, sites, labelings)
     if keys[0] != min(keys[1:]):
@@ -151,10 +155,10 @@ def generate(task: GenerationTask,
         walk = p.walk
         kept = kept_reduction(p.g, walk)
         batches: dict[int, set] = {}
-        for num, step, apply_ext, args in extension_sites(p.g, walk):
-            if p.lo + step > task.rate_max:
-                stats.screened += 1
-                continue
+        stats.screened += site_count(p.g, walk)
+        for num, _, apply_ext, args in extension_sites(
+                p.g, walk, task.rate_max - p.lo):
+            stats.screened -= 1     # produced, so not screened
             if num == 10 and (len(walk), task.k) in (
                     (4, 2), (4, 3), (6, 3)):
                 continue

@@ -14,14 +14,16 @@ copy of the rows and turns it into a new map with ``freeze``.
 The module also provides plantri-style breadth-first canonical codes (with
 optional vertex/edge label channels and an optional outer-face restriction),
 automorphism groups derived from them, and planar_code I/O.  A code is
-read from every start dart, but each reading stops at its first vertex row
-larger than the best so far, and starts that a known automorphism maps to
-a tested start are skipped (see ``canonical_data``).  Start (d, mirror)
-sits at position ``mirror * 2E + d``, so each tie's automorphism acts on
-the starts by arithmetic on its dart map, with no lookup table.  A
-labelled code is read only from starts at a vertex of least label; an
-unlabelled one is stored on its graph.  Neighbour lists become dart rows
-in one walk that finds each reverse dart on the neighbour's row.
+read only from the starts whose first entries are least: at a vertex of
+least label for a labelled code, and with the least first vertex row (for
+a vertex with distinct neighbours, the least degree) for an unlabelled
+one.  Each reading stops at its first vertex row larger than the best so
+far, and starts that a known automorphism maps to a tested start are
+skipped (see ``canonical_data``).  Start (d, mirror) sits at position
+``mirror * 2E + d``, so each tie's automorphism acts on the starts by
+arithmetic on its dart map, with no lookup table.  An unlabelled code is
+stored on its graph.  Neighbour lists become dart rows in one walk that
+finds each reverse dart on the neighbour's row.
 """
 
 from __future__ import annotations
@@ -386,6 +388,37 @@ def dart_sequence(g: PlaneGraph, d0: int, mirror: bool) -> list[int]:
     return seq
 
 
+def _first_row_keys(g: PlaneGraph, order: Sequence[int]) -> list:
+    """A key per position of ``order`` (see ``canonical_data``) that
+    orders the starts as their first vertex rows do.  That row names the
+    start vertex's neighbours by first appearance, from 2, so a vertex
+    with distinct neighbours reads (2, ..., deg + 1, 0) from every start,
+    and its degree is the key; only when some start vertex has a repeated
+    neighbour is each start's row read."""
+    nd = 2 * g.ne
+    org = g.org
+    at = [org[p % nd] for p in order]
+    deg = {}    # 0 for a vertex with a repeated neighbour
+    for v in set(at):
+        row = g._vdarts[v]
+        deg[v] = len(row) if len({org[d ^ 1] for d in row}) == len(row) else 0
+    if all(deg.values()):
+        return [deg[v] for v in at]
+    return [_first_row(g, p % nd, p >= nd) for p in order]
+
+
+def _first_row(g: PlaneGraph, d0: int, mirror: bool) -> tuple[int, ...]:
+    """The first vertex row of the BFS code from ``d0``."""
+    step = g.prv if mirror else g.nxt
+    lab = {g.org[d0]: 1}
+    row, d = [], d0
+    while True:
+        row.append(lab.setdefault(g.org[d ^ 1], len(lab) + 1))
+        d = step[d]
+        if d == d0:
+            return (*row, 0)
+
+
 def canonical_data(g: PlaneGraph, mode: str = "full",
                    vlab: Optional[Sequence[int]] = None,
                    elab: Optional[Sequence[int]] = None
@@ -408,9 +441,14 @@ def canonical_data(g: PlaneGraph, mode: str = "full",
     lies in the orbit of one that tied, so the achieving pairs are the
     orbit of ``ref``, its first member.
 
-    With ``vlab`` only the starts at a vertex of least label are read: a
-    code begins ``[n, ne, vlab[start vertex]]``.  A graph is immutable,
-    so its unlabelled reading in each mode is computed once and stored.
+    Only the starts whose code begins least are read.  With ``vlab`` a
+    code begins ``[n, ne, vlab[start vertex]]``; with no labels it begins
+    ``[n, ne]`` and the start's first vertex row, which ends in 0 while
+    every label is at least 1, so two different first rows decide (see
+    ``_first_row_keys``); with ``elab`` alone every start is read.  An
+    automorphism keeps the kept starts, so the orbits, the hits and their
+    order are those over every start.  A graph is immutable, so its
+    unlabelled reading in each mode is computed once and stored.
     """
     if mode not in ("full", "oriented"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -425,9 +463,11 @@ def canonical_data(g: PlaneGraph, mode: str = "full",
         order = range(len(mirrors) * nd)
     else:   # mirror readings of the outer face start on its reversed darts
         order = [m * nd + (d ^ m) for m in mirrors for d in g.faces[g.outer]]
-    if vlab is not None:    # a code begins [n, ne, vlab[start vertex]]
-        least = min(vlab[g.org[p % nd]] for p in order)
-        order = [p for p in order if vlab[g.org[p % nd]] == least]
+    if vlab is not None or elab is None:    # keep the starts of least key
+        keys = ([vlab[g.org[p % nd]] for p in order] if vlab is not None
+                else _first_row_keys(g, order))
+        least = min(keys)
+        order = [p for p, key in zip(order, keys) if key == least]
     best: Optional[list[int]] = None
     ref = 0         # position of the first best start
     perms: list[list[int]] = []   # automorphisms found, on positions

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import lspgen.generate as genmod
 from lspgen.extensions import (REDUCTIONS, extension_sites, kept_reduction,
-                               scan_reductions)
+                               scan_reductions, site_count)
 from lspgen.generate import (GenerationStats, GenerationTask, _site_keys,
                              base_c4, base_k2, canonical_parent, generate,
                              is_canonical_child)
@@ -168,19 +169,58 @@ def test_extension_steps_are_exact():
     assert checked == set(range(1, 11))
 
 
+def _funnel(stats):
+    return (stats.visited, stats.screened, stats.pruned, stats.built,
+            stats.invalid, stats.rejected, stats.duplicates)
+
+
 def test_funnel_counters():
+    # 16,598 built before the rate screen; 2,498 before the parent-side
+    # prune, 1,059 when it asked a parent's reduction 1 or 2 site to keep
+    # both ends off the rewired positions
     stats = _skeletons(14)[1]
-    assert stats.visited == 165
-    assert stats.built <= 3000       # 16,598 before the rate screen
-    # 2,498 before the parent-side prune, 1,059 when it asked a parent's
-    # reduction 1 or 2 site to keep both ends off the rewired positions
-    assert stats.built == 576
-    assert stats.screened > 0
-    assert stats.pruned > 0
+    assert _funnel(stats) == (165, 14800, 2211, 576, 34, 290, 89)
     # every built child ends in exactly one funnel stage; the two bases
     # are visited without being built
     assert stats.built == (stats.invalid + stats.rejected
                            + stats.duplicates + stats.visited - 2)
+
+
+def test_funnel_counters_to_rate_18():
+    # the screened sites are never produced (140,908 of 163,596), but
+    # counted exactly
+    stats = generate(GenerationTask(1, 18, 1))
+    assert _funnel(stats) == (1237, 140908, 18604, 3930, 435, 1952, 308)
+
+
+def test_bulk_screen_produces_exactly_the_sites_within_the_limit():
+    for p in _skeletons(14)[0]:
+        every = list(extension_sites(p.g, p.walk))
+        assert len(every) == site_count(p.g, p.walk)
+        for limit in range(-1, 11):
+            assert list(extension_sites(p.g, p.walk, limit)) == \
+                [site for site in every if site[1] <= limit]
+
+
+def test_one_site_children_skip_the_site_keys(monkeypatch):
+    # a child whose applied reduction number has one site, the applied
+    # one, is accepted without its site keys: 97 of the 410 children to
+    # rate 14 that reach that stage
+    counts = Counter()
+
+    def counted(name):
+        original = getattr(genmod, name)
+
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+        monkeypatch.setattr(genmod, name, call)
+
+    counted("canonical_data")
+    counted("_site_keys")
+    assert _funnel(generate(GenerationTask(1, 14, 1))) == \
+        _funnel(_skeletons(14)[1])
+    assert counts == {"canonical_data": 410, "_site_keys": 313}
 
 
 def _pruned_sites(rmax):

@@ -155,7 +155,7 @@ def test_readme_lists_every_module():
     assert sorted(listed) == sorted(MODULES.keys() - {"__init__"})
 
 
-SRC_LINE_BUDGET = 3433
+SRC_LINE_BUDGET = 3496
 
 
 def test_src_line_budget():

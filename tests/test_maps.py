@@ -478,13 +478,65 @@ def test_chain_host_builds_few_codes(monkeypatch):
     assert len(built) <= 40
 
 
-def test_asymmetric_map_tries_every_start(monkeypatch):
+def _first_rows(g):
+    """Every start's first vertex row, read off the rotations: the start
+    vertex's neighbours from the start dart on, counterclockwise (or
+    clockwise for a mirror start), named by first appearance from 2."""
+    rows = {}
+    for v, nbrs in to_rotations(g).items():
+        for i, d in enumerate(g.darts_at(v - 1)):
+            ccw = nbrs[i:] + nbrs[:i]
+            for mirror, seq in ((False, ccw), (True, ccw[:1] + ccw[:0:-1])):
+                lab = {}
+                rows[d, mirror] = tuple(lab.setdefault(w, len(lab) + 2)
+                                        for w in seq) + (0,)
+    return rows
+
+
+def _starts(g, mode):
+    """Every start of ``g``'s codes in mode, in reading order."""
+    mirrors = (False, True) if mode == "full" else (False,)
+    if g.outer is None:
+        return [(d, m) for m in mirrors for d in range(2 * g.ne)]
+    return [(d ^ m, m) for m in mirrors for d in g.faces[g.outer]]
+
+
+def test_asymmetric_map_reads_every_least_first_row_start(monkeypatch):
+    # a code begins [n, ne] + its start's first row, and with no
+    # automorphism no start is skipped: exactly the starts with the least
+    # first row are read, in order
     g = next(g for g in _skeleton_graphs() if g.outer is not None
              and len(reference_canonical_data(g)[1]) == 1)
     g = g.with_outer(g.outer)   # a copy with no stored readings
-    built = _count_codes(monkeypatch)
+    starts = []
+    _count_codes(monkeypatch, starts)
     canonical_data(g, "full")
-    assert len(built) == 2 * len(g.faces[g.outer])
+    rows = _first_rows(g)
+    least = min(rows[s] for s in _starts(g, "full"))
+    assert starts == [s for s in _starts(g, "full") if rows[s] == least]
+    assert len(starts) < 2 * len(g.faces[g.outer])
+
+
+@pytest.mark.parametrize("outer", [None, 0])
+def test_repeated_neighbour_row_wins(monkeypatch, outer):
+    # u has neighbours a, a, b: from its first parallel dart it reads
+    # [2, 2, 3, 0], which beats the degree-2 rows [2, 3, 0] of b and e
+    # and a's [2, 2, 3, 4, 0]; face 0 is the digon of u and a
+    g = build_from_rotations({"u": ["a", "a", "b"], "a": ["u", "u", "c", "e"],
+                              "b": ["u", "c"], "c": ["a", "b", "e"],
+                              "e": ["a", "c"]})
+    assert g.genus == 0 and len(g.faces[0]) == 2
+    g = g.with_outer(outer)
+    rows = _first_rows(g)
+    for mode in ("full", "oriented"):
+        h = g.with_outer(g.outer)   # a copy with no stored readings
+        starts = []
+        _count_codes(monkeypatch, starts)
+        assert canonical_data(h, mode) == reference_canonical_data(h, mode)
+        least = min(rows[s] for s in _starts(h, mode))
+        assert least == (2, 2, 3, 0)
+        assert starts and all(rows[s] == least for s in starts)
+        assert len(starts) < len(_starts(h, mode))
 
 
 def test_unlabelled_readings_are_stored(monkeypatch):
