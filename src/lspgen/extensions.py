@@ -85,6 +85,16 @@ a closure iff occ >= 2):
   8        +4                               a quad, walk +2, two new
   9        4 - 2[occ(b)>=2]                 a quad, walk +0, one new, b may go
   10       4 - 2([occ(b)>=2] + [occ(c)>=2]) a quad, walk -2, b and c may go
+
+An automorphism of the parent maps each site to a site whose child is
+isomorphic (`site_image`).  On a walk of m positions (all mod m) it is a
+rotation by r, walk[k] -> walk[k + r], or a reflection r, walk[k] ->
+walk[r - k] ^ 1, which maps the outer corner at k to r - k + 1:
+  rotation r     every position k -> k + r
+  reflection r   one position i -> r - i + 2 - SPAN (its first corner),
+                 extension 7 switching handedness;
+                 a pair (i, j) -> (r - i + 1, r - j + 1), in that order
+The pairs of 1 and 3 are unordered, those of 4 ordered.
 """
 
 from __future__ import annotations
@@ -119,6 +129,20 @@ PICTURES = (
     (((0, (0,)), (3, (1,))), ()),                     # 10 a-d
 )
 SPAN = tuple(1 + sectors[-1][0] for sectors, _ in PICTURES)   # SPAN[num - 1]
+
+
+def site_image(num: int, applier: Applier, args: tuple, m: int, r: int,
+               reflect: bool) -> tuple[Applier, tuple]:
+    """The (applier, arguments) that the rotation or reflection r of the
+    module docstring maps site (num, applier, args) to."""
+    if not reflect:
+        image = tuple((x + r) % m for x in args)
+    elif len(args) == 2:
+        image = ((r - args[0] + 1) % m, (r - args[1] + 1) % m)
+    else:
+        image = ((r - args[0] + 2 - SPAN[num - 1]) % m,)
+        applier = _MIRRORED.get(applier, applier)
+    return applier, tuple(sorted(image)) if num in (1, 3) else image
 
 
 def _extend(picture: tuple, g: PlaneGraph, walk: tuple[int, ...], i: int,
@@ -169,6 +193,7 @@ _APPLY = {num: partial(_extend, _tokens(picture))   # by extension number
 _STRIP_FLIPPED = partial(_extend, _tokens((
     tuple((o, darts[::-1]) for o, darts in PICTURES[6][0]),
     tuple(row[::-1] for row in PICTURES[6][1]))))
+_MIRRORED = {_APPLY[7]: _STRIP_FLIPPED, _STRIP_FLIPPED: _APPLY[7]}
 
 
 # (number, step, applier, arguments swapped) of the sites at a pair of walk
@@ -223,7 +248,7 @@ def kept_reduction(g: PlaneGraph, walk: tuple[int, ...]
     """``kept(num, i)``: whether the child of extension num at walk
     position i has a reduction 1 or 2 below num, decided from the parent
     by the table of the module docstring."""
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = g.deg
     bridges = {d >> 1 for d, _ in _reduction1(g, deg)}
     pendants = _reduction2(g, deg)
     leaves = {g.org[x] for site in pendants for x in site
@@ -260,7 +285,7 @@ def _site(darts) -> Site:
     return tuple(sorted({t for d in darts for t in (d, d ^ 1)}))
 
 
-def _reduction1(g: PlaneGraph, deg: list[int]) -> list[Site]:
+def _reduction1(g: PlaneGraph, deg: tuple[int, ...]) -> list[Site]:
     """Contract an outer bridge with both endpoints of degree >= 2."""
     out = []
     for d in range(0, 2 * g.ne, 2):
@@ -270,7 +295,7 @@ def _reduction1(g: PlaneGraph, deg: list[int]) -> list[Site]:
     return out
 
 
-def _reduction2(g: PlaneGraph, deg: list[int]) -> list[Site]:
+def _reduction2(g: PlaneGraph, deg: tuple[int, ...]) -> list[Site]:
     """Delete a pendant vertex whose neighbor keeps a neighbor."""
     out = []
     for d in range(0, 2 * g.ne, 2):
@@ -280,7 +305,7 @@ def _reduction2(g: PlaneGraph, deg: list[int]) -> list[Site]:
     return out
 
 
-def _reduction3(g: PlaneGraph, deg: list[int]) -> list[Site]:
+def _reduction3(g: PlaneGraph, deg: tuple[int, ...]) -> list[Site]:
     """Quad with a degree-2 diagonal, other diagonal >= 3 and
     non-adjacent."""
     out = []
@@ -294,7 +319,7 @@ def _reduction3(g: PlaneGraph, deg: list[int]) -> list[Site]:
     return out
 
 
-def _reduction4(g: PlaneGraph, deg: list[int]) -> list[Site]:
+def _reduction4(g: PlaneGraph, deg: tuple[int, ...]) -> list[Site]:
     """Quad over a direct edge whose far side is outer."""
     out = []
     for q in _quad_faces(g):
@@ -307,7 +332,7 @@ def _reduction4(g: PlaneGraph, deg: list[int]) -> list[Site]:
     return out
 
 
-def _reduction5(g: PlaneGraph, deg: list[int]) -> list[Site]:
+def _reduction5(g: PlaneGraph, deg: tuple[int, ...]) -> list[Site]:
     """Quad with three degree-2 corners hanging at one vertex."""
     out = []
     for q in _quad_faces(g):
@@ -330,7 +355,7 @@ def _inner_darts(g: PlaneGraph) -> list[int]:
     return out
 
 
-def _reduction6(g: PlaneGraph, deg: list[int]) -> list[Site]:
+def _reduction6(g: PlaneGraph, deg: tuple[int, ...]) -> list[Site]:
     """Double-quad bundle: dq = v -> w with w of degree 3 shared by both
     quads."""
     out = []
@@ -350,7 +375,7 @@ def _reduction6(g: PlaneGraph, deg: list[int]) -> list[Site]:
     return out
 
 
-def _reduction7(g: PlaneGraph, deg: list[int]) -> list[Site]:
+def _reduction7(g: PlaneGraph, deg: tuple[int, ...]) -> list[Site]:
     """Quad strip: quad1 = (r,q,v,p1) hangs at v, and quad2 = (q,r,t,s)
     shares the edge dq = q -> r of two degree-3 vertices.  Extension 7
     builds the strip in both handednesses, so both are matched: quad1
@@ -376,7 +401,7 @@ def _reduction7(g: PlaneGraph, deg: list[int]) -> list[Site]:
     return out
 
 
-def _reduction8(g: PlaneGraph, deg: list[int]) -> list[Site]:
+def _reduction8(g: PlaneGraph, deg: tuple[int, ...]) -> list[Site]:
     """Remove an adjacent degree-2 pair from a quad."""
     if g.n < 5:
         return []
@@ -389,7 +414,7 @@ def _reduction8(g: PlaneGraph, deg: list[int]) -> list[Site]:
     return out
 
 
-def _reduction9(g: PlaneGraph, deg: list[int]) -> list[Site]:
+def _reduction9(g: PlaneGraph, deg: tuple[int, ...]) -> list[Site]:
     """Remove a degree-2 corner of a quad."""
     if g.n < 5:
         return []
@@ -402,7 +427,7 @@ def _reduction9(g: PlaneGraph, deg: list[int]) -> list[Site]:
     return out
 
 
-def _reduction10(g: PlaneGraph, deg: list[int]) -> list[Site]:
+def _reduction10(g: PlaneGraph, deg: tuple[int, ...]) -> list[Site]:
     """Remove a quad edge whose far side is outer."""
     if g.n < 5:
         return []
@@ -420,7 +445,7 @@ def scan_reductions(g: PlaneGraph) -> Optional[tuple[int, list[Site]]]:
     """The smallest applicable reduction number and all its sites, or
     None when g has no reduction (the two bases); the numbers are tried
     in increasing order, and the scan stops at the first with a site."""
-    deg = [g.degree(v) for v in range(g.n)]
+    deg = g.deg
     for num, find in enumerate(REDUCTIONS, 1):
         sites = find(g, deg)
         if sites:

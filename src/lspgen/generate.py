@@ -3,8 +3,9 @@
 Children are produced by the ten boundary extensions and kept only when
 the applied extension inverts the canonical reduction of the child: the
 smallest applicable reduction number, applied at the site orbit whose
-canonically relabeled dart tuple is minimal.  Together with one child per
-isomorphism class per (parent, extension) batch this visits every
+canonically relabeled dart tuple is minimal.  With one site per orbit of
+the parent's automorphism group (McKay, J. Algorithms 26 (1998)), two
+kept children of one parent are never isomorphic, so this visits every
 predecoration exactly once up to isomorphism.
 
 Each extension site passes the checks cheapest first, and the first
@@ -17,14 +18,15 @@ that fails ends its way:
      extension, decided exactly from the parent's outer bridges and
      pendant edges and the walk darts the extension covers (see
      `extensions`);
-  3. rejected: the child's smallest reduction number is not the applied
+  3. equivalent: a non-identity automorphism of the parent, read off the
+     hits of its canonical reading, maps the site onto an earlier one
+     that passed 1-2 (`site_image`), whose child is isomorphic;
+  4. rejected: the child's smallest reduction number is not the applied
      extension (`scan_reductions` stops at that number);
-  4. invalid: the child is not a predecoration (`validate_predecoration`);
-  5. rejected: the applied site is not the canonical one among the sites
+  5. invalid: the child is not a predecoration (`validate_predecoration`);
+  6. rejected: the applied site is not the canonical one among the sites
      of that number (the only check that takes a canonical code; a site
-     alone in its number is canonical without its site keys);
-  6. duplicate: an isomorphic child came from the same extension of the
-     same parent.
+     alone in its number is canonical without its site keys).
 Completion is skipped (but extension continues) while the upper bound is
 below the target.
 """
@@ -37,7 +39,7 @@ from typing import Callable, Optional
 from .maps import PlaneGraph, build_from_rotations, canonical_data, dart_sequence
 from .predecorations import Predecoration, validate_predecoration
 from .extensions import (apply_reduction, extension_sites, kept_reduction,
-                         scan_reductions, site_count)
+                         scan_reductions, site_count, site_image)
 
 
 def base_k2() -> Predecoration:
@@ -65,17 +67,17 @@ class GenerationTask:
 
 @dataclass
 class GenerationStats:
-    """The funnel of the module docstring, in its order: screened and
-    pruned sites are never built, and each built child ends in exactly
-    one of the later stages or is visited, so
-    built = rejected + invalid + duplicates + visited - 2 (the bases)."""
+    """The funnel of the module docstring, in its order: screened, pruned
+    and equivalent sites are never built, and each built child ends in
+    exactly one of the later stages or is visited, so
+    built = rejected + invalid + visited - 2 (the bases)."""
     visited: int = 0
     screened: int = 0
     pruned: int = 0
+    equivalent: int = 0
     built: int = 0
     invalid: int = 0
     rejected: int = 0
-    duplicates: int = 0
 
 
 def _site_keys(g: PlaneGraph, sites: list[tuple[int, ...]],
@@ -92,6 +94,19 @@ def _site_keys(g: PlaneGraph, sites: list[tuple[int, ...]],
             for site in sites]
 
 
+def _walk_moves(g: PlaneGraph, walk: tuple[int, ...]
+                ) -> list[tuple[int, bool]]:
+    """(r, reflect) of each non-identity automorphism of g on its outer
+    walk (see `site_image`), read off the hits of its "full" reading:
+    with the first hit (d0, m0) at a = pos(d0 ^ m0), a hit (d, m) at
+    b = pos(d ^ m) rotates by b - a if m == m0, else reflects by a + b."""
+    _, ((d0, m0), *rest) = canonical_data(g, "full")
+    pos = {d: k for k, d in enumerate(walk)}
+    a = pos[d0 ^ m0]
+    return [(pos[d ^ m] - a, False) if m == m0 else (pos[d ^ m] + a, True)
+            for d, m in rest]
+
+
 def is_canonical_child(child: PlaneGraph, ext_num: int,
                        inv_site: tuple[int, ...], stats: GenerationStats
                        ) -> Optional[tuple[int, ...]]:
@@ -100,7 +115,7 @@ def is_canonical_child(child: PlaneGraph, ext_num: int,
     Returns the child's canonical code when the child is a predecoration
     and the applied extension ext_num, at inv_site, inverts the child's
     canonical reduction; else None, counting the check that failed in
-    stats.rejected or stats.invalid (stages 3-5 of the module docstring).
+    stats.rejected or stats.invalid (stages 4-6 of the module docstring).
     """
     # Extensions add only quadrangles to a predecoration, so every inner
     # face of a built child is a quadrangle: the reduction scan is safe
@@ -154,7 +169,8 @@ def generate(task: GenerationTask,
             visitor(p)
         walk = p.walk
         kept = kept_reduction(p.g, walk)
-        batches: dict[int, set] = {}
+        moves = _walk_moves(p.g, walk)
+        earlier: set[tuple] = set()     # the sites kept so far
         stats.screened += site_count(p.g, walk)
         for num, _, apply_ext, args in extension_sites(
                 p.g, walk, task.rate_max - p.lo):
@@ -165,20 +181,18 @@ def generate(task: GenerationTask,
             if kept(num, args[0]):
                 stats.pruned += 1
                 continue
+            if moves and any(site_image(num, apply_ext, args, len(walk),
+                                        *move) in earlier for move in moves):
+                stats.equivalent += 1
+                continue
+            earlier.add((apply_ext, args))
             result = apply_ext(p.g, walk, *args)
             if result is None:
                 continue
             stats.built += 1
             child_g, inv_site = result
-            code = is_canonical_child(child_g, num, inv_site, stats)
-            if code is None:
-                continue
-            seen = batches.setdefault(num, set())
-            if code in seen:
-                stats.duplicates += 1
-                continue
-            seen.add(code)
-            explore(Predecoration(child_g))
+            if is_canonical_child(child_g, num, inv_site, stats) is not None:
+                explore(Predecoration(child_g))
 
     for base in (base_k2(), base_c4()):
         if base.lo <= task.rate_max:

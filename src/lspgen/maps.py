@@ -52,6 +52,7 @@ class PlaneGraph:
     Attributes:
         n: number of vertices (ids ``0 .. n-1``).
         ne: number of edges; there are ``2 * ne`` darts.
+        deg: tuple, vertex -> degree, built on first use.
         org: tuple, dart -> origin vertex.
         nxt: tuple, dart -> next dart counterclockwise around the origin.
         prv: tuple, inverse of ``nxt``.
@@ -61,7 +62,7 @@ class PlaneGraph:
         genus: genus computed from the Euler formula.
     """
 
-    __slots__ = ("n", "ne", "org", "nxt", "prv", "faces", "face_of",
+    __slots__ = ("n", "ne", "_deg", "org", "nxt", "prv", "faces", "face_of",
                  "outer", "genus", "_vdarts", "_readings")
 
     def __init__(self, rows: Sequence[Sequence[int]],
@@ -103,6 +104,7 @@ class PlaneGraph:
         self.nxt = tuple(nxt)
         self.prv = tuple(prv)
         self._vdarts = tuple(vdarts)
+        self._deg: Optional[tuple[int, ...]] = None
 
         face_of = [-1] * nd
         faces: list[tuple[int, ...]] = []
@@ -151,6 +153,12 @@ class PlaneGraph:
 
     def darts_at(self, v: int) -> tuple[int, ...]:
         return self._vdarts[v]
+
+    @property
+    def deg(self) -> tuple[int, ...]:
+        if self._deg is None:
+            self._deg = tuple(map(len, self._vdarts))
+        return self._deg
 
     def degree(self, v: int) -> int:
         return len(self._vdarts[v])

@@ -60,17 +60,18 @@ def counters(g: PlaneGraph) -> tuple[int, int, int]:
     n_B: remaining degree-1 vertices.
     n_C: inner quadrangles with at least three degree-2 corners.
     """
+    deg = g.deg
     n_a = n_b = n_c = 0
     for v in range(g.n):
-        if g.degree(v) == 1:
-            if g.degree(g.head(g.darts_at(v)[0])) == 2:
+        if deg[v] == 1:
+            if deg[g.head(g.darts_at(v)[0])] == 2:
                 n_a += 1
             else:
                 n_b += 1
     for f, darts in enumerate(g.faces):
         if f == g.outer:
             continue
-        deg2 = sum(1 for d in darts if g.degree(g.org[d]) == 2)
+        deg2 = sum(1 for d in darts if deg[g.org[d]] == 2)
         if deg2 >= 3:
             n_c += 1
     return n_a, n_b, n_c
@@ -92,9 +93,10 @@ def validate_predecoration(g: PlaneGraph) -> list[str]:
         elif len({g.org[d] for d in darts}) != 4:
             problems.append(f"inner face {f} repeats a vertex")
     on_outer = {g.org[d] for d in g.faces[g.outer]}
+    deg = g.deg
     for v in range(g.n):
-        if v not in on_outer and g.degree(v) < 3:
-            problems.append(f"inner vertex {v} has degree {g.degree(v)}")
+        if v not in on_outer and deg[v] < 3:
+            problems.append(f"inner vertex {v} has degree {deg[v]}")
     if not problems:
         n_a, n_b, n_c = counters(g)
         if n_a > 2:

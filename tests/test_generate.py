@@ -8,10 +8,10 @@ import pytest
 
 import lspgen.generate as genmod
 from lspgen.extensions import (REDUCTIONS, extension_sites, kept_reduction,
-                               scan_reductions, site_count)
+                               scan_reductions, site_count, site_image)
 from lspgen.generate import (GenerationStats, GenerationTask, _site_keys,
-                             base_c4, base_k2, canonical_parent, generate,
-                             is_canonical_child)
+                             _walk_moves, base_c4, base_k2, canonical_parent,
+                             generate, is_canonical_child)
 from lspgen.maps import (build_from_rotations, canonical_code, canonical_data,
                          read_planar_code)
 from lspgen.predecorations import (Predecoration, outer_walk,
@@ -40,8 +40,7 @@ def _pre(rot):
 
 def all_reductions(g):
     """Every reduction number of g with its sites, from every finder."""
-    deg = [g.degree(v) for v in range(g.n)]
-    found = {num: find(g, deg) for num, find in enumerate(REDUCTIONS, 1)}
+    found = {num: find(g, g.deg) for num, find in enumerate(REDUCTIONS, 1)}
     return {num: sites for num, sites in found.items() if sites}
 
 
@@ -170,27 +169,27 @@ def test_extension_steps_are_exact():
 
 
 def _funnel(stats):
-    return (stats.visited, stats.screened, stats.pruned, stats.built,
-            stats.invalid, stats.rejected, stats.duplicates)
+    return (stats.visited, stats.screened, stats.pruned, stats.equivalent,
+            stats.built, stats.invalid, stats.rejected)
 
 
 def test_funnel_counters():
     # 16,598 built before the rate screen; 2,498 before the parent-side
     # prune, 1,059 when it asked a parent's reduction 1 or 2 site to keep
-    # both ends off the rewired positions
+    # both ends off the rewired positions; 576 before the equivalent
+    # sites were skipped
     stats = _skeletons(14)[1]
-    assert _funnel(stats) == (165, 14800, 2211, 576, 34, 290, 89)
+    assert _funnel(stats) == (165, 14800, 2211, 219, 376, 24, 189)
     # every built child ends in exactly one funnel stage; the two bases
     # are visited without being built
-    assert stats.built == (stats.invalid + stats.rejected
-                           + stats.duplicates + stats.visited - 2)
+    assert stats.built == stats.invalid + stats.rejected + stats.visited - 2
 
 
 def test_funnel_counters_to_rate_18():
     # the screened sites are never produced (140,908 of 163,596), but
-    # counted exactly
+    # counted exactly; 3,930 built before the equivalent sites were skipped
     stats = generate(GenerationTask(1, 18, 1))
-    assert _funnel(stats) == (1237, 140908, 18604, 3930, 435, 1952, 308)
+    assert _funnel(stats) == (1237, 140908, 18604, 727, 3239, 376, 1628)
 
 
 def test_bulk_screen_produces_exactly_the_sites_within_the_limit():
@@ -204,8 +203,9 @@ def test_bulk_screen_produces_exactly_the_sites_within_the_limit():
 
 def test_one_site_children_skip_the_site_keys(monkeypatch):
     # a child whose applied reduction number has one site, the applied
-    # one, is accepted without its site keys: 97 of the 410 children to
-    # rate 14 that reach that stage
+    # one, is accepted without its site keys: 55 of the 285 children to
+    # rate 14 that reach that stage; each of the 165 visited skeletons
+    # also asks for its stored reading, for its automorphisms
     counts = Counter()
 
     def counted(name):
@@ -220,7 +220,7 @@ def test_one_site_children_skip_the_site_keys(monkeypatch):
     counted("_site_keys")
     assert _funnel(generate(GenerationTask(1, 14, 1))) == \
         _funnel(_skeletons(14)[1])
-    assert counts == {"canonical_data": 410, "_site_keys": 313}
+    assert counts == {"canonical_data": 285 + 165, "_site_keys": 230}
 
 
 def _pruned_sites(rmax):
@@ -308,7 +308,9 @@ def test_staged_canonical_child_test_equals_full_reference():
             _, got_num, got_key = canonical_parent(Predecoration(child))
             assert (got_num, got_key) == (ref_num, ref_key)
     assert children == 2498
-    assert accepted == 165 - 2 + 89     # visited less bases, plus duplicates
+    # visited less bases, plus 89 accepted at sites that an automorphism
+    # of the parent maps onto an earlier site (generate skips those)
+    assert accepted == 165 - 2 + 89
 
 
 def _inversions(rmax):
@@ -353,13 +355,108 @@ def test_reductions_invert_their_extensions_to_rate_22():
     assert sum(checked.values()) == 11940
 
 
-def test_visit_sequence_matches_digest():
-    # each visited graph as generated, in visit order; recorded before
-    # the canonical-child test was staged
+def _visit_digest(seen):
+    """Each visited graph as generated, in visit order."""
     h = hashlib.sha256()
-    for p in _skeletons(14)[0]:
+    for p in seen:
         h.update((repr((p.g.org, p.g.nxt, p.g.outer)) + "\n").encode())
-    assert h.hexdigest() == DIGESTS["visits_r14"]
+    return h.hexdigest()
+
+
+def test_visit_sequence_matches_digest():
+    # recorded before the canonical-child test was staged
+    assert _visit_digest(_skeletons(14)[0]) == DIGESTS["visits_r14"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_visit_sequence_to_rate_18_matches_digest(k):
+    # recorded while generate still built every site and kept one child
+    # per isomorphism class of each (parent, extension) batch; the
+    # extension 10 refusal at k >= 2 cuts no visited skeleton here
+    seen = []
+    if k == 1:
+        seen = _skeletons(18)[0]
+    else:
+        generate(GenerationTask(1, 18, k), visitor=seen.append)
+    assert _visit_digest(seen) == DIGESTS["visits_r18"]
+
+
+def _distinct_skeletons(rmax):
+    seen = _skeletons(rmax)[0]
+    return len(seen), len({canonical_code(p.g, "full") for p in seen})
+
+
+def test_visited_skeletons_are_pairwise_non_isomorphic():
+    # no per-batch code set backs this up: two children of one parent
+    # are isomorphic only when their sites are equivalent
+    assert _distinct_skeletons(18) == (1237, 1237)
+
+
+@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                    reason="set LSPGEN_STRETCH=1 for the rate-22 check")
+def test_visited_skeletons_are_pairwise_non_isomorphic_to_rate_22():
+    assert _distinct_skeletons(22) == (10921, 10921)
+
+
+def _moves_of_automorphisms(p):
+    """(r, reflect) of each non-identity automorphism in
+    `p.automorphisms()`, checked against its dart permutation on every
+    outer walk position: walk[k] goes to walk[k + r], or to
+    walk[r - k] ^ 1 when it reverses orientation."""
+    walk, m = p.walk, len(p.walk)
+    pos = {d: k for k, d in enumerate(walk)}
+    moves = []
+    for perm, reflect in p.automorphisms():
+        if reflect:
+            r = pos[perm[walk[0]] ^ 1]
+            assert all(perm[walk[k]] == walk[(r - k) % m] ^ 1
+                       for k in range(m))
+        else:
+            r = pos[perm[walk[0]]]
+            assert all(perm[walk[k]] == walk[(k + r) % m] for k in range(m))
+        if reflect or r:
+            moves.append((r, reflect))
+    return moves
+
+
+def _child_code(p, applier, args):
+    result = applier(p.g, p.walk, *args)
+    return result and canonical_code(result[0], "full")
+
+
+def _site_images(rmax):
+    """Checks, for every skeleton up to rmax, that the moves generate
+    reads off the canonical hits are those of its automorphisms, and
+    that each move maps every site to a produced site whose child is
+    isomorphic (or to one that builds nothing, as the site does).
+    Returns the number of (site, non-identity automorphism) pairs."""
+    pairs = 0
+    for p in _skeletons(rmax)[0]:
+        moves = [(r % len(p.walk), reflect)
+                 for r, reflect in _walk_moves(p.g, p.walk)]
+        assert sorted(moves) == sorted(_moves_of_automorphisms(p))
+        if not moves:
+            continue
+        sites = {(applier, args): num
+                 for num, _, applier, args in extension_sites(p.g, p.walk)}
+        codes = {site: _child_code(p, *site) for site in sites}
+        for (applier, args), num in sites.items():
+            for move in moves:
+                image = site_image(num, applier, args, len(p.walk), *move)
+                assert sites.get(image) == num, (num, args, move)
+                assert codes[image] == codes[applier, args], (num, args)
+                pairs += 1
+    return pairs
+
+
+def test_site_images_follow_the_automorphisms():
+    assert _site_images(14) == 11748
+
+
+@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                    reason="set LSPGEN_STRETCH=1 for the rate-18 check")
+def test_site_images_follow_the_automorphisms_to_rate_18():
+    assert _site_images(18) == 43840
 
 
 def _site_counts(g):
