@@ -5,8 +5,7 @@ from .maps import (PlaneGraph, build_from_rotations, canonical_code,
                    read_planar_code, write_planar_code)
 from .chambers import apply_decoration
 from .decorations import (Decoration, connectivity_class, decoration_identity,
-                          mirror, read_deco, swap02, type1_subgraph, validate,
-                          write_deco)
+                          mirror, read_deco, swap02, validate, write_deco)
 from .predecorations import Predecoration, counters, validate_predecoration
 from .generate import GenerationTask
 from .catalog import lookup, seed
@@ -18,8 +17,7 @@ __all__ = [
     "read_planar_code", "write_planar_code",
     "apply_decoration",
     "Decoration", "connectivity_class", "decoration_identity",
-    "mirror", "read_deco", "swap02", "type1_subgraph", "validate",
-    "write_deco",
+    "mirror", "read_deco", "swap02", "validate", "write_deco",
     "Predecoration", "counters", "validate_predecoration",
     "GenerationTask",
     "lookup", "seed", "bruteforce_decorations", "cross_check",

@@ -21,8 +21,7 @@ from typing import Optional
 
 from .catalog import OPERATION_NAMES, SEED_NAMES, lookup, seed
 from .chambers import apply_decoration
-from .decorations import (decoration_identity, read_deco, type1_subgraph,
-                          write_deco)
+from .decorations import decoration_identity, read_deco, write_deco
 from .maps import canonical_code, read_planar_code, write_planar_code
 from .oracle import cross_check
 from .pipeline import PipelineResult, run_pipeline
@@ -59,15 +58,12 @@ def _generate(args) -> PipelineResult:
             print(f"{r} {args.k} {source[r]}")
         return result
     if args.predecorations:
-        seen = {}
-
-        def keep(d) -> None:
-            p, _ = type1_subgraph(d)
-            seen.setdefault(canonical_code(p.g, "oriented"), (d.rate(), p))
-
-        result = run_pipeline(rmin, rmax, args.k, on_decoration=keep)
-        records = sorted(seen.items()) if args.sorted else list(seen.items())
-        graphs = [normalized_for_export(p) for _, (_, p) in records]
+        skeletons = []
+        result = run_pipeline(rmin, rmax, args.k,
+                              on_skeleton=skeletons.append)
+        if args.sorted:
+            skeletons.sort(key=lambda p: canonical_code(p.g, "oriented"))
+        graphs = [normalized_for_export(p) for p in skeletons]
         sys.stdout.buffer.write(write_planar_code(graphs))
         return result
     # records are written as they arrive unless they must be sorted first

@@ -24,15 +24,18 @@ only for a sink that reads the graph: a visitor (identity codes, .deco
 or planar_code output) or the class-2/3 gluing at cap 3.  Each disk's
 map is built once, the same dart for dart whichever sink asks.
 
-A chiral skeleton's mirror embedding is completed from the same search,
-with the same automorphisms (mirroring keeps dart ids, and the skeleton
-has only orientation-preserving ones).  Skeleton slot i (darts walk[i],
-walk[i + 1]) is its slot at dart walk[i + 1] ^ 1, ("g", i) its "g"
-choice at walk[i] ^ 1, and ("v", x) stays.  The search also files covers
-under the preimages of its v1 choices, which it sorts in its own
-coordinates.  The records of one v1 choice, cover (in the skeleton's
-coordinates) and corner pair, the mirror's and the 0 <-> 2 twin among
-them, share one verdict cell, which the classifier fills when asked.
+The symmetry is the skeleton's rotations of its outer walk
+(`Predecoration.moves`), each a shift r of walk positions.  A chiral
+skeleton has no reflection, and its mirror embedding is completed from
+the same search.  Mirroring keeps dart ids and reverses the walk: the
+mirror's is q[j] = walk[c - j] ^ 1 with c = pos(q[0] ^ 1), so rotation r
+is -r there, the mirror's slot j (darts q[j], q[j + 1]) is skeleton slot
+c - 1 - j, its ("g", j) is ("g", c - j), and ("v", x) stays.  The search
+also files covers under the preimages of its v1 choices, which it sorts
+in its own coordinates.  The records of one v1 choice, cover (in the
+skeleton's coordinates) and corner pair, the mirror's and the 0 <-> 2
+twin among them, share one verdict cell, which the classifier fills
+when asked.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Callable, Iterable, Optional
 from .decorations import (Decoration, Facts, connectivity_class,
                           decoration_identity, swap02, validate,
                           walk_corner_pairs)
-from .maps import PlaneGraph, freeze, vertex_mapping
+from .maps import PlaneGraph, freeze
 from .predecorations import Predecoration, outer_vertex_occurrences
 
 Choice = tuple[str, int]                       # ("v", vertex) or ("g", slot)
@@ -107,18 +110,18 @@ class _Completer:
     b - 1; ``filed``, the covers found for each v1 choice."""
 
     def __init__(self, p: Predecoration, k: int, rmin: int, rmax: int,
-                 auts: Optional[list[tuple[int, ...]]] = None):
+                 rots: Optional[list[int]] = None):
         self.g = g = p.g
         self.k, self.rmin, self.rmax = k, rmin, rmax
         self.walk = walk = p.walk
         self.m = m = len(walk)
         # orientation-reversing symmetries must not be quotiented out:
-        # they relate mirror completions, which are distinct decorations
-        self.auts = auts = auts if auts is not None else [
-            perm for perm, rev in p.automorphisms() if not rev]
-        self.vmaps = [vertex_mapping(g, perm) for perm in auts]
-        self.pos = pos = {d: i for i, d in enumerate(walk)}
-        self.smaps = [[pos[perm[d]] for d in walk] for perm in auts]
+        # they relate mirror completions, which are distinct decorations;
+        # rotation r moves walk position i to (i + r) % m
+        self.rots = rots if rots is not None else [0] + [
+            r for r, reflect in p.moves() if not reflect]
+        # a walk position of each boundary vertex
+        self.at = {g.org[d]: i for i, d in enumerate(walk)}
         self.col = bipartition(g)
         self.occ = outer_vertex_occurrences(g)
         self.quads = [f for f in range(len(g.faces)) if f != g.outer]
@@ -128,7 +131,7 @@ class _Completer:
                          g.org[walk[(i + 1) % m] ^ 1]) for i in range(m)]
         # each vertex's degree and type (of the first) once the fills are
         # in; the vertices that covers add are numbered from len(vt0)
-        self.deg0 = [2 * g.degree(v) - self.occ.get(v, 0)
+        self.deg0 = [2 * g.deg[v] - self.occ.get(v, 0)
                      for v in range(g.n)] + [4] * len(self.quads)
         self.vt0 = tuple(2 * c for c in self.col) + (1,) * len(self.quads)
         self.cells: dict[tuple, list[int]] = {}   # verdict cells, by key
@@ -145,35 +148,37 @@ class _Completer:
 
     # -- symmetry ----------------------------------------------------------
 
-    def _choice_image(self, choice: Choice, ai: int) -> Choice:
+    def _choice_image(self, choice: Choice, r: int) -> Choice:
         kind, x = choice
         if kind == "v":
-            return ("v", self.vmaps[ai][x])
-        return ("g", self.smaps[ai][x])
+            return ("v", self.g.org[self.walk[(self.at[x] + r) % self.m]])
+        return ("g", (x + r) % self.m)
 
     def v1_choices(self) -> list[Choice]:
         cands: list[Choice] = [("v", v) for v in sorted(self.occ)]
         cands += [("g", i) for i in range(self.m)]
         reps, seen = [], set()
         for c in cands:
-            key = min(self._choice_image(c, ai)
-                      for ai in range(len(self.smaps)))
+            key = min(self._choice_image(c, r) for r in self.rots)
             if key not in seen:
                 seen.add(key)
                 reps.append(c)
         return reps
 
     def mirrored(self) -> _Completer:
-        """The mirror embedding's completer, with the automorphisms and
-        verdict cells here.  Its `pre` and `back` map its v1 choices and
-        slots to those here; `slot` is the inverse of `back`."""
+        """The mirror embedding's completer, with the verdict cells here.
+        Its walk is this one reversed, q[j] = walk[c - j] ^ 1, so rotation
+        r here is -r there.  Its `back` maps its slot j (darts q[j],
+        q[j + 1]) to slot c - 1 - j here, its own inverse, and its `pre`
+        its v1 choice ("g", j) to ("g", c - j) here."""
+        m = self.m
         mirror = _Completer(Predecoration(self.g.mirrored()), self.k,
-                            self.rmin, self.rmax, self.auts)
-        mirror.cells, m, q = self.cells, self.m, mirror.walk
-        mirror.back = [self.pos[q[(j + 1) % m] ^ 1] for j in range(m)]
-        mirror.slot = sorted(range(m), key=mirror.back.__getitem__)
-        mirror.pre = {c: c if c[0] == "v" else ("g", self.pos[q[c[1]] ^ 1])
-                      for c in mirror.v1_choices()}
+                            self.rmin, self.rmax, [-r % m for r in self.rots])
+        mirror.cells = self.cells
+        c = self.walk.index(mirror.walk[0] ^ 1)
+        mirror.back = [(c - 1 - j) % m for j in range(m)]
+        mirror.pre = {x: x if x[0] == "v" else ("g", (c - x[1]) % m)
+                      for x in mirror.v1_choices()}
         return mirror
 
     # -- enumeration ---------------------------------------------------------
@@ -195,14 +200,14 @@ class _Completer:
         takes its verdict cell."""
         before = stats.emitted
         for choice in choices:
-            stab = [ai for ai in range(len(self.smaps))
-                    if self._choice_image(choice, ai) == choice]
+            stab = [r for r in self.rots
+                    if self._choice_image(choice, r) == choice]
             covers_seen = set()
             stats.covers += len(covers[choice])
             for cover in covers[choice]:
                 if len(stab) > 1:
-                    key = min(tuple(sorted(self.smaps[ai][i] for i in cover))
-                              for ai in stab)
+                    key = min(tuple(sorted((i + r) % self.m for i in cover))
+                              for r in stab)
                     if key in covers_seen:
                         continue
                     covers_seen.add(key)
@@ -355,8 +360,7 @@ class _Disk:
                 steps.append(x >> 1)
         self.walk = tuple(verts[start:] + verts[:start])
         self.steps = tuple(steps[start:] + steps[:start])
-        self.pairs = walk_corner_pairs(self.walk, self.vt, deg.__getitem__,
-                                       self.v1)
+        self.pairs = walk_corner_pairs(self.walk, self.vt, deg, self.v1)
 
     @property
     def built(self) -> tuple[PlaneGraph, tuple[int, ...], tuple[int, ...]]:
@@ -477,7 +481,7 @@ def complete(p: Predecoration, k: int = 1, rmin: int = 1,
     count = comp.run(choices, covers, visitor, stats, tally)
     if mirror is not None:
         stats.mirrored += 1
-        reflected = {c: sorted(tuple(sorted(mirror.slot[i] for i in cover))
+        reflected = {c: sorted(tuple(sorted(mirror.back[i] for i in cover))
                                for cover in covers[pc])
                      for c, pc in mirror.pre.items()}
         count += mirror.run(list(mirror.pre), reflected, visitor, stats,
@@ -489,4 +493,4 @@ def complete(p: Predecoration, k: int = 1, rmin: int = 1,
 
 def is_chiral(p: Predecoration) -> bool:
     """True when the predecoration has no orientation-reversing symmetry."""
-    return not any(rev for _, rev in p.automorphisms())
+    return not any(reflect for _, reflect in p.moves())

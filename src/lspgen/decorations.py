@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import classify
 from .maps import (MapError, PlaneGraph, build_from_rotations,
                    canonical_code, canonical_order,
                    vertex_connectivity_capped)
-from .predecorations import Predecoration, outer_vertex_occurrences
+from .predecorations import outer_vertex_occurrences
 
 
 class Facts:
@@ -132,7 +132,7 @@ def validate(g: PlaneGraph, vt, et, v1: int,
     outer_set = set(outer_vertex_occurrences(g))
     if v1 not in outer_set:
         return [f"v1={v1} not on the outer face"]
-    deg = g.degree(v1)
+    deg = g.deg[v1]
     if vt[v1] == 1 and deg != 2:
         problems.append(f"v1 of type 1 must have degree 2, has {deg}")
     if vt[v1] != 1 and deg <= 2:
@@ -143,9 +143,9 @@ def validate(g: PlaneGraph, vt, et, v1: int,
         if v in outer_set:
             if (v0 is None or v2 is None) and vt[v] != 1:
                 continue    # could still become v0 or v2
-            if not _noncorner_ok(vt[v], g.degree(v), outer=True):
+            if not _noncorner_ok(vt[v], g.deg[v], outer=True):
                 problems.append(f"outer vertex {v} violates degree rule")
-        elif not _noncorner_ok(vt[v], g.degree(v), outer=False):
+        elif not _noncorner_ok(vt[v], g.deg[v], outer=False):
             problems.append(f"inner vertex {v} violates degree rule")
     if problems:
         return problems
@@ -163,15 +163,15 @@ def validate(g: PlaneGraph, vt, et, v1: int,
 
 def corner_pairs(g: PlaneGraph, vt, v1: int) -> list[tuple[int, int]]:
     """All valid {v0, v2} assignments for a fixed v1."""
-    return walk_corner_pairs(outer_vertex_occurrences(g), vt, g.degree, v1)
+    return walk_corner_pairs(outer_vertex_occurrences(g), vt, g.deg, v1)
 
 
-def walk_corner_pairs(outer: Iterable[int], vt, degree: Callable[[int], int],
+def walk_corner_pairs(outer: Iterable[int], vt, deg: Sequence[int],
                       v1: int) -> list[tuple[int, int]]:
     """All valid {v0, v2} assignments for a fixed v1, given the outer
     walk's vertices in order, each once, the vertex types and degrees."""
     forced = [v for v in outer
-              if v != v1 and not _noncorner_ok(vt[v], degree(v), outer=True)]
+              if v != v1 and not _noncorner_ok(vt[v], deg[v], outer=True)]
     if len(forced) > 2 or any(vt[v] == 1 for v in forced):
         return []
     cands = [v for v in outer if v != v1 and vt[v] != 1]
@@ -221,36 +221,6 @@ def _identity_labels(d: Decoration) -> tuple[int, ...]:
 def decoration_identity(d: Decoration) -> tuple[int, ...]:
     return canonical_code(d.g, "oriented", vlab=_identity_labels(d),
                           elab=d.et)
-
-
-def type1_subgraph(d: Decoration) -> tuple[Predecoration, dict[int, int]]:
-    """The predecoration of type-1 edges, plus old->new vertex mapping."""
-    g, et = d.g, d.et
-    keep_darts = [dd for dd in range(2 * g.ne) if et[dd >> 1] == 1]
-    verts = sorted({g.org[dd] for dd in keep_darts})
-    vmap = {v: i for i, v in enumerate(verts)}
-    # merge faces across removed edges to find the new outer face
-    parent = list(range(len(g.faces)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in range(g.ne):
-        if et[e] != 1:
-            a, b = find(g.face_of[2 * e]), find(g.face_of[2 * e + 1])
-            if a != b:
-                parent[a] = b
-    outer_class = find(g.outer)
-
-    dart_id = {dd: i for i, dd in enumerate(keep_darts)}
-    rows = [[dart_id[dd] for dd in g.darts_at(v) if et[dd >> 1] == 1]
-            for v in verts]
-    outer_dart = next(dart_id[dd] for dd in keep_darts
-                      if find(g.face_of[dd]) == outer_class)
-    return Predecoration(PlaneGraph(rows, outer_dart)), vmap
 
 
 def canonicalized(d: Decoration) -> Decoration:

@@ -18,15 +18,18 @@ that fails ends its way:
      extension, decided exactly from the parent's outer bridges and
      pendant edges and the walk darts the extension covers (see
      `extensions`);
-  3. equivalent: a non-identity automorphism of the parent, read off the
-     hits of its canonical reading, maps the site onto an earlier one
-     that passed 1-2 (`site_image`), whose child is isomorphic;
+  3. equivalent: a non-identity automorphism of the parent
+     (`Predecoration.moves`) maps the site onto an earlier one that
+     passed 1-2 (`site_image`), whose child is isomorphic;
   4. rejected: the child's smallest reduction number is not the applied
      extension (`scan_reductions` stops at that number);
   5. invalid: the child is not a predecoration (`validate_predecoration`);
   6. rejected: the applied site is not the canonical one among the sites
      of that number (the only check that takes a canonical code; a site
      alone in its number is canonical without its site keys).
+A produced site is refused, and never built, where extension 10 is
+refused at k >= 2 (before 2, see `generate`) or where its applier
+returns None (after 3: the span's vertices are too few or not distinct).
 Completion is skipped (but extension continues) while the upper bound is
 below the target.
 """
@@ -67,13 +70,16 @@ class GenerationTask:
 
 @dataclass
 class GenerationStats:
-    """The funnel of the module docstring, in its order: screened, pruned
-    and equivalent sites are never built, and each built child ends in
-    exactly one of the later stages or is visited, so
-    built = rejected + invalid + visited - 2 (the bases)."""
+    """The funnel of the module docstring: every extension site of a
+    visited skeleton is screened, pruned, refused, equivalent or built,
+    and each built child ends in exactly one of the later stages or is
+    visited, so built = rejected + invalid + visited - 2 (the bases).
+    `equivalent` varies with k: the images of a site refused at k >= 2
+    are refused too."""
     visited: int = 0
     screened: int = 0
     pruned: int = 0
+    refused: int = 0
     equivalent: int = 0
     built: int = 0
     invalid: int = 0
@@ -92,19 +98,6 @@ def _site_keys(g: PlaneGraph, sites: list[tuple[int, ...]],
         index_maps.append(idx)
     return [min(tuple(sorted(idx[d] for d in site)) for idx in index_maps)
             for site in sites]
-
-
-def _walk_moves(g: PlaneGraph, walk: tuple[int, ...]
-                ) -> list[tuple[int, bool]]:
-    """(r, reflect) of each non-identity automorphism of g on its outer
-    walk (see `site_image`), read off the hits of its "full" reading:
-    with the first hit (d0, m0) at a = pos(d0 ^ m0), a hit (d, m) at
-    b = pos(d ^ m) rotates by b - a if m == m0, else reflects by a + b."""
-    _, ((d0, m0), *rest) = canonical_data(g, "full")
-    pos = {d: k for k, d in enumerate(walk)}
-    a = pos[d0 ^ m0]
-    return [(pos[d ^ m] - a, False) if m == m0 else (pos[d ^ m] + a, True)
-            for d, m in rest]
 
 
 def is_canonical_child(child: PlaneGraph, ext_num: int,
@@ -169,7 +162,7 @@ def generate(task: GenerationTask,
             visitor(p)
         walk = p.walk
         kept = kept_reduction(p.g, walk)
-        moves = _walk_moves(p.g, walk)
+        moves = p.moves()
         earlier: set[tuple] = set()     # the sites kept so far
         stats.screened += site_count(p.g, walk)
         for num, _, apply_ext, args in extension_sites(
@@ -177,6 +170,7 @@ def generate(task: GenerationTask,
             stats.screened -= 1     # produced, so not screened
             if num == 10 and (len(walk), task.k) in (
                     (4, 2), (4, 3), (6, 3)):
+                stats.refused += 1
                 continue
             if kept(num, args[0]):
                 stats.pruned += 1
@@ -188,6 +182,7 @@ def generate(task: GenerationTask,
             earlier.add((apply_ext, args))
             result = apply_ext(p.g, walk, *args)
             if result is None:
+                stats.refused += 1
                 continue
             stats.built += 1
             child_g, inv_site = result

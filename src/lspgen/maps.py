@@ -13,7 +13,7 @@ copy of the rows and turns it into a new map with ``freeze``.
 
 The module also provides plantri-style breadth-first canonical codes (with
 optional vertex/edge label channels and an optional outer-face restriction),
-automorphism groups derived from them, and planar_code I/O.  A code is
+with the starts that achieve them, and planar_code I/O.  A code is
 read only from the starts whose first entries are least: at a vertex of
 least label for a labelled code, and with the least first vertex row (for
 a vertex with distinct neighbours, the least degree) for an unlabelled
@@ -159,9 +159,6 @@ class PlaneGraph:
         if self._deg is None:
             self._deg = tuple(map(len, self._vdarts))
         return self._deg
-
-    def degree(self, v: int) -> int:
-        return len(self._vdarts[v])
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self.org[d ^ 1] for d in self._vdarts[v])
@@ -551,32 +548,6 @@ def _dart_map(g: PlaneGraph, ref: tuple[int, bool],
                 entries.append((x ^ 1, y ^ 1))
             x, y = sa[x], sb[y]
     return gamma
-
-
-def automorphisms_flagged(g: PlaneGraph, mode: str = "full",
-                          vlab: Optional[Sequence[int]] = None,
-                          elab: Optional[Sequence[int]] = None
-                          ) -> list[tuple[tuple[int, ...], bool]]:
-    """Automorphisms with their orientation-reversing flag.
-
-    A degenerate map that equals its own mirror can realize the same dart
-    permutation in both orientations; both (perm, flag) pairs are kept
-    because they act differently on edge sides.
-    """
-    _, hits = canonical_data(g, mode, vlab, elab)
-    ref = hits[0]
-    out: dict[tuple[tuple[int, ...], bool], None] = {}
-    for h in hits:
-        out.setdefault((tuple(_dart_map(g, ref, h)), h[1] != ref[1]), None)
-    return list(out)
-
-
-def vertex_mapping(g: PlaneGraph, perm: Sequence[int]) -> list[int]:
-    """The vertex permutation induced by a dart permutation."""
-    out = [-1] * g.n
-    for d in range(2 * g.ne):
-        out[g.org[d]] = g.org[perm[d]]
-    return out
 
 
 def random_relabeling(g: PlaneGraph, rng: random.Random) -> PlaneGraph:

@@ -49,7 +49,7 @@ def _fold(g: PlaneGraph, d1: int, d2: int) -> Optional[PlaneGraph]:
 def _useless(g: PlaneGraph) -> bool:
     """Inner vertices of degree < 4 can never appear in a decoration."""
     on_outer = {g.org[d] for d in g.faces[g.outer]}
-    return any(g.degree(v) < 4 for v in range(g.n) if v not in on_outer)
+    return any(g.deg[v] < 4 for v in range(g.n) if v not in on_outer)
 
 
 def triangulated_disks(r: int) -> list[PlaneGraph]:
@@ -171,7 +171,7 @@ def decorations_brute(r: int) -> dict[tuple, Decoration]:
                 continue
             vt_t = tuple(vt)
             for v1 in outer_vertices:
-                deg = g.degree(v1)
+                deg = g.deg[v1]
                 if (vt_t[v1] == 1 and deg != 2) or (vt_t[v1] != 1 and deg <= 2):
                     continue
                 if validate(g, vt_t, et, v1):

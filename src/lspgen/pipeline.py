@@ -26,13 +26,16 @@ class PipelineResult:
 
 
 def run_pipeline(rate_min: int, rate_max: int, k: int = 1,
-                 on_decoration: Optional[Callable[[Decoration], None]] = None
+                 on_decoration: Optional[Callable[[Decoration], None]] = None,
+                 on_skeleton: Optional[Callable[[Predecoration], None]] = None
                  ) -> PipelineResult:
     """Counts (and optionally streams) all k-connected decorations with
     inflation rate in [rate_min, rate_max].
 
     The per-rate predecoration counts treat chiral skeletons as two
-    (mirror) predecorations, matching the published counting.
+    (mirror) predecorations, matching the published counting, and
+    `on_skeleton` sees each of them, after its decorations, if it has
+    any in the window.
     """
     task = GenerationTask(rate_min, rate_max, k)
     result = PipelineResult(task)
@@ -44,10 +47,14 @@ def run_pipeline(rate_min: int, rate_max: int, k: int = 1,
         tally: dict[int, int] = {}
         complete(p, k, rate_min, rate_max, on_decoration, result.completion,
                  tally)
-        weight = 2 if is_chiral(p) else 1
+        chiral = is_chiral(p)
         for r, n in tally.items():
             result.decorations[r] += n
-            result.predecorations[r] += weight
+            result.predecorations[r] += 2 if chiral else 1
+        if tally and on_skeleton is not None:
+            on_skeleton(p)
+            if chiral:
+                on_skeleton(Predecoration(p.g.mirrored()))
 
     result.stats = generate(task, visitor=visit)
     return result

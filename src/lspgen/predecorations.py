@@ -8,7 +8,7 @@ n_A + n_B + n_C <= 3.
 
 from __future__ import annotations
 
-from .maps import (PlaneGraph, automorphisms_flagged, build_from_rotations,
+from .maps import (PlaneGraph, build_from_rotations, canonical_data,
                    canonical_order)
 
 
@@ -20,19 +20,30 @@ class Predecoration:
     before it is built into one of these).
     """
 
-    __slots__ = ("g", "lo", "hi", "walk", "_automorphisms")
+    __slots__ = ("g", "lo", "hi", "walk", "_moves")
 
     def __init__(self, g: PlaneGraph):
         self.g = g
         self.walk = outer_walk(g)
         self.lo, self.hi = rate_bounds_of(g)
-        self._automorphisms = None
+        self._moves = None
 
-    def automorphisms(self) -> list[tuple[tuple[int, ...], bool]]:
-        """`automorphisms_flagged(g, "full")`, computed once."""
-        if self._automorphisms is None:
-            self._automorphisms = automorphisms_flagged(self.g, "full")
-        return self._automorphisms
+    def moves(self) -> tuple[tuple[int, bool], ...]:
+        """(r, reflect) of each non-identity automorphism, as it moves the
+        outer walk (positions modulo its length): walk[k] goes to
+        walk[k + r], or to walk[r - k] ^ 1 when it reflects.  Read once
+        off the hits of the stored "full" reading: with the first hit
+        (d0, m0) at a = pos(d0 ^ m0), a hit (d, m) at b = pos(d ^ m)
+        rotates by b - a if m == m0, else reflects by a + b."""
+        if self._moves is None:
+            _, ((d0, m0), *rest) = canonical_data(self.g, "full")
+            n = len(self.walk)
+            pos = {d: k for k, d in enumerate(self.walk)}
+            a = pos[d0 ^ m0]
+            self._moves = tuple(((pos[d ^ m] - a) % n, False) if m == m0
+                                else ((pos[d ^ m] + a) % n, True)
+                                for d, m in rest)
+        return self._moves
 
     def __repr__(self) -> str:
         return (f"Predecoration(n={self.g.n}, ne={self.g.ne}, "

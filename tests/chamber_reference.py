@@ -1,7 +1,9 @@
 """Independent references for the tests: chamber systems, the old route
 from a decoration to its result (its union-find gluing is compared with
 the orbit tables of ``lspgen.chambers._glue``), brute-force
-isomorphisms, and the automorphism group of a map and its orbits.
+isomorphisms, and the automorphism group of a map and its orbits (the
+dart permutations that the hits of ``lspgen.maps.canonical_data`` give,
+the reference for ``Predecoration.moves``).
 
 ``lspgen.chambers.apply_decoration`` reads the result of an operation
 straight off the gluing of the chambers.  The reference here takes the
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from lspgen.maps import MapError, PlaneGraph, automorphisms_flagged
+from lspgen.maps import MapError, PlaneGraph, _dart_map, canonical_data
 
 
 class ChamberSystem:
@@ -423,8 +425,8 @@ def isomorphisms_brute(a: PlaneGraph, b: PlaneGraph, mode: str = "full"
     """
     if a.n != b.n or a.ne != b.ne:
         return
-    dega = sorted(a.degree(v) for v in range(a.n))
-    degb = sorted(b.degree(v) for v in range(b.n))
+    dega = sorted(a.deg[v] for v in range(a.n))
+    degb = sorted(b.deg[v] for v in range(b.n))
     if dega != degb:
         return
     mirrors = (False, True) if mode == "full" else (False,)
@@ -453,7 +455,7 @@ def _try_map(a: PlaneGraph, b: PlaneGraph, d0: int, e0: int,
         va, vb = a.org[d], b.org[e]
         if vmap[va] >= 0 and vmap[va] != vb:
             return None
-        if a.degree(va) != b.degree(vb):
+        if a.deg[va] != b.deg[vb]:
             return None
         vmap[va] = vb
         dart_map[d] = e
@@ -463,6 +465,24 @@ def _try_map(a: PlaneGraph, b: PlaneGraph, d0: int, e0: int,
         # disconnected never happens (graphs are connected)
         return None
     return vmap
+
+
+def automorphisms_flagged(g: PlaneGraph, mode: str = "full",
+                          vlab: Optional[Sequence[int]] = None,
+                          elab: Optional[Sequence[int]] = None
+                          ) -> list[tuple[tuple[int, ...], bool]]:
+    """Automorphisms with their orientation-reversing flag.
+
+    A degenerate map that equals its own mirror can realize the same dart
+    permutation in both orientations; both (perm, flag) pairs are kept
+    because they act differently on edge sides.
+    """
+    _, hits = canonical_data(g, mode, vlab, elab)
+    ref = hits[0]
+    out: dict[tuple[tuple[int, ...], bool], None] = {}
+    for h in hits:
+        out.setdefault((tuple(_dart_map(g, ref, h)), h[1] != ref[1]), None)
+    return list(out)
 
 
 def automorphisms(g: PlaneGraph, mode: str = "full",

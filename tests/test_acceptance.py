@@ -15,12 +15,13 @@ import pytest
 
 from chamber_reference import (automorphism_orbits, decorate_chambers,
                                extract_original)
+from type1_reference import type1_subgraph
 from lspgen.catalog import lookup, seed
 from lspgen.chambers import apply_decoration
 from lspgen.classify import connectivity_class_of
 from lspgen.complete import complete, is_chiral
 from lspgen.decorations import (Decoration, decoration_identity, mirror,
-                                swap02, type1_subgraph)
+                                swap02)
 from lspgen.generate import GenerationTask, generate
 from lspgen.maps import (build_from_rotations, canonical_code,
                          vertex_connectivity_capped)
@@ -266,8 +267,9 @@ def _oracle_predecoration_column(rmax):
 def test_criterion2_pins_match_oracle():
     """The pins agree with the suite's own counting applied to the oracle.
 
-    This is a check of internal consistency: it shares the counting,
-    `type1_subgraph` and `canonical_code` with the pipeline.  Whether the
+    This is a check of internal consistency: it shares the counting and
+    `canonical_code` with the pipeline, and reads each skeleton back with
+    the tests' `type1_subgraph`, not with the generator.  Whether the
     published column (arXiv:1908.11622) counts the same way is not
     verified; the paper's table is not in this repository.
     """

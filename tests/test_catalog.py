@@ -78,9 +78,9 @@ def test_classical_results_on_cube():
     z = apply_decoration(cube, lookup("zip"))
     assert max(len(f) for f in z.faces) == 6         # truncated octahedron
     kis = apply_decoration(cube, lookup("kiss"))
-    assert max(kis.degree(v) for v in range(kis.n)) == 6
+    assert max(kis.deg[v] for v in range(kis.n)) == 6
     nee = apply_decoration(cube, lookup("needle"))
-    assert max(nee.degree(v) for v in range(nee.n)) == 8
+    assert max(nee.deg[v] for v in range(nee.n)) == 8
 
 
 def test_catalog_appears_in_generator_output():

@@ -4,13 +4,15 @@ import types
 
 import pytest
 
+from chamber_reference import automorphisms_flagged
+from type1_reference import type1_subgraph
 from lspgen import complete as complete_module
 from lspgen import predecorations
 from lspgen.classify import (_corner_axis_branch, _face_twice,
                              connectivity_class_of)
 from lspgen.complete import _Completer, complete, is_chiral
 from lspgen.decorations import (Decoration, corner_pairs,
-                                decoration_identity, type1_subgraph, validate)
+                                decoration_identity, validate)
 from lspgen.generate import GenerationTask, base_c4, base_k2, generate
 from lspgen.maps import build_from_rotations, canonical_code
 from lspgen.pipeline import run_pipeline
@@ -135,9 +137,9 @@ def test_inner_vertices_have_even_degree():
             on_outer = {g.org[x] for x in g.faces[g.outer]}
             for v in range(g.n):
                 if v not in on_outer:
-                    assert g.degree(v) % 2 == 0
+                    assert g.deg[v] % 2 == 0
                     if d.vt[v] == 1:
-                        assert g.degree(v) == 4
+                        assert g.deg[v] == 4
 
 
 def decorations_from_state(p: Predecoration, v1_choice,
@@ -216,8 +218,8 @@ def _reference_screen(comp, choice, cover):
     v1 = choice[1] if choice[0] == "v" else None
     corners = 0
     for v, cnt in outer_vertex_occurrences(g).items():
-        fills = g.degree(v) - cnt
-        deg = g.degree(v) + fills + added[v]
+        fills = g.deg[v] - cnt
+        deg = g.deg[v] + fills + added[v]
         if cnt - mid_cut[v] > 1:
             return False
         if cnt == mid_cut[v]:
@@ -329,16 +331,59 @@ def test_completion_leaves_no_cyclic_functions():
 
 
 def test_chirality_is_computed_once_per_skeleton(monkeypatch):
+    # `Predecoration.moves` reads the stored canonical hits once; the
+    # mirror completer takes the skeleton's rotations, not its own moves
     calls = []
-    real = predecorations.automorphisms_flagged
-    monkeypatch.setattr(predecorations, "automorphisms_flagged",
+    real = predecorations.canonical_data
+    monkeypatch.setattr(predecorations, "canonical_data",
                         lambda *a: calls.append(a) or real(*a))
     p = _pre({1: [5, 7], 2: [7, 3, 6], 3: [2, 4], 4: [3, 7],
               5: [1], 6: [2], 7: [1, 4, 2]})
     assert isinstance(complete(p, 1, 10, 10), int)
     assert is_chiral(p)
-    # the mirror completer takes the skeleton's automorphisms
     assert len(calls) == 1
+
+
+def _check_choice_images(comp, perms):
+    """The completer's rotations and v1 choice images, read by arithmetic
+    on its walk, against the dart permutations: rotation r is
+    pos[perm[walk[0]]], ("g", i) goes to pos[perm[walk[i]]] and ("v", x)
+    to the origin of perm[d] for a dart d at x."""
+    walk, org = comp.walk, comp.g.org
+    pos = {d: i for i, d in enumerate(walk)}
+    rots = [pos[perm[walk[0]]] for perm in perms]
+    assert sorted(comp.rots) == sorted(rots)
+    for r, perm in zip(rots, perms):
+        for i, d in enumerate(walk):
+            assert comp._choice_image(("g", i), r) == ("g", pos[perm[d]])
+            assert comp._choice_image(("v", org[d]), r) == \
+                ("v", org[perm[d]])
+
+
+def test_rotations_and_mirror_slots_match_the_dart_lookups():
+    """Every completer up to rate 14, and the mirror completer of each
+    chiral skeleton, against the orientation-preserving dart permutations
+    of the reference `automorphisms_flagged`, and the mirror's slots and
+    "g" choices against dart lookups: its slot j is
+    pos[q[(j + 1) % m] ^ 1] here, its ("g", j) is ("g", pos[q[j] ^ 1])."""
+    skeletons = []
+    generate(GenerationTask(1, 14, 1), visitor=skeletons.append)
+    mirrors = 0
+    for p in skeletons:
+        perms = [perm for perm, reflect in automorphisms_flagged(p.g, "full")
+                 if not reflect]
+        comp = _Completer(p, 1, 1, 14)
+        _check_choice_images(comp, perms)
+        if not is_chiral(p):
+            continue
+        mirror, m = comp.mirrored(), comp.m
+        _check_choice_images(mirror, perms)
+        pos, q = {d: i for i, d in enumerate(comp.walk)}, mirror.walk
+        assert mirror.back == [pos[q[(j + 1) % m] ^ 1] for j in range(m)]
+        assert mirror.pre == {c: c if c[0] == "v" else ("g", pos[q[c[1]] ^ 1])
+                              for c in mirror.v1_choices()}
+        mirrors += 1
+    assert (len(skeletons), mirrors) == (165, 84)
 
 
 # -- the mirror embedding, completed from the skeleton's search ---------------

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from type1_reference import type1_subgraph
 from lspgen.catalog import lookup
 from lspgen.cli import main
 from lspgen.complete import complete
 from lspgen.decorations import (DecoFormatError, Decoration, canonicalized,
                                 connectivity_class, corner_pairs,
                                 decoration_identity, mirror, read_deco,
-                                swap02, type1_subgraph, validate, write_deco)
+                                swap02, validate, write_deco)
 from lspgen.generate import GenerationTask, generate
 from lspgen.oracle import decorations_brute
 from lspgen.pipeline import run_pipeline
@@ -149,7 +150,7 @@ def test_type1_subgraph_of_identity_is_k2():
 def test_type1_subgraph_of_ambo_is_path():
     p, _ = type1_subgraph(lookup("ambo"))
     assert (p.g.n, p.g.ne) == (3, 2)
-    assert sorted(p.g.degree(v) for v in range(3)) == [1, 1, 2]
+    assert sorted(p.g.deg[v] for v in range(3)) == [1, 1, 2]
 
 
 def test_type1_subgraph_round_trip_via_completion():

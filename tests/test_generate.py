@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from chamber_reference import automorphisms_flagged
 import lspgen.generate as genmod
 from lspgen.extensions import (REDUCTIONS, extension_sites, kept_reduction,
                                scan_reductions, site_count, site_image)
 from lspgen.generate import (GenerationStats, GenerationTask, _site_keys,
-                             _walk_moves, base_c4, base_k2, canonical_parent,
-                             generate, is_canonical_child)
+                             base_c4, base_k2, canonical_parent, generate,
+                             is_canonical_child)
 from lspgen.maps import (build_from_rotations, canonical_code, canonical_data,
                          read_planar_code)
 from lspgen.predecorations import (Predecoration, outer_walk,
@@ -169,27 +170,66 @@ def test_extension_steps_are_exact():
 
 
 def _funnel(stats):
-    return (stats.visited, stats.screened, stats.pruned, stats.equivalent,
-            stats.built, stats.invalid, stats.rejected)
+    return (stats.visited, stats.screened, stats.pruned, stats.refused,
+            stats.equivalent, stats.built, stats.invalid, stats.rejected)
+
+
+def _sites_and_stages(seen, stats):
+    """The number of extension sites of the visited skeletons, and the
+    sum of the five site stages (screened, pruned, refused, equivalent,
+    built): equal when every site ends in exactly one of them."""
+    assert len(seen) == stats.visited
+    return (sum(site_count(p.g, p.walk) for p in seen),
+            stats.screened + stats.pruned + stats.refused
+            + stats.equivalent + stats.built)
 
 
 def test_funnel_counters():
     # 16,598 built before the rate screen; 2,498 before the parent-side
     # prune, 1,059 when it asked a parent's reduction 1 or 2 site to keep
     # both ends off the rewired positions; 576 before the equivalent
-    # sites were skipped
-    stats = _skeletons(14)[1]
-    assert _funnel(stats) == (165, 14800, 2211, 219, 376, 24, 189)
+    # sites were skipped; at k=1 a site is refused only when its applier
+    # builds nothing
+    seen, stats = _skeletons(14)
+    assert _funnel(stats) == (165, 14800, 2211, 26, 219, 376, 24, 189)
     # every built child ends in exactly one funnel stage; the two bases
     # are visited without being built
     assert stats.built == stats.invalid + stats.rejected + stats.visited - 2
+    assert _sites_and_stages(seen, stats) == (17632, 17632)
+
+
+def _refused_and_equivalent(rmax, k):
+    seen = []
+    stats = generate(GenerationTask(1, rmax, k), visitor=seen.append)
+    sites, stages = _sites_and_stages(seen, stats)
+    assert sites == stages
+    return sites, stats.refused, stats.equivalent
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_every_site_ends_in_one_stage_at_k(k):
+    # extension 10 is refused at k >= 2, so a refused site's images are
+    # refused, not equivalent, and `equivalent` falls with k
+    assert _refused_and_equivalent(14, k) == {2: (17632, 32, 213),
+                                              3: (17632, 54, 206)}[k]
+
+
+@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                    reason="set LSPGEN_STRETCH=1 for the rate-18 check")
+@pytest.mark.parametrize("k", [2, 3])
+def test_every_site_ends_in_one_stage_at_k_to_rate_18(k):
+    assert _refused_and_equivalent(18, k) == {2: (163596, 124, 721),
+                                              3: (163596, 152, 709)}[k]
 
 
 def test_funnel_counters_to_rate_18():
     # the screened sites are never produced (140,908 of 163,596), but
     # counted exactly; 3,930 built before the equivalent sites were skipped
-    stats = generate(GenerationTask(1, 18, 1))
-    assert _funnel(stats) == (1237, 140908, 18604, 727, 3239, 376, 1628)
+    seen = []
+    stats = generate(GenerationTask(1, 18, 1), visitor=seen.append)
+    assert _funnel(stats) == (1237, 140908, 18604, 118, 727, 3239, 376,
+                              1628)
+    assert _sites_and_stages(seen, stats) == (163596, 163596)
 
 
 def test_bulk_screen_produces_exactly_the_sites_within_the_limit():
@@ -204,8 +244,9 @@ def test_bulk_screen_produces_exactly_the_sites_within_the_limit():
 def test_one_site_children_skip_the_site_keys(monkeypatch):
     # a child whose applied reduction number has one site, the applied
     # one, is accepted without its site keys: 55 of the 285 children to
-    # rate 14 that reach that stage; each of the 165 visited skeletons
-    # also asks for its stored reading, for its automorphisms
+    # rate 14 that reach that stage; a skeleton's moves are read in
+    # lspgen.predecorations, so they call nothing counted here
+    expected = _funnel(_skeletons(14)[1])   # generated before counting
     counts = Counter()
 
     def counted(name):
@@ -218,9 +259,8 @@ def test_one_site_children_skip_the_site_keys(monkeypatch):
 
     counted("canonical_data")
     counted("_site_keys")
-    assert _funnel(generate(GenerationTask(1, 14, 1))) == \
-        _funnel(_skeletons(14)[1])
-    assert counts == {"canonical_data": 285 + 165, "_site_keys": 230}
+    assert _funnel(generate(GenerationTask(1, 14, 1))) == expected
+    assert counts == {"canonical_data": 285, "_site_keys": 230}
 
 
 def _pruned_sites(rmax):
@@ -399,14 +439,14 @@ def test_visited_skeletons_are_pairwise_non_isomorphic_to_rate_22():
 
 
 def _moves_of_automorphisms(p):
-    """(r, reflect) of each non-identity automorphism in
-    `p.automorphisms()`, checked against its dart permutation on every
+    """(r, reflect) of each non-identity automorphism of the reference
+    `automorphisms_flagged`, checked against its dart permutation on every
     outer walk position: walk[k] goes to walk[k + r], or to
     walk[r - k] ^ 1 when it reverses orientation."""
     walk, m = p.walk, len(p.walk)
     pos = {d: k for k, d in enumerate(walk)}
     moves = []
-    for perm, reflect in p.automorphisms():
+    for perm, reflect in automorphisms_flagged(p.g, "full"):
         if reflect:
             r = pos[perm[walk[0]] ^ 1]
             assert all(perm[walk[k]] == walk[(r - k) % m] ^ 1
@@ -425,15 +465,15 @@ def _child_code(p, applier, args):
 
 
 def _site_images(rmax):
-    """Checks, for every skeleton up to rmax, that the moves generate
-    reads off the canonical hits are those of its automorphisms, and
-    that each move maps every site to a produced site whose child is
-    isomorphic (or to one that builds nothing, as the site does).
-    Returns the number of (site, non-identity automorphism) pairs."""
+    """Checks, for every skeleton up to rmax, that `p.moves()`, read off
+    the canonical hits, are the moves of its automorphisms' dart
+    permutations, and that each move maps every site to a produced site
+    whose child is isomorphic (or to one that builds nothing, as the site
+    does).  Returns the number of (site, non-identity automorphism)
+    pairs."""
     pairs = 0
     for p in _skeletons(rmax)[0]:
-        moves = [(r % len(p.walk), reflect)
-                 for r, reflect in _walk_moves(p.g, p.walk)]
+        moves = p.moves()
         assert sorted(moves) == sorted(_moves_of_automorphisms(p))
         if not moves:
             continue

@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chamber_reference import (automorphism_orbits, automorphisms,
-                               isomorphisms_brute)
+                               automorphisms_flagged, isomorphisms_brute)
 from lspgen import maps
 from lspgen.catalog import OPERATION_NAMES, SEED_NAMES, lookup, seed
 from lspgen.chambers import apply_decoration
 from lspgen.complete import complete
 from lspgen.decorations import _identity_labels
 from lspgen.generate import GenerationTask, generate
-from lspgen.maps import (MapError, PlaneGraph, automorphisms_flagged,
-                         build_from_rotations, freeze,
+from lspgen.maps import (MapError, PlaneGraph, build_from_rotations, freeze,
                          canonical_code, canonical_data, read_planar_code,
                          random_relabeling, to_rotations,
                          vertex_connectivity_capped, write_planar_code)
@@ -151,7 +150,7 @@ def test_path_orbits():
     orbits, order = automorphism_orbits(g, "full")
     assert order == 2
     end_darts = {d for d in range(2 * g.ne)
-                 if g.degree(g.org[d]) == 1 or g.degree(g.org[d ^ 1]) == 1}
+                 if g.deg[g.org[d]] == 1 or g.deg[g.org[d ^ 1]] == 1}
     assert end_darts == set(range(4))
     assert len(orbits) == 2
 

@@ -98,9 +98,9 @@ def test_counters_brute_recomputation():
     def brute(g):
         n_a = n_b = 0
         for v in range(g.n):
-            if g.degree(v) == 1:
+            if g.deg[v] == 1:
                 w = g.org[g.darts_at(v)[0] ^ 1]
-                if g.degree(w) == 2:
+                if g.deg[w] == 2:
                     n_a += 1
                 else:
                     n_b += 1
@@ -109,7 +109,7 @@ def test_counters_brute_recomputation():
             if f == g.outer:
                 continue
             vs = [g.org[d] for d in g.faces[f]]
-            if sum(1 for v in vs if g.degree(v) == 2) >= 3:
+            if sum(1 for v in vs if g.deg[v] == 2) >= 3:
                 n_c += 1
         return n_a, n_b, n_c
 
