@@ -24,6 +24,25 @@ only for a sink that reads the graph: a visitor (identity codes, .deco
 or planar_code output) or the class-2/3 gluing at cap 3.  Each disk's
 map is built once, the same dart for dart whichever sink asks.
 
+Before it enters a branch, and before each slot it leaves empty, the
+search asks a per-skeleton bound (`_bounds`) for the least number of
+corners that the boundary vertices still open there must end with,
+whatever the later slots take, and gives the branch up when the forced
+corners and the bound exceed what it allows.  The bound is a backward
+pass over the slots (one with slot 0 free, one with it taken) whose
+state is what the slots before slot s add to walk vertices s and s + 1:
+nothing, an edge at s, or a degree-3 vertex at s - 1 that cuts s off
+and takes slot s; with and without a new v1 still to place, which then
+counts as a corner.  It only relaxes the search, so it never gives up
+a branch that files a cover: a vertex repeated on the outer walk counts
+no corner, walk vertices 0 and 1 (which take edges from both ends of
+the search) get the most that slots 0 and 1 can add, and the pass
+ignores the rate, placing as many vertices as it likes.  Two checks
+cover the repeated vertices: each must have all its occurrences but at
+most one cut off, by one degree-3 vertex each, so the cuts still
+needed must fit in the rate window, and each must keep enough slots
+that can cut it off (`_stuck`).  The rate window stays with `_grow`.
+
 The symmetry is the skeleton's rotations of its outer walk
 (`Predecoration.moves`), each a shift r of walk positions.  A chiral
 skeleton has no reflection, and its mirror embedding is completed from
@@ -78,27 +97,30 @@ class CompletionStats:
     completed from one, covers filed (over the v1 choices) and made into
     records (`built`, after the stabilizer dedup), decorations counted
     (`emitted`), verdicts computed (at k >= 2 only, one per cell, capped
-    at k)."""
+    at k); and the searches' nodes entered (`grown`) and children their
+    bound refused (`cut`)."""
     searches: int = 0
     mirrored: int = 0
     covers: int = 0
     built: int = 0
     emitted: int = 0
     classified: int = 0
+    grown: int = 0
+    cut: int = 0
 
 
 def _corner_demand(deg: int, left: int, is_v1: bool = False) -> int:
     """The corners besides v1 that a screened boundary vertex of degree
     `deg`, with `left` outer-walk occurrences not cut off, must be: one
-    if its degree is <= 3; 3 (more than there are) if it is left twice
-    on the outer walk (a cut vertex), if it is cut off with degree <= 4
-    or as v1, or if it is v1 of degree <= 2."""
+    if its degree is <= 3; 4 (more than any branch allows) if it is left
+    twice on the outer walk (a cut vertex), if it is cut off with degree
+    <= 4 or as v1, or if it is v1 of degree <= 2."""
     if left > 1:
-        return 3
+        return 4
     if left == 0:
-        return 3 if deg <= 4 or is_v1 else 0
+        return 4 if deg <= 4 or is_v1 else 0
     if is_v1:
-        return 3 if deg <= 2 else 0
+        return 4 if deg <= 2 else 0
     return 1 if deg <= 3 else 0
 
 
@@ -256,14 +278,103 @@ class _Completer:
                 for v in t[:3 if self.ok[i] else 2 * self.gslot[i]]}
         self.closing = closing = [[v for v in occ if last.get(v, -1) + 1 == b]
                                   for b in range(m + 2)]
+        self.bounds = self._bounds(last)
+        self.stuck = self._stuck(last)
         self.filed = {c: [] for c in choices}
-        self._grow(0, (), self._demand(closing[0]), self._demand(occ), None)
+        self.grown = self.cut = 0
+        self._grow(0, (), self._demand(closing[0]), self._demand(occ), None,
+                   sum(n - 1 for n in occ.values()))
         return {c: sorted(found) for c, found in self.filed.items()}
 
+    def _bounds(self, last: dict[int, int]) -> tuple[tuple[list, list], ...]:
+        """For each slot c, lower bounds on the corners that the boundary
+        vertices still open at c must end with, whatever the slots from c
+        on take: `bound` when the last placement ended at slot c - 1 and
+        gave walk vertex c one edge, `skip` when slot c - 1 is left empty.
+        Each is a pair (v1 placed, v1 open); a new v1 counts as a corner
+        in the second.  One backward pass over the slots with slot 0
+        free, one with slot 0 taken; the state at slot s is what the
+        slots before s add to walk vertices s and s + 1: nothing, one
+        edge at s, or a degree-3 vertex at s - 1 (s cut off, one edge at
+        s + 1, slot s taken)."""
+        m, org, occ, deg0 = self.m, self.g.org, self.occ, self.deg0
+        ok, gslot = self.ok, self.gslot
+        walk = [org[d] for d in self.walk]
+        ends = [last.get(v, -1) for v in walk]
+        # walk vertex p's demand with 0, 1 or 2 edges added, or cut off;
+        # nothing for a vertex the pass leaves out: a repeated one, or one
+        # closed before the slots next to it (for 0 and 1: before m - 1)
+        terms = []
+        for p, v in enumerate(walk):
+            x, shut = deg0[v], ends[p] < (p - 1 if p > 1 else m - 1)
+            terms.append((0, 0, 0, 0) if occ[v] > 1 or shut
+                         else (x < 4, x < 3, x < 2, 4 * (x < 4)))
+        # walk vertices 0 and 1 take edges from both ends of the search:
+        # the pass starts, in each of its states at slot m, from the most
+        # that slots 0 and 1 can add to them.  With slot 0 free, slot 1
+        # may add an edge at 1; taken, slot 0 holds a degree-3 vertex
+        # (cutting 1 off) or a new v1 (an edge at 1, and slot 1 may add
+        # one), and either adds an edge at 0.
+        w0, w1 = terms[0], terms[1]
+        add = int(ok[1] or gslot[1])
+        free = (w0[0] + w1[add], w0[1] + w1[add], w0[3] + w1[add + 1])
+        one = min([w1[3]] * ok[0] + [w1[1 + ok[1]]] * gslot[0], default=0)
+        taken = (w0[1] + one, w0[2] + one, 0)
+        tables = []
+        # with slot 0 taken, slot m - 1 cannot hold a degree-3 vertex
+        for (e0, e1, ec), wraps in ((free, True), (taken, False)):
+            if m < 4:
+                e0 = e1 = ec = 0
+            bound = [(0, 0)] * (m + 2)
+            skip = bound[:]
+            s0p = s0o = e0      # the states' values at slot c + 1
+            s1p = s1o = e1
+            scp = sco = ec
+            for c in range(m - 1, -1, -1):
+                t0, t1, t2, tc = terms[c] if c > 1 else (0, 0, 0, 0)
+                p0, o0, p1, o1 = t0 + s0p, t0 + s0o, t1 + s0p, t1 + s0o
+                if ok[c] and (wraps or c < m - 1):
+                    p0 = p0 if p0 < t1 + scp else t1 + scp
+                    o0 = o0 if o0 < t1 + sco else t1 + sco
+                    p1 = p1 if p1 < t2 + scp else t2 + scp
+                    o1 = o1 if o1 < t2 + sco else t2 + sco
+                if gslot[c]:
+                    o0 = o0 if o0 < t1 + 1 + s1p else t1 + 1 + s1p
+                    o1 = o1 if o1 < t2 + 1 + s1p else t2 + 1 + s1p
+                if ends[c] >= c:
+                    bound[c], skip[c] = (p1, o1), (p0, o0)
+                else:   # no slot from c on touches it: closed, and counted
+                    bound[c] = skip[c] = (s0p, s0o)
+                scp, sco = tc + s1p, tc + s1o
+                s0p, s0o, s1p, s1o = p0, o0, p1, o1
+            tables.append((bound, skip))
+        return tuple(tables)
+
+    def _stuck(self, last: dict[int, int]) -> tuple[list[list], list[list]]:
+        """For each slot c, the vertices still open at c that the slots
+        from c on might leave twice on the outer walk, each with one more
+        than the number of those slots that can cut it off: with slot 0
+        free, and with slot 0 taken (no degree-3 vertex at slot m - 1)."""
+        m, ok, triples = self.m, self.ok, self.triples
+        tables = [[] for _ in range(m + 2)], [[] for _ in range(m + 2)]
+        for v, n in self.occ.items():
+            if n == 1:
+                continue
+            cuts = [s for s in range(m) if ok[s] and triples[s][1] == v]
+            for table, k in zip(tables, (len(cuts),
+                                         len(cuts) - (m - 1 in cuts))):
+                for c in range(last.get(v, -1) + 1):
+                    k -= c - 1 in cuts
+                    if k < n - 1:
+                        table[c].append((v, k + 1))
+        return tables
+
     def _grow(self, i: int, chosen: tuple[int, ...], forced: int,
-              total: int, gs: Optional[int]) -> None:
+              total: int, gs: Optional[int], need: int) -> None:
         # the vertices closed before slot i force `forced` corners, all
-        # boundary vertices `total`; gs is the slot of a new v1, if placed
+        # boundary vertices `total`; gs is the slot of a new v1, if placed;
+        # `need` more degree-3 vertices must cut off repeated vertices
+        self.grown += 1
         m, closing, deg, left = self.m, self.closing, self.deg, self.left
         rate = 4 * len(self.quads) + 2 * len(chosen) + (gs is not None)
         if rate + (m - i + 1) // 2 * 2 + 1 < self.rmin:
@@ -276,35 +387,62 @@ class _Completer:
                     if (total + _corner_demand(deg[x], left[x], True)
                             - _corner_demand(deg[x], left[x]) <= 2):
                         self.filed[("v", x)].append(chosen)
-        if rate + 1 + (gs is not None) > self.rmax:
+        room = (self.rmax - rate) // 2      # degree-3 vertices still allowed
+        if need > room or rate + 1 + (gs is not None) > self.rmax:
             return
         cover, cut = rate + 2 <= self.rmax, 3 if gs is None else 2
+        new_v1 = gs is None and need <= (self.rmax - rate - 1) // 2
         ok, gslot, cd = self.ok, self.gslot, _corner_demand
+        taken = 0 in chosen[:1] or gs == 0
+        (bound, skip), stuck = self.bounds[taken], self.stuck[taken]
+        open_ = int(gs is None)
         for j in range(i, m):
-            if j > i and closing[j]:
-                forced += self._demand(closing[j])
-                if forced > cut:
+            if j > i:
+                for x in closing[j]:
+                    forced += cd(deg[x], left[x])
+                # nothing this node can still reach files a cover
+                if forced + skip[j][open_] > cut or stuck[j] and any(
+                        left[x] > k for x, k in stuck[j]):
                     return
-            # slot j is free; either placement there adds an edge at u and v
+            v1 = new_v1 and gslot[j] and forced <= 2
+            # a degree-3 vertex at the last slot also takes slot 0
+            tri = cover and ok[j] and (j + 1 < m or 0 not in chosen[:1]
+                                       and gs != 0)
+            if not (v1 or tri):
+                continue
+            b = bound if j else self.bounds[True][0]     # slot 0 taken now
+            # either placement at slot j adds an edge at u and v
             u, v, w = self.triples[j]
-            t = total - cd(deg[u], left[u]) - cd(deg[v], left[v])
+            du, dv = cd(deg[u], left[u]), cd(deg[v], left[v])
             deg[u] += 1
             deg[v] += 1
-            t += cd(deg[u], left[u]) + cd(deg[v], left[v])
-            if gs is None and gslot[j] and forced <= 2:
-                f = forced + self._demand(closing[j + 1])
-                if f <= 2:
-                    self._grow(j + 1, chosen, f, t, j)
-            # a degree-3 vertex at the last slot also takes slot 0
-            if cover and ok[j] and (j + 1 < m or 0 not in chosen[:1]
-                                    and gs != 0):
-                t -= cd(deg[v], left[v]) + cd(deg[w], left[w])
+            if v1:
+                f = forced
+                for x in closing[j + 1]:
+                    f += cd(deg[x], left[x])
+                if f + b[j + 1][0] > 2 or stuck[j + 1] and any(
+                        left[x] > k for x, k in stuck[j + 1]):
+                    self.cut += 1
+                else:
+                    t = (total - du - dv + cd(deg[u], left[u])
+                         + cd(deg[v], left[v]))
+                    self._grow(j + 1, chosen, f, t, j, need)
+            if tri:
+                dw = cd(deg[w], left[w])
                 deg[w] += 1
+                n = need - (left[v] > 1)
                 left[v] -= 1
-                f = forced + self._demand(closing[j + 1] + closing[j + 2])
-                if f <= cut:
-                    t += cd(deg[v], left[v]) + cd(deg[w], left[w])
-                    self._grow(j + 2, chosen + (j,), f, t, gs)
+                f = forced
+                for x in closing[j + 1] + closing[j + 2]:
+                    f += cd(deg[x], left[x])
+                if (f + b[j + 2][open_] > cut or n >= room
+                        or stuck[j + 2] and any(
+                            left[x] > k for x, k in stuck[j + 2])):
+                    self.cut += 1
+                else:
+                    t = (total - du - dv - dw + cd(deg[u], left[u])
+                         + cd(deg[v], left[v]) + cd(deg[w], left[w]))
+                    self._grow(j + 2, chosen + (j,), f, t, gs, n)
                 left[v] += 1
                 deg[w] -= 1
             deg[u] -= 1
@@ -478,6 +616,8 @@ def complete(p: Predecoration, k: int = 1, rmin: int = 1,
     pre = mirror.pre.values() if mirror else ()
     covers = comp._covers(choices + [c for c in pre if c not in choices])
     stats.searches += 1
+    stats.grown += comp.grown
+    stats.cut += comp.cut
     count = comp.run(choices, covers, visitor, stats, tally)
     if mirror is not None:
         stats.mirrored += 1

@@ -623,13 +623,24 @@ def vertex_connectivity_capped(g: PlaneGraph, cap: int = 3) -> int:
 
 
 def write_planar_code(graphs: Iterable[PlaneGraph], header: bool = True) -> bytes:
-    """Encodes graphs in planar_code (unsigned bytes, ccw rotations)."""
+    """Encodes graphs in planar_code (unsigned bytes, ccw rotations).  A
+    graph whose parallel edges `read_planar_code` cannot pair back (see
+    `build_from_rotations`) raises MapError."""
     out = bytearray()
     if header:
         out += PLANAR_CODE_HEADER
     for g in graphs:
         if g.n > 255:
             raise MapError("planar_code supports at most 255 vertices")
+        ends = set(zip(g.org[::2], g.org[1::2]))
+        ends.update(zip(g.org[1::2], g.org[::2]))
+        if len(ends) < 2 * g.ne:    # parallel edges: pair them as a reader
+            try:
+                _paired([[g.org[d ^ 1] for d in g.darts_at(v)]
+                         for v in range(g.n)])
+            except MapError as exc:
+                raise MapError(f"planar_code cannot be read back: {exc}"
+                               ) from None
         out.append(g.n)
         for v in range(g.n):
             for d in g.darts_at(v):

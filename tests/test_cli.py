@@ -227,10 +227,11 @@ def test_stats_line_on_stderr_leaves_stdout_alone(capsys):
 def test_stats_funnel_of_the_k2_count(capsys):
     # one cover search per skeleton, the mirror embedding of each of the
     # 84 chiral ones completed from it; 400 of the mirrors' 404 verdicts
-    # come from the skeleton side
+    # come from the skeleton side; the searches enter 2,504 nodes (the
+    # unbounded search 15,254) and their bound refuses 2,487 children
     assert main(["generate", "--rate", "1-14", "-k", "2", "--count",
                  "--stats"]) == 0
     result = json.loads(capsys.readouterr().err)
     assert result["completion"] == {
         "searches": 165, "mirrored": 84, "covers": 1214, "built": 1209,
-        "emitted": 3130, "classified": 1180}
+        "emitted": 3130, "classified": 1180, "grown": 2504, "cut": 2487}

@@ -5,6 +5,7 @@ import types
 import pytest
 
 from chamber_reference import automorphisms_flagged
+from cover_reference import ReferenceSearch
 from type1_reference import type1_subgraph
 from lspgen import complete as complete_module
 from lspgen import predecorations
@@ -301,6 +302,48 @@ def test_cover_search_equals_full_validator():
             assert got[choice] == want
             checked += len(want)
     assert checked > 400
+
+
+# -- the bounded cover search against the unbounded one --------------------
+
+def _check_bound_against_reference(monkeypatch, rmax, k):
+    """Completes every skeleton up to rmax at k.  Each cover search must
+    file exactly the covers of the unbounded reference search, list by
+    list in the same depth-first order; returns the nodes the bounded
+    searches entered, the covers they filed, and the completion funnel."""
+    counts = {"grown": 0, "filed": 0}
+    search = _Completer._covers
+
+    def checked(self, choices):
+        covers = search(self, choices)
+        assert self.filed == ReferenceSearch(self, choices).filed
+        counts["grown"] += self.grown
+        counts["filed"] += sum(map(len, covers.values()))
+        return covers
+
+    monkeypatch.setattr(_Completer, "_covers", checked)
+    funnel = run_pipeline(1, rmax, k).completion
+    assert funnel.grown == counts["grown"]
+    return counts["grown"], counts["filed"], funnel
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_bounded_search_files_the_reference_covers(monkeypatch, k):
+    # the unbounded search enters 15,254 nodes for these 907 covers
+    grown, filed, _ = _check_bound_against_reference(monkeypatch, 14, k)
+    assert filed == 907
+    assert grown <= 3 * filed
+
+
+@pytest.mark.skipif(not os.environ.get("LSPGEN_STRETCH"),
+                    reason="set LSPGEN_STRETCH=1 for rates 15-17")
+def test_bounded_search_files_the_reference_covers_stretch(monkeypatch):
+    # the unbounded search enters 59,973 nodes, 11.8 per cover of the
+    # funnel (5,066: a chiral skeleton's covers count again for its
+    # mirror); per cover the searches file (3,415) the bound enters 3.3
+    grown, filed, funnel = _check_bound_against_reference(monkeypatch, 17, 1)
+    assert (filed, funnel.covers) == (3415, 5066)
+    assert grown <= 3 * funnel.covers
 
 
 def test_completion_calls_no_validator_and_no_identity_code(monkeypatch):

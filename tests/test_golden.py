@@ -49,6 +49,14 @@ APPLY_ERRORS = {
     (op, "k2"): "error: extraction would create a loop\n"
     for op in ("ambo", "dual", "needle", "subdivide", "truncate")
 }
+# results whose parallel edges planar_code cannot pair back when read
+APPLY_ERRORS.update({
+    (op, host): "error: planar_code cannot be read back: ambiguous "
+    f"parallel edges between {ends}\n"
+    for op, host, ends in (("join", "bowtie", "1 and 2"),
+                           ("kiss", "bowtie", "1 and 2"),
+                           ("needle", "bowtie", "0 and 2"),
+                           ("needle", "k4-minus-edge", "1 and 4"))})
 
 
 def _sha(data: bytes) -> str:

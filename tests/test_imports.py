@@ -155,7 +155,7 @@ def test_readme_lists_every_module():
     assert sorted(listed) == sorted(MODULES.keys() - {"__init__"})
 
 
-SRC_LINE_BUDGET = 3497
+SRC_LINE_BUDGET = 3648
 
 
 def test_src_line_budget():
